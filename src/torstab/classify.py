@@ -1,13 +1,21 @@
 """Stability verdicts, pattern tables, and stabilizer orders.
 
-The trichotomy is decided by exact cone feasibility on the support pattern:
-with B the weights of the nonzero base coordinates and F the shifted weights
-of the nonzero fiber coordinates,
+Both settings the package covers ask the relative Hilbert-Mumford question:
+a point is unstable iff some subgroup lambda has weight < 0, and not stable
+iff some nonzero lambda has weight <= 0.  In both, the weight is linear on
+each of finitely many polyhedral pieces of lambda-space, so
+`verdict_over_pieces` answers the question once for any list of pieces
+(weak rows >= 0, strict rows >= 1):
 
-  * unstable    iff  {all of B >= 0, all of F >= 1} has an integral point
+  * unstable    iff  some piece has an integral point
                      (that point is a destabilizing subgroup, weight < 0);
-  * not stable  iff  the closed cone {B >= 0, F >= 0} contains a nonzero
-                     integral point (weight <= 0 against it).
+  * not stable  iff  some piece, with its strict rows relaxed to >= 0, is a
+                     cone containing a nonzero integral point (weight <= 0).
+
+A support pattern is one piece: with B the weights of the nonzero base
+coordinates and F the shifted weights of the nonzero fiber coordinates, the
+rows are {B >= 0, F >= 1}.  A chain configuration has one piece per sign
+orthant (see `degeneration.classify_config`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
 stability: it witnesses a positive-dimensional stabilizer.
@@ -22,8 +30,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
-from .cones import cone_has_nonzero, make_cone_problem, solve_cone
+from .cones import IntVec, cone_has_nonzero, make_cone_problem, solve_cone
 from .errors import InputError, InternalInvariantError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 from .mu import MuValue, mu_from_pattern
@@ -65,37 +74,49 @@ class PatternTable:
     warnings: tuple[str, ...] = ()
 
 
-def _pattern_rows(problem: GitProblem, pattern: SupportPattern):
-    base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
-    fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
-    return base_rows, fiber_rows
+Piece = tuple[Sequence[IntVec], Sequence[IntVec]]
+
+
+def verdict_over_pieces(
+    pieces: Iterable[Piece], dim: int, weight: Callable[[OnePS], MuValue]
+) -> Verdict:
+    """Verdict for a weight that is linear on each piece (weak, strict).
+
+    A piece is the cone where its weak rows are >= 0; on it the weight is
+    < 0 exactly where every strict row is >= 1 and <= 0 exactly where every
+    strict row is >= 0, so every piece has at least one strict row.
+
+    The first pass solves {weak >= 0, strict >= 1} on each piece in order;
+    the first integral point found destabilizes.  Only then does a second
+    pass look for a nonzero point of {weak >= 0, strict >= 0}, walking the
+    pieces the first pass already built, so pieces may be generated lazily
+    and an unstable point never pays for the pieces after its witness.
+    Each witness's weight is recomputed by `weight`, and the Verdict
+    constructor rejects it unless it is < 0 (unstable) or finite and 0
+    (strictly semistable).
+    """
+    seen = []
+    for weak, strict in pieces:
+        seen.append((weak, strict))
+        destab = solve_cone(make_cone_problem(weak, strict, dim))
+        if destab.feasible:
+            return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
+    for weak, strict in seen:
+        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
+        if blocker is not None:
+            return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
+    return Verdict(StabilityStatus.STABLE)
 
 
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
     """Verdict for every point realizing the given support pattern."""
-    r = problem.torus_rank
-    base_rows, fiber_rows = _pattern_rows(problem, pattern)
-
-    destab = solve_cone(make_cone_problem(base_rows, fiber_rows, r))
-    if destab.feasible:
-        witness = destab.witness
-        value = mu_from_pattern(problem, pattern, witness)
-        if not value < 0:
-            raise InternalInvariantError(
-                f"unstable witness {witness} re-verified to weight {value}"
-            )
-        return Verdict(StabilityStatus.UNSTABLE, witness, value)
-
-    blocker = cone_has_nonzero(base_rows + fiber_rows, r)
-    if blocker is not None:
-        value = mu_from_pattern(problem, pattern, blocker)
-        if value.is_infinite or value.value != 0:
-            raise InternalInvariantError(
-                f"semistability witness {blocker} re-verified to weight {value}"
-            )
-        return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, value)
-
-    return Verdict(StabilityStatus.STABLE)
+    base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
+    fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
+    return verdict_over_pieces(
+        [(base_rows, fiber_rows)],
+        problem.torus_rank,
+        lambda lam: mu_from_pattern(problem, pattern, lam),
+    )
 
 
 def classify(problem: GitProblem, point: PointSample) -> Verdict:

@@ -74,11 +74,11 @@ def _load_problem(spec: str) -> tuple[GitProblem, str]:
     return parse_problem(data.decode("utf-8")), input_digest(data)
 
 
-def _parse_lambda(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise InputError(f"lambda must be comma-separated integers, got {text!r}") from exc
+        raise InputError(f"{what} must be comma-separated integers, got {text!r}") from exc
 
 
 def _load_point(problem: GitProblem, spec: str) -> PointSample:
@@ -156,7 +156,7 @@ def _mono_dict(mono) -> dict:
 def _cmd_mu(args) -> tuple[dict, list[str], str | None, list[str]]:
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
-    lam = _parse_lambda(args.lam)
+    lam = _parse_ints(args.lam, "lambda")
     value = mu(problem, point, lam)
     lines = [f"mu(lambda={_fmt_vec(lam)}, p) = {value}"]
     return {"mu": str(value)}, lines, digest, []
@@ -165,7 +165,7 @@ def _cmd_mu(args) -> tuple[dict, list[str], str | None, list[str]]:
 def _cmd_limit(args):
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
-    lam = _parse_lambda(args.lam)
+    lam = _parse_ints(args.lam, "lambda")
     limit = limit_point(problem, point, lam)
     if limit is None:
         return {"limit": None}, ["limit does not exist (mu is infinite)"], digest, []
@@ -309,7 +309,11 @@ def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
         if ":" not in chunk:
             raise InputError(f"marked points use component:coordinate, got {chunk!r}")
         idx, _, coord = chunk.partition(":")
-        out.append((int(idx), parse_rational(coord)))
+        try:
+            component = int(idx)
+        except ValueError as exc:
+            raise InputError(f"marked point component must be an integer, got {idx!r}") from exc
+        out.append((component, parse_rational(coord)))
     return tuple(out)
 
 
@@ -396,7 +400,7 @@ def _cmd_conic(args):
     stratum = _parse_stratum(args)
     if args.lengths is None:
         raise InputError("--lengths is required unless --sweep is given")
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
     fibre = chain(stratum)
     verdict = classify_config(table, config)
@@ -412,7 +416,7 @@ def _cmd_conic(args):
     lines.append(f"admissible: {'yes' if admissible(config) else 'no'}")
     lines.append(f"verdict: {_fmt_verdict(verdict)}")
     if args.lam:
-        lam = _parse_lambda(args.lam)
+        lam = _parse_ints(args.lam, "lambda")
         value = mu_config(table, config, lam)
         result["mu"] = format_rational(value)
         lines.append(f"mu(lambda={_fmt_vec(lam)}) = {format_rational(value)}")
@@ -451,7 +455,7 @@ def _parse_twists(args) -> tuple[int, ...] | None:
     text = args.twists.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return _parse_ints(text, "--twists")
 
 
 def _cmd_selftest(args):

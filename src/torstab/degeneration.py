@@ -21,11 +21,13 @@ polarization at any torus-limit point is a per-bundle bookkeeping exercise:
     when lambda pushes the point down (s_i > 0) and the u-monomial weight
     when it pushes up (s_i < 0); s_i = 0 contributes nothing.
 
-The subgroup weight of a configuration is minus the lambda-pairing of the
+`WeightTable.limit_weights` holds this rule once; the printed limit
+vectors and the classifier's linear forms are both read off it.  The
+subgroup weight of a configuration is minus the lambda-pairing of the
 summed limit weights (engine sign +1), which is piecewise linear in lambda
-with one linear piece per sign orthant.  Classification reduces to exact
-cone feasibility per orthant, restricted to the subgroups whose limit exists
-on the base: t_i nonzero forces s_i - s_{i-1} >= 0.
+with one linear piece per sign orthant.  Classification hands one cone per
+orthant to `classify.verdict_over_pieces`, restricted to the subgroups whose
+limit exists on the base: t_i nonzero forces s_i - s_{i-1} >= 0.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterator
 
-from .classify import StabilityStatus, Verdict
-from .cones import cone_has_nonzero, make_cone_problem, solve_cone
-from .errors import InputError, InternalInvariantError
+from .classify import StabilityStatus, Verdict, verdict_over_pieces
+from .errors import InputError
 from .model import OnePS
 from .mu import MuValue
 
@@ -144,42 +146,37 @@ class WeightTable:
         """Fibre weight when u_i = 0 at the limit (v-monomial generates)."""
         return self.multipliers[i - 1] * (i - self.n - 1)
 
+    def limit_weights(self, interval: Interval, signs: tuple[int, ...]) -> tuple[int, ...]:
+        """Per-bundle fibre weights at the limit of an interior point of the
+        component spanning `interval`, for a subgroup with these coordinate
+        signs: u behind the point, v ahead of it, and on the point's own
+        component v when the sign is > 0 and u otherwise."""
+        first, last = interval[0], interval[-1]
+        weights = []
+        for i in range(1, self.n + 1):
+            if i < first:
+                weights.append(self.u_weight(i))
+            elif i > last or signs[i - 1] > 0:
+                weights.append(self.v_weight(i))
+            else:
+                weights.append(self.u_weight(i))
+        return tuple(weights)
+
     def point_weight(self, intervals: tuple[Interval, ...], k: int, lam: OnePS) -> int:
         """Lambda-pairing of the fibre weight at the limit of an interior
         point of component k."""
-        first, last = intervals[k][0], intervals[k][-1]
-        total = 0
-        for i in range(1, self.n + 1):
-            s = lam[i - 1]
-            if i < first:
-                total += self.u_weight(i) * s
-            elif i > last:
-                total += self.v_weight(i) * s
-            elif s > 0:
-                total += self.v_weight(i) * s
-            elif s < 0:
-                total += self.u_weight(i) * s
-        return total
+        return sum(w * s for w, s in zip(self.limit_weights(intervals[k], lam), lam))
 
     def limit_vectors(
         self, fibre: ChainFibre, k: int
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Weight vectors at the two limit fixed points of component k:
         flowing down the chain (u coordinates vanish) and up (v vanish)."""
-        first, last = fibre.intervals[k][0], fibre.intervals[k][-1]
-        down = []
-        up = []
-        for i in range(1, self.n + 1):
-            if i < first:
-                down.append(self.u_weight(i))
-                up.append(self.u_weight(i))
-            elif i > last:
-                down.append(self.v_weight(i))
-                up.append(self.v_weight(i))
-            else:
-                down.append(self.v_weight(i))
-                up.append(self.u_weight(i))
-        return tuple(down), tuple(up)
+        interval = fibre.intervals[k]
+        return (
+            self.limit_weights(interval, (1,) * self.n),
+            self.limit_weights(interval, (-1,) * self.n),
+        )
 
 
 def build_weight_table(
@@ -242,83 +239,36 @@ def _limit_rows(stratum: Stratum) -> list[tuple[int, ...]]:
     return rows
 
 
-def _orthant_linear_form(
-    table: WeightTable, config: ChainConfiguration, orthant: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Integer vector m with the engine-oriented weight equal to <m, lam> on
-    the given sign orthant (independent of the table's printing sign)."""
-    intervals = chain(config.stratum).intervals
-    n = table.n
-    m = [0] * n
-    for k, count in enumerate(config.lengths):
-        if not count:
-            continue
-        first, last = intervals[k][0], intervals[k][-1]
-        for i in range(1, n + 1):
-            if i < first:
-                w = table.u_weight(i)
-            elif i > last:
-                w = table.v_weight(i)
-            elif orthant[i - 1] > 0:
-                w = table.v_weight(i)
-            else:
-                w = table.u_weight(i)
-            m[i - 1] += count * w
-    return tuple(-x for x in m)
-
-
 def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     """Stability verdict by exact cone analysis, one piece per sign orthant.
 
     Only subgroups whose base limit exists are tested; the rest have
-    infinite weight and cannot destabilize.  Verdicts (and the reported
-    witness weight) always use the engine orientation, so they do not change
-    with the table's printing sign.
+    infinite weight and cannot destabilize.  On an orthant the engine-
+    oriented weight is minus the pairing with the count-weighted sum of the
+    components' limit weights, so that sum is the piece's strict row.
+    Verdicts (and the reported witness weight) always use the engine
+    orientation, so they do not change with the table's printing sign.
     """
     n = table.n
     limit_rows = _limit_rows(config.stratum)
+    intervals = chain(config.stratum).intervals
 
-    def engine_mu(lam: OnePS) -> Fraction:
-        return table.sign * mu_config(table, config, lam)
+    def pieces():
+        for orthant in product((1, -1), repeat=n):
+            orthant_rows = [
+                tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
+            ]
+            form = [0] * n
+            for k, count in enumerate(config.lengths):
+                if count:
+                    for i, w in enumerate(table.limit_weights(intervals[k], orthant)):
+                        form[i] += count * w
+            yield limit_rows + orthant_rows, [tuple(form)]
 
-    for orthant in product((1, -1), repeat=n):
-        orthant_rows = [
-            tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
-        ]
-        form = _orthant_linear_form(table, config, orthant)
-        negated = tuple(-x for x in form)
-        result = solve_cone(
-            make_cone_problem(limit_rows + orthant_rows, [negated], n)
-        )
-        if result.feasible:
-            witness = result.witness
-            value = engine_mu(witness)
-            if not value < 0:
-                raise InternalInvariantError(
-                    f"destabilizing witness {witness} re-verified to {value}"
-                )
-            return Verdict(
-                StabilityStatus.UNSTABLE, witness, MuValue.finite(int(value))
-            )
+    def engine_mu(lam: OnePS) -> MuValue:
+        return MuValue.finite(int(table.sign * mu_config(table, config, lam)))
 
-    for orthant in product((1, -1), repeat=n):
-        orthant_rows = [
-            tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
-        ]
-        form = _orthant_linear_form(table, config, orthant)
-        negated = tuple(-x for x in form)
-        blocker = cone_has_nonzero(limit_rows + orthant_rows + [negated], n)
-        if blocker is not None:
-            value = engine_mu(blocker)
-            if value != 0:
-                raise InternalInvariantError(
-                    f"semistability witness {blocker} re-verified to {value}"
-                )
-            return Verdict(
-                StabilityStatus.STRICTLY_SEMISTABLE, blocker, MuValue.finite(0)
-            )
-
-    return Verdict(StabilityStatus.STABLE)
+    return verdict_over_pieces(pieces(), n, engine_mu)
 
 
 def config_stabilizer(config: ChainConfiguration) -> int | None:
@@ -419,16 +369,17 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _all_configs(n: int) -> Iterator[ChainConfiguration]:
+    """Every configuration over every stratum, strata in `strata` order and
+    lengths in `compositions` order."""
+    for stratum in strata(n):
+        for lengths in compositions(n, len(chain(stratum).intervals)):
+            yield ChainConfiguration(stratum, lengths)
+
+
 def admissible_configs(n: int) -> list[ChainConfiguration]:
     """Every admissible configuration over every stratum."""
-    out = []
-    for stratum in strata(n):
-        parts = len(chain(stratum).intervals)
-        for lengths in compositions(n, parts):
-            config = ChainConfiguration(stratum, lengths)
-            if admissible(config):
-                out.append(config)
-    return out
+    return [config for config in _all_configs(n) if admissible(config)]
 
 
 def in_component_closure(config: ChainConfiguration, component: HilbertComponent) -> bool:
@@ -502,12 +453,8 @@ class SweepReport:
 def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
     admissibility criterion."""
-    rows = []
-    for stratum in strata(table.n):
-        parts = len(chain(stratum).intervals)
-        for lengths in compositions(table.n, parts):
-            config = ChainConfiguration(stratum, lengths)
-            rows.append(
-                SweepRow(config, admissible(config), classify_config(table, config))
-            )
-    return SweepReport(table, tuple(rows))
+    rows = tuple(
+        SweepRow(config, admissible(config), classify_config(table, config))
+        for config in _all_configs(table.n)
+    )
+    return SweepReport(table, rows)

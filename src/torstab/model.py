@@ -25,9 +25,14 @@ OnePS = tuple[int, ...]
 Monomial = tuple[tuple[str, int], ...]
 
 
+def _is_int(value: object) -> bool:
+    """True for JSON integers; JSON booleans load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or "n" into an exact rational."""
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -238,7 +243,7 @@ def _loads_strict(text: str) -> object:
 
 
 def _parse_weight(raw: object, what: str) -> WeightVector:
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
         raise InputError(f"{what} must be a list of integers, got {raw!r}")
     return tuple(raw)
 
@@ -259,7 +264,7 @@ def _parse_polynomial(raw: object) -> Polynomial:
         if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
             raise InputError(f"term must be an object with 'coeff' and 'monomial', got {term!r}")
         mono = term["monomial"]
-        if not isinstance(mono, dict) or not all(isinstance(e, int) for e in mono.values()):
+        if not isinstance(mono, dict) or not all(_is_int(e) for e in mono.values()):
             raise InputError(f"monomial must map variable names to integers, got {mono!r}")
         terms.append((term["coeff"], mono))
     return Polynomial.make(terms)
@@ -280,7 +285,7 @@ def parse_problem(text: str) -> GitProblem:
             f"unsupported group {group!r}: only diagonalized split-torus actions are accepted"
         )
     rank = data.get("torus_rank")
-    if not isinstance(rank, int):
+    if not _is_int(rank):
         raise InputError("torus_rank must be an integer")
     shift_raw = data.get("linearization_shift")
     shift = _parse_weight(shift_raw, "linearization_shift") if shift_raw is not None else ()

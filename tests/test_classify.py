@@ -14,7 +14,9 @@ from torstab import (
     support,
     synthetic_point,
 )
-from torstab.errors import InputError, ZeroSectionError
+from torstab.classify import verdict_over_pieces
+from torstab.errors import InputError, InternalInvariantError, ZeroSectionError
+from torstab.mu import MuValue
 
 from conftest import box, brute_force_status, point, random_point, random_problem
 
@@ -199,3 +201,46 @@ def test_classify_pattern_direct(conic):
     assert verdict.status is StabilityStatus.UNSTABLE
     realized = synthetic_point(conic, SupportPattern(frozenset({"x"}), frozenset({"u"})))
     assert classify(conic, realized).status is verdict.status
+
+
+# --- shared verdict core ----------------------------------------------------
+
+
+def _dot_weight(form):
+    return lambda lam: MuValue.finite(-sum(a * b for a, b in zip(form, lam)))
+
+
+def test_verdict_over_pieces_stops_at_first_feasible_piece():
+    built = []
+
+    def pieces():
+        for piece in (([(1,)], [(1,)]), "unreachable"):
+            built.append(piece)
+            yield piece
+
+    verdict = verdict_over_pieces(pieces(), 1, _dot_weight((1,)))
+    assert verdict.status is StabilityStatus.UNSTABLE
+    assert verdict.witness == (1,) and verdict.witness_mu == MuValue.finite(-1)
+    assert len(built) == 1
+
+
+def test_verdict_over_pieces_second_pass_reuses_pieces():
+    # Weight -lam_1 on the line lam_1 = 0 of the plane: nothing destabilizes,
+    # but (0, +-1) has weight 0.
+    pieces = iter([([(1, 0), (-1, 0)], [(1, 0)])])
+    verdict = verdict_over_pieces(pieces, 2, _dot_weight((1, 0)))
+    assert verdict.status is StabilityStatus.STRICTLY_SEMISTABLE
+    assert verdict.witness_mu == MuValue.finite(0)
+    assert verdict.witness[0] == 0 and verdict.witness[1] != 0
+
+
+def test_verdict_over_pieces_stable():
+    verdict = verdict_over_pieces([([(1,)], [(-1,)]), ([(-1,)], [(1,)])], 1, _dot_weight((1,)))
+    assert verdict.status is StabilityStatus.STABLE
+
+
+def test_verdict_over_pieces_rejects_a_witness_that_fails_reverification():
+    with pytest.raises(InternalInvariantError):
+        verdict_over_pieces([([], [(1,)])], 1, lambda lam: MuValue.finite(0))
+    with pytest.raises(InternalInvariantError):
+        verdict_over_pieces([([(1, 0), (-1, 0)], [(1, 0)])], 2, lambda lam: MuValue.infinite())

@@ -220,3 +220,24 @@ def test_reported_witnesses_reverify(capture):
         realized = parse_point(problem, values)
         lam = tuple(row["verdict"]["witness"])
         assert str(mu(problem, realized, lam)) == row["verdict"]["witness_mu"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--stratum", "1", "--lengths", "1,x"), "--lengths must be comma-separated integers"),
+        (("--sweep", "--twists", "10,x"), "--twists must be comma-separated integers"),
+        (
+            ("--stratum", "1,3", "--lengths", "0,2,0", "--marked", "one:1/2,1:-1/2"),
+            "marked point component must be an integer",
+        ),
+    ],
+    ids=["lengths", "twists", "marked"],
+)
+def test_conic_non_integer_flags_exit_1(capture, argv, message):
+    code, out, err = capture("conic", "--n", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err

@@ -71,6 +71,45 @@ def test_parse_nonabelian_group_rejected():
         parse_problem(text)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"torus_rank": 1', '"torus_rank": true'),
+        ('"x": [1]', '"x": [true]'),
+        ('"v": [-1]', '"v": [false]'),
+        ('"linearization_shift": [0]', '"linearization_shift": [false]'),
+    ],
+    ids=["torus_rank", "base_weight", "fiber_weight", "shift"],
+)
+def test_parse_rejects_json_booleans(old, new):
+    assert old in CONIC_TEXT
+    with pytest.raises(InputError):
+        parse_problem(CONIC_TEXT.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        '{"coeff": "1", "monomial": {"x": true}}',
+        '{"coeff": true, "monomial": {"x": 1}}',
+    ],
+    ids=["exponent", "coefficient"],
+)
+def test_parse_rejects_json_booleans_in_ideal(term):
+    text = CONIC_TEXT.replace(
+        '"linearization_shift": [0]',
+        f'"linearization_shift": [0], "ideal": [[{term}, {{"coeff": "-1", "monomial": {{"y": 1}}}}]]',
+    )
+    with pytest.raises(InputError):
+        parse_problem(text)
+    parse_problem(text.replace("true", "1"))
+
+
+def test_parse_point_rejects_json_booleans(conic):
+    with pytest.raises(InputError):
+        parse_point(conic, '{"x": true, "y": "0", "u": "1", "v": "0"}')
+
+
 def test_round_trip(conic, king, conic_surface):
     for problem in (conic, king, conic_surface):
         assert parse_problem(serialize_problem(problem)) == problem
