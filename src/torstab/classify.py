@@ -20,6 +20,14 @@ orthant (see `degeneration.classify_config`).
 A nonzero subgroup acting trivially on every declared variable still blocks
 stability: it witnesses a positive-dimensional stabilizer.
 
+Across a pattern table the verdicts are monotone in the support, since each
+added coordinate adds one row: stable is closed under taking larger
+supports (the cone only shrinks, so it stays {0}), and unstable under
+taking smaller ones (a larger support's system {B >= 0, F >= 1} only gains
+rows, so if a support's system is infeasible, every larger one's is too).  `classify_patterns` uses both rules to skip
+solves whose outcome a smaller support already fixed; see there why every
+witness stays the one `classify_pattern` returns.
+
 Every verdict's witness is re-verified by an independent weight computation
 before it is returned; a mismatch raises InternalInvariantError.
 """
@@ -78,7 +86,11 @@ Piece = tuple[Sequence[IntVec], Sequence[IntVec]]
 
 
 def verdict_over_pieces(
-    pieces: Iterable[Piece], dim: int, weight: Callable[[OnePS], MuValue]
+    pieces: Iterable[Piece],
+    dim: int,
+    weight: Callable[[OnePS], MuValue],
+    *,
+    not_unstable: bool = False,
 ) -> Verdict:
     """Verdict for a weight that is linear on each piece (weak, strict).
 
@@ -94,10 +106,15 @@ def verdict_over_pieces(
     Each witness's weight is recomputed by `weight`, and the Verdict
     constructor rejects it unless it is < 0 (unstable) or finite and 0
     (strictly semistable).
+
+    With ``not_unstable`` the caller already knows that no piece has an
+    integral point, so the first pass is skipped and only the second runs.
     """
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
+        if not_unstable:
+            continue
         destab = solve_cone(make_cone_problem(weak, strict, dim))
         if destab.feasible:
             return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
@@ -110,12 +127,19 @@ def verdict_over_pieces(
 
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
     """Verdict for every point realizing the given support pattern."""
+    return _pattern_verdict(problem, pattern)
+
+
+def _pattern_verdict(
+    problem: GitProblem, pattern: SupportPattern, not_unstable: bool = False
+) -> Verdict:
     base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
     fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
     return verdict_over_pieces(
         [(base_rows, fiber_rows)],
         problem.torus_rank,
         lambda lam: mu_from_pattern(problem, pattern, lam),
+        not_unstable=not_unstable,
     )
 
 
@@ -131,12 +155,30 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     subset of the fiber variables.  When an ideal is present its verdicts are
     pattern-level only; whether a pattern is realized on the vanishing locus
     is not checked.
+
+    The loops run base size outer, fiber size inner, so every proper
+    subpattern is classified before the patterns containing it.  The
+    supports solved stable and solved strictly semistable are kept as
+    bitmasks over `problem.var_names`, and a pattern containing one of them
+    skips solves whose outcome is already fixed:
+
+      * containing a stable support, it is stable with no solve (its cone
+        lies in one that is {0}, and a stable verdict has no witness);
+      * containing a strictly semistable one, it is not unstable, so only
+        the second pass runs; the first pass would have found nothing, so
+        its witness is the one `classify_pattern` returns.
+
+    Any other pattern goes to `classify_pattern`.  Rows and witnesses are
+    therefore exactly those of classifying every pattern on its own.
     """
     names = problem.var_names
     if len(names) > max_vars:
         raise InputError(
             f"{len(names)} variables exceed the pattern enumeration cap {max_vars}"
         )
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    stable: list[int] = []
+    semistable: list[int] = []
     rows = []
     base_names = problem.base_names
     fiber_names = problem.fiber_names
@@ -145,7 +187,19 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             for fsize in range(1, len(fiber_names) + 1):
                 for fsub in combinations(fiber_names, fsize):
                     pattern = SupportPattern(frozenset(bsub), frozenset(fsub))
-                    rows.append((pattern, classify_pattern(problem, pattern)))
+                    mask = sum(bit[n] for n in bsub + fsub)
+                    if any(m & mask == m for m in stable):
+                        rows.append((pattern, Verdict(StabilityStatus.STABLE)))
+                        continue
+                    if any(m & mask == m for m in semistable):
+                        verdict = _pattern_verdict(problem, pattern, not_unstable=True)
+                    else:
+                        verdict = classify_pattern(problem, pattern)
+                    rows.append((pattern, verdict))
+                    if verdict.status is StabilityStatus.STABLE:
+                        stable.append(mask)
+                    elif verdict.status is StabilityStatus.STRICTLY_SEMISTABLE:
+                        semistable.append(mask)
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)

@@ -12,6 +12,11 @@ positive integer multipliers, so every derived row stays integral and no
 rounding can occur.  Back-substitution through the saved elimination stages
 produces an explicit witness, which is re-checked by substitution before it
 is returned.
+
+A stage combines every positive row with every negative one, so the row
+count can grow doubly exponentially with the rank.  A stage that would form
+more than `MAX_STAGE_PAIRS` combinations is refused with an InputError
+instead of running for minutes or exhausting memory.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ IntVec = tuple[int, ...]
 
 # (coefficients, right-hand side), meaning sum(c*x) >= rhs.
 _Row = tuple[IntVec, int]
+
+MAX_STAGE_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,11 @@ def _eliminate(rows: list[_Row], j: int) -> list[_Row]:
             pos.append((coeffs, rhs))
         else:
             neg.append((coeffs, rhs))
+    if len(pos) * len(neg) > MAX_STAGE_PAIRS:
+        raise InputError(
+            f"eliminating coordinate {j} of {len(rows)} rows would combine "
+            f"{len(pos)} x {len(neg)} row pairs, over the cap of {MAX_STAGE_PAIRS}"
+        )
     out = zero
     for pc, prhs in pos:
         for nc, nrhs in neg:
@@ -145,9 +157,15 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
     rows += [(w, 1) for w in problem.strict_rows]
 
     stages: list[list[_Row]] = [rows]
-    for j in range(r - 1, -1, -1):
-        rows = _eliminate(rows, j)
-        stages.append(rows)
+    try:
+        for j in range(r - 1, -1, -1):
+            rows = _eliminate(rows, j)
+            stages.append(rows)
+    except InputError as exc:
+        raise InputError(
+            f"rank-{r} cone system of {len(stages[0])} rows is too large for "
+            f"Fourier-Motzkin elimination: {exc}"
+        ) from None
 
     if any(rhs > 0 for _, rhs in stages[-1]):
         return FeasibilityResult(False, None)

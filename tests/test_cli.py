@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -199,6 +200,22 @@ def test_internal_invariant_violation_exit_code(capture, monkeypatch):
     )
     assert code == 2
     assert "invariant violation" in err
+
+
+def test_oversized_cone_system_exits_1(capture, tmp_path):
+    rng = random.Random(0)
+    rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(14)]
+    path = tmp_path / "big.problem"
+    path.write_text(json.dumps({
+        "torus_rank": 5,
+        "base_vars": {f"x{i}": row for i, row in enumerate(rows[:13])},
+        "fiber_vars": {"u0": rows[13]},
+    }))
+    point = ",".join([f"x{i}=1" for i in range(13)] + ["u0=1"])
+    code, out, err = capture("classify", "--problem", str(path), "--point", point)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rank-5 cone system of 14 rows is too large")
 
 
 def test_reported_witnesses_reverify(capture):

@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from torstab import cone_has_nonzero, make_cone_problem, solve_cone
-from torstab.errors import DimensionMismatchError
+from torstab.errors import DimensionMismatchError, InputError
 
 
 def pairing(lam, row):
@@ -128,3 +129,13 @@ def test_witnesses_integral():
         result = solve_cone(make_cone_problem(rows[: len(rows) // 2], rows[len(rows) // 2 :], dim))
         if result.feasible:
             assert all(isinstance(x, int) for x in result.witness)
+
+
+def test_fourier_motzkin_growth_is_refused():
+    # Unbounded, one stage of this rank-5 system would form 35.9 M row pairs.
+    rng = random.Random(0)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(14)]
+    start = time.process_time()
+    with pytest.raises(InputError, match="rank-5 cone system of 15 rows"):
+        cone_has_nonzero(rows)
+    assert time.process_time() - start < 1

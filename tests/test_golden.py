@@ -9,10 +9,19 @@ why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from torstab.cli import main
+
+# Seeded tables of 240-992 patterns with stable and strictly semistable
+# rows, large enough that `classify_patterns` skips solves a smaller support
+# already decided.  Each file's weights are random.Random(seed).randint(-3, 3),
+# drawn for the base variables x0, x1, ... first, then the fiber variables
+# u0, u1, ...  The JSON report echoes the command line, so the paths are
+# relative to the repository root, where the test runs them.
+ROOT = Path(__file__).parent.parent
 
 SINGLE_CONFIG = (
     "conic", "--n", "3", "--stratum", "1,2,3,4", "--lengths", "0,2,0,1,0",
@@ -62,6 +71,21 @@ GOLDEN = [
         "5dd84a1f7c72158fbe279474be46f1c47672b03bb1b89ee43e61bd0a3dcb9b2d",
     ),
     (
+        ("patterns", "--problem", "tests/tables/rank3_5x5_seed1.problem"),
+        "347257b22c1b8ba562b6a3e09bd9813ea19d8f81ca9109bc90692fa79da6faf2",
+        "e3b237c1cc4e8b56a78012ca74ef4310f91cec02aa5b58a2819cb4d9a17428cd",
+    ),
+    (
+        ("patterns", "--problem", "tests/tables/rank4_4x4_seed1.problem"),
+        "9dc1d6afd6cf00a1ca4377b1681b9e8f77c9a066feb293b15228ae82a31c1322",
+        "2333c8f15c3fcec70d2b8e071a731d8e2898397e6cca2d1d54307b7b690cf1e1",
+    ),
+    (
+        ("patterns", "--problem", "tests/tables/rank4_4x4_seed2.problem"),
+        "6f7a893790a7ae156ee0817a36d1c32a0c6a51efec9ba84cd2114dad1403af81",
+        "669adb5e175fd7cb139e4082cced59e03e22d06f3cf968a6adc1ea02deac49c4",
+    ),
+    (
         SINGLE_CONFIG,
         "78bfa485ed7e5d29443c52ff4585cfc71322de02234440c932d81bd372e5c107",
         "209616742d29349f2e0dddf6ee0c1b6caac5d4495c8fefcfb001100ea5cdbb40",
@@ -77,7 +101,8 @@ GOLDEN = [
         for fmt, digest in (("json", json_digest), ("text", text_digest))
     ],
 )
-def test_report_digest(capsys, argv, fmt, digest):
+def test_report_digest(capsys, monkeypatch, argv, fmt, digest):
+    monkeypatch.chdir(ROOT)
     code = main(list(argv) + ["--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
