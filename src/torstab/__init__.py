@@ -82,5 +82,5 @@ from .model import (
     serialize_problem,
     support,
 )
-from .mu import MuValue, limit_point, mu, mu_from_pattern, mu_oracle
+from .mu import MuValue, limit_point, mu, mu_from_pattern
 from .snf import IntegerLattice, lattice_rank_and_index, smith_divisors

@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation (a
-witness failed re-verification) or self-test failure.  Reports go to stdout
-and are byte-identical across runs on identical inputs; timing goes to
-stderr.
+Each subcommand handler computes one JSON-ready result dict; `main` wraps it
+in a report and prints it as text or JSON (see `report`).  Exit codes: 0
+success, 1 input error (or stdout closed before the report was written), 2
+internal invariant violation (a witness failed re-verification) or self-test
+failure.  Reports go to stdout and are byte-identical across runs on
+identical inputs; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +19,6 @@ from fractions import Fraction
 from . import __version__
 from .builtin import builtin_problem
 from .classify import (
-    PatternTable,
     StabilityStatus,
     Verdict,
     classify,
@@ -36,6 +38,7 @@ from .degeneration import (
     sweep_equivalence,
 )
 from .errors import InputError, InternalInvariantError
+from .golden import GOLDEN_REPORTS
 from .invariants import (
     invariant_monomials,
     quotient_presentation,
@@ -54,8 +57,7 @@ from .model import (
     serialize_problem,
 )
 from .mu import limit_point, mu
-from .report import build_report, input_digest, jsonable, to_json
-from .selftests import run_all
+from .report import build_report, sha256_hex, to_json, to_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,14 +66,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_problem(spec: str) -> tuple[GitProblem, str]:
+    """The problem and its digest, the sha256 of its canonical serialization,
+    so the digest depends neither on how the file is named nor on how it is
+    formatted."""
     if spec.startswith("builtin:"):
         problem = builtin_problem(spec.split(":", 1)[1])
-        return problem, input_digest(serialize_problem(problem).encode())
-    try:
-        data = open(spec, "rb").read()
-    except OSError as exc:
-        raise InputError(f"cannot read problem file {spec!r}: {exc}") from exc
-    return parse_problem(data.decode("utf-8")), input_digest(data)
+    else:
+        try:
+            with open(spec, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read problem file {spec!r}: {exc}") from exc
+        problem = parse_problem(data.decode("utf-8"))
+    return problem, sha256_hex(serialize_problem(problem).encode())
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -83,8 +90,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _load_point(problem: GitProblem, spec: str) -> PointSample:
     """Accept a file path, inline JSON, or inline name=value pairs."""
-    import os
-
     if os.path.exists(spec):
         try:
             text = open(spec, "r", encoding="utf-8").read()
@@ -92,20 +97,6 @@ def _load_point(problem: GitProblem, spec: str) -> PointSample:
             raise InputError(f"cannot read point file {spec!r}: {exc}") from exc
         return parse_point(problem, text)
     return parse_point(problem, spec)
-
-
-def _fmt_vec(vec) -> str:
-    return "(" + ",".join(map(str, vec)) + ")"
-
-
-def _fmt_names(names, order) -> str:
-    return "{" + ",".join(n for n in order if n in names) + "}"
-
-
-def _fmt_point(point: PointSample) -> str:
-    return ", ".join(
-        f"{n}={format_rational(v)}" for n, v in point.base_values + point.fiber_values
-    )
 
 
 def _verdict_dict(verdict: Verdict) -> dict:
@@ -116,15 +107,6 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _fmt_verdict(verdict: Verdict) -> str:
-    if verdict.status is StabilityStatus.STABLE:
-        return "stable"
-    return (
-        f"{verdict.status.value} witness={_fmt_vec(verdict.witness)} "
-        f"mu={verdict.witness_mu}"
-    )
-
-
 def _poly_dict(poly) -> list[dict]:
     return [
         {"coeff": format_rational(c), "monomial": {n: e for n, e in mono}}
@@ -132,93 +114,65 @@ def _poly_dict(poly) -> list[dict]:
     ]
 
 
-def _fmt_poly(poly) -> str:
-    parts = []
-    for coeff, mono in sorted(poly.terms, key=lambda term: term[0] < 0):
-        text = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono) or "1"
-        if coeff == 1:
-            parts.append(f"+ {text}")
-        elif coeff == -1:
-            parts.append(f"- {text}")
-        else:
-            parts.append(f"+ {format_rational(coeff)}*{text}")
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else joined
-
-
 def _mono_dict(mono) -> dict:
     return {"monomial": {n: e for n, e in mono.exponents}, "l_degree": mono.l_degree}
 
 
-# --- subcommand handlers ----------------------------------------------------
+# --- subcommand handlers: (result, input digest, warnings) --------------------
 
 
-def _cmd_mu(args) -> tuple[dict, list[str], str | None, list[str]]:
+def _cmd_mu(args) -> tuple[dict, str | None, list[str]]:
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
     lam = _parse_ints(args.lam, "lambda")
-    value = mu(problem, point, lam)
-    lines = [f"mu(lambda={_fmt_vec(lam)}, p) = {value}"]
-    return {"mu": str(value)}, lines, digest, []
+    return {"mu": str(mu(problem, point, lam)), "lambda": list(lam)}, digest, []
 
 
 def _cmd_limit(args):
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
-    lam = _parse_ints(args.lam, "lambda")
-    limit = limit_point(problem, point, lam)
+    limit = limit_point(problem, point, _parse_ints(args.lam, "lambda"))
     if limit is None:
-        return {"limit": None}, ["limit does not exist (mu is infinite)"], digest, []
+        return {"limit": None}, digest, []
     values = {n: format_rational(v) for n, v in limit.base_values + limit.fiber_values}
-    return {"limit": values}, [f"limit point: {_fmt_point(limit)}"], digest, []
+    return {"limit": values}, digest, []
 
 
 def _cmd_classify(args):
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
-    warnings = []
     if problem.ideal and not check_on_ideal(problem, point):
         raise InputError("point does not lie on the declared ideal")
-    verdict = classify(problem, point)
-    return _verdict_dict(verdict), [_fmt_verdict(verdict)], digest, warnings
+    return _verdict_dict(classify(problem, point)), digest, []
 
 
 def _cmd_patterns(args):
     problem, digest = _load_problem(args.problem)
-    table: PatternTable = classify_patterns(problem, max_vars=args.max_vars)
+    table = classify_patterns(problem, max_vars=args.max_vars)
     order = problem.var_names
-    rows = []
-    lines = []
-    for pattern, verdict in table.rows:
-        rows.append(
-            {
-                "base": sorted(pattern.base, key=order.index),
-                "fiber": sorted(pattern.fiber, key=order.index),
-                "verdict": _verdict_dict(verdict),
-            }
-        )
-        lines.append(
-            f"base={_fmt_names(pattern.base, order)} "
-            f"fiber={_fmt_names(pattern.fiber, order)}: {_fmt_verdict(verdict)}"
-        )
+    rows = [
+        {
+            "base": sorted(pattern.base, key=order.index),
+            "fiber": sorted(pattern.fiber, key=order.index),
+            "verdict": _verdict_dict(verdict),
+        }
+        for pattern, verdict in table.rows
+    ]
     counts = {
         status.value: sum(1 for _, v in table.rows if v.status is status)
         for status in StabilityStatus
     }
-    lines.append(
-        "summary: "
-        + ", ".join(f"{k}={v}" for k, v in counts.items())
-    )
-    return {"rows": rows, "counts": counts}, lines, digest, list(table.warnings)
+    return {"rows": rows, "counts": counts}, digest, list(table.warnings)
 
 
 def _cmd_invariants(args):
     problem, digest = _load_problem(args.problem)
     monos = invariant_monomials(problem, args.max_degree)
-    result = {"invariant_monomials": [_mono_dict(m) for m in monos]}
-    lines = [f"{len(monos)} invariant monomials up to total degree {args.max_degree}:"]
-    lines += [f"  {m}  (l_degree {m.l_degree})" for m in monos]
-    return result, lines, digest, []
+    result = {
+        "invariant_monomials": [_mono_dict(m) for m in monos],
+        "max_degree": args.max_degree,
+    }
+    return result, digest, []
 
 
 def _cmd_relations(args):
@@ -230,11 +184,7 @@ def _cmd_relations(args):
         "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
         "relations": [_poly_dict(p) for p in rels],
     }
-    lines = ["generators:"]
-    lines += [f"  {n} = {m}" for n, m in zip(names, gens)]
-    lines.append("relations:")
-    lines += [f"  {_fmt_poly(p)} = 0" for p in rels] or ["  (none)"]
-    return result, lines, digest, []
+    return result, digest, []
 
 
 def _cmd_quotient(args):
@@ -249,42 +199,24 @@ def _cmd_quotient(args):
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
     }
-    lines = ["base coordinates (degree 0):"]
-    lines += [f"  {n} = {m}" for n, m in pres.base_generators] or ["  (none)"]
-    lines.append("projective coordinates (degree > 0):")
-    lines += [f"  {n} = {m}  (degree {d})" for n, m, d in pres.proj_generators]
-    lines.append("relations:")
-    lines += [f"  {_fmt_poly(p)} = 0" for p in pres.relations] or ["  (none)"]
-    lines.append(f"ambient: {pres.ambient}")
-    if pres.veronese_divisor:
-        lines.append(
-            f"projective degrees share the common divisor {pres.veronese_divisor}; "
-            "a Veronese re-grading is available but not applied"
-        )
-    return result, lines, digest, []
+    return result, digest, []
 
 
 def _cmd_stabilizer(args):
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
-    order = stabilizer_order(problem, point)
-    text = "infinite" if order is None else str(order)
-    return {"stabilizer_order": order}, [f"stabilizer order: {text}"], digest, []
+    return {"stabilizer_order": stabilizer_order(problem, point)}, digest, []
 
 
 def _cmd_sections(args):
     problem, digest = _load_problem(args.problem)
     point = _load_point(problem, args.point)
     section = semistable_via_sections(problem, point, args.max_degree)
-    if section is None:
-        lines = [f"no nonvanishing invariant section up to degree {args.max_degree}"]
-        return {"section": None}, lines, digest, []
-    return (
-        {"section": _mono_dict(section)},
-        [f"nonvanishing invariant section: {section} (degree {section.l_degree})"],
-        digest,
-        [],
-    )
+    result = {
+        "section": None if section is None else _mono_dict(section),
+        "max_degree": args.max_degree,
+    }
+    return result, digest, []
 
 
 def _parse_stratum(args) -> Stratum:
@@ -317,113 +249,85 @@ def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
     return tuple(out)
 
 
-def _weight_table_dict(table, stratum) -> dict:
+def _interval_weights(table, stratum) -> list[dict]:
+    """The limit weight vectors of every chain component of the stratum."""
     fibre = chain(stratum)
-    per_interval = []
+    out = []
     for k, interval in enumerate(fibre.intervals):
         down, up = table.limit_vectors(fibre, k)
-        per_interval.append(
+        out.append(
             {
                 "interval": list(interval),
                 "weight_toward_start": list(down),
                 "weight_toward_end": list(up),
             }
         )
+    return out
+
+
+def _weight_table_dict(table, stratum) -> dict:
     return {
         "n": table.n,
         "twists": list(table.multipliers[:-1]),
         "a0": table.a0,
         "sign": table.sign,
         "shift_applied": None,
-        "intervals": per_interval,
+        "intervals": _interval_weights(table, stratum),
     }
 
 
-def _weight_table_lines(table, stratum) -> list[str]:
-    fibre = chain(stratum)
-    lines = [
-        f"weight table: n={table.n} twists={list(table.multipliers[:-1])} "
-        f"a0={table.a0} sign={'engine(+1)' if table.sign == 1 else 'opposite(-1)'} "
-        "shift=none"
-    ]
-    for k, interval in enumerate(fibre.intervals):
-        down, up = table.limit_vectors(fibre, k)
-        lines.append(
-            f"  component {k} {set(interval) or '{}'}: "
-            f"toward-start {_fmt_vec(down)}, toward-end {_fmt_vec(up)}"
-        )
-    return lines
-
-
 def _cmd_conic(args):
-    table = build_weight_table(args.n, a=_parse_twists(args), sign=args.sign_value)
+    sign = 1 if args.sign == "engine" else -1
+    table = build_weight_table(args.n, a=_parse_twists(args), sign=sign)
     if args.sweep:
         report = sweep_equivalence(table)
         rows = []
-        lines = []
-        seen_strata = []
+        stratum_weights: dict[Stratum, dict] = {}
         for row in report.rows:
             stratum = row.config.stratum
-            if stratum not in seen_strata:
-                seen_strata.append(stratum)
-                lines += _weight_table_lines(table, stratum)
-            ok = (row.verdict.status is StabilityStatus.STABLE) == row.admissible
+            if stratum not in stratum_weights:
+                stratum_weights[stratum] = {
+                    "stratum": sorted(stratum.vanishing),
+                    "intervals": _interval_weights(table, stratum),
+                }
             rows.append(
                 {
                     "stratum": sorted(stratum.vanishing),
                     "lengths": list(row.config.lengths),
                     "admissible": row.admissible,
                     "verdict": _verdict_dict(row.verdict),
-                    "agreement": ok,
+                    "agreement": (row.verdict.status is StabilityStatus.STABLE) == row.admissible,
                 }
             )
-            lines.append(
-                f"stratum {stratum.label()} lengths {_fmt_vec(row.config.lengths)}: "
-                f"admissible={'yes' if row.admissible else 'no'} "
-                f"verdict={_fmt_verdict(row.verdict)}"
-                + ("" if ok else "  [DISAGREES]")
-            )
-        lines.append(
-            f"equivalence holds: {report.equivalence_holds}; "
-            f"strictly semistable rows: {report.strictly_semistable_count}"
-        )
         result = {
             "weight_table": _weight_table_dict(table, Stratum(args.n, frozenset(range(1, args.n + 2)))),
+            "stratum_weights": list(stratum_weights.values()),
             "rows": rows,
             "equivalence_holds": report.equivalence_holds,
             "strictly_semistable_rows": report.strictly_semistable_count,
         }
         if not report.equivalence_holds:
             raise InternalInvariantError("sweep disagrees with the admissibility criterion")
-        return result, lines, None, []
+        return result, None, []
 
     stratum = _parse_stratum(args)
     if args.lengths is None:
         raise InputError("--lengths is required unless --sweep is given")
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
-    fibre = chain(stratum)
-    verdict = classify_config(table, config)
     result = {
         "weight_table": _weight_table_dict(table, stratum),
-        "intervals": [list(i) for i in fibre.intervals],
+        "intervals": [list(i) for i in chain(stratum).intervals],
         "lengths": list(lengths),
         "admissible": admissible(config),
-        "verdict": _verdict_dict(verdict),
+        "verdict": _verdict_dict(classify_config(table, config)),
     }
-    lines = _weight_table_lines(table, stratum)
-    lines.append(f"chain components: {[list(i) for i in fibre.intervals]}")
-    lines.append(f"admissible: {'yes' if admissible(config) else 'no'}")
-    lines.append(f"verdict: {_fmt_verdict(verdict)}")
     if args.lam:
         lam = _parse_ints(args.lam, "lambda")
-        value = mu_config(table, config, lam)
-        result["mu"] = format_rational(value)
-        lines.append(f"mu(lambda={_fmt_vec(lam)}) = {format_rational(value)}")
+        result["lambda"] = list(lam)
+        result["mu"] = format_rational(mu_config(table, config, lam))
     if config.marked_points:
-        order = config_stabilizer(config)
-        result["stabilizer_order"] = order
-        lines.append(f"stabilizer order: {'infinite' if order is None else order}")
+        result["stabilizer_order"] = config_stabilizer(config)
     if args.components:
         incidence = hilbert_components(args.n)
         result["components"] = [
@@ -440,13 +344,7 @@ def _cmd_conic(args):
             }
             for labels, witnesses in incidence.intersections
         ]
-        lines.append("components: " + ", ".join(c.label for c in incidence.components))
-        for labels, witnesses in incidence.intersections:
-            lines.append(
-                f"  {' * '.join(labels)}: "
-                + (f"{len(witnesses)} witness configuration(s)" if witnesses else "empty")
-            )
-    return result, lines, None, []
+    return result, None, []
 
 
 def _parse_twists(args) -> tuple[int, ...] | None:
@@ -459,20 +357,29 @@ def _parse_twists(args) -> tuple[int, ...] | None:
 
 
 def _cmd_selftest(args):
-    results = run_all()
-    lines = []
-    for name, ok, detail in results:
-        lines.append(f"{'ok' if ok else 'FAIL'}: {name} ({detail})")
-    passed = all(ok for _, ok, _ in results)
-    lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} suites passed")
-    result = {
-        "suites": [{"name": n, "passed": ok, "detail": d} for n, ok, d in results],
-        "all_passed": passed,
-    }
-    if not passed:
-        # Raised after printing, so the report still reaches stdout.
-        return result, lines, None, ["self-test failures"]
-    return result, lines, None, []
+    """Rebuild every golden report and compare both views with their digests."""
+    cases = []
+    for argv, json_digest, text_digest in GOLDEN_REPORTS:
+        try:
+            _, report = _run(list(argv))
+        except (InputError, InternalInvariantError) as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        else:
+            differ = [
+                fmt
+                for fmt, render, digest in (
+                    ("json", to_json, json_digest),
+                    ("text", to_text, text_digest),
+                )
+                if sha256_hex(render(report).encode()) != digest
+            ]
+            passed = not differ
+            detail = " and ".join(differ) + " digest differs" if differ else "digests match"
+        cases.append({"argv": list(argv), "passed": passed, "detail": detail})
+    warnings = [
+        "self-test failed: " + " ".join(case["argv"]) for case in cases if not case["passed"]
+    ]
+    return {"cases": cases, "all_passed": not warnings}, None, warnings
 
 
 # --- argument wiring --------------------------------------------------------
@@ -549,21 +456,39 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_conic)
 
-    p = sub.add_parser("selftest", help="run the built-in golden suites")
+    p = sub.add_parser("selftest", help="replay the golden reports")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
 
 
+def _run(argv: list[str]) -> tuple[argparse.Namespace, dict]:
+    """Parse one command line and build its report."""
+    args = _build_parser().parse_args(argv)
+    result, digest, warnings = args.handler(args)
+    return args, build_report(args.subcommand, digest, result, warnings)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at /dev/null, so that the interpreter's final
+    flush of whatever is still buffered cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
-        args.sign_value = 1 if getattr(args, "sign", "engine") == "engine" else -1
-        result, lines, digest, warnings = args.handler(args)
+        args, report = _run(argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -571,19 +496,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
 
-    report = build_report(
-        args.subcommand, ["torstab"] + argv, digest, jsonable(result), warnings
-    )
-    if args.format == "json":
-        sys.stdout.write(to_json(report))
-    else:
-        for warning in warnings:
-            print(f"warning: {warning}")
-        for line in lines:
-            print(line)
+    try:
+        sys.stdout.write(to_json(report) if args.format == "json" else to_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as with `| head`
+        _discard_stdout()
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 1
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
-    if args.subcommand == "selftest" and not result["all_passed"]:
+    if args.subcommand == "selftest" and not report["result"]["all_passed"]:
         return 2
     return 0
 

@@ -61,11 +61,6 @@ class Stratum:
                 f"vanishing indices {sorted(bad)} outside 1..{self.n + 1}"
             )
 
-    def label(self) -> str:
-        if not self.vanishing:
-            return "{}"
-        return "{" + ",".join(map(str, sorted(self.vanishing))) + "}"
-
 
 @dataclass(frozen=True)
 class ChainFibre:

@@ -7,16 +7,13 @@ base limit fails, i.e. some nonzero base coordinate has negative
 lambda-degree, so the flow leaves the affine base as t -> 0.
 
 Because the action is diagonal, the weight depends on the point only through
-its support pattern; `mu_from_pattern` is the shared core.  `mu_oracle` is an
-independent check that enumerates lifted monomials up to a degree bound
-instead of trusting the pure-generator argument.
+its support pattern; `mu_from_pattern` is the shared core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .errors import InputError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
@@ -81,53 +78,6 @@ def mu_from_pattern(problem: GitProblem, pattern: SupportPattern, lam: OnePS) ->
 def mu(problem: GitProblem, point: PointSample, lam: OnePS) -> MuValue:
     """Weight of lambda at a point; infinite iff the base limit fails."""
     return mu_from_pattern(problem, support(point), lam)
-
-
-def mu_oracle(
-    problem: GitProblem, point: PointSample, lam: OnePS, degree_bound: int
-) -> MuValue:
-    """Enumeration oracle for `mu`.
-
-    Enumerates lifted monomials a*g, with a a base monomial of total degree
-    at most degree_bound and g a fiber generator, evaluates each at the lifted
-    point, and takes minus the minimal lambda-degree over the nonvanishing
-    ones.  A nonzero base coordinate of negative degree makes the degrees
-    unbounded below (a^N * g drops without limit), matching the infinite case.
-    """
-    if degree_bound < 0:
-        raise InputError(f"degree bound must be nonnegative, got {degree_bound}")
-    lam = problem.check_lambda(lam)
-    support(point)  # zero-section validation
-    values = point.as_dict()
-
-    base = list(problem.base_vars)
-    for name, weight in base:
-        if values[name] != 0 and _dot(lam, weight) < 0:
-            return MuValue.infinite()
-
-    best: int | None = None
-    fiber_degrees = [
-        (_dot(lam, problem.shifted_fiber_weight(name)), values[name])
-        for name in problem.fiber_names
-    ]
-    for size in range(degree_bound + 1):
-        for combo in combinations_with_replacement(range(len(base)), size):
-            coeff = Fraction(1)
-            degree = 0
-            for idx in combo:
-                name, weight = base[idx]
-                coeff *= values[name]
-                degree += _dot(lam, weight)
-            if coeff == 0:
-                continue
-            for fdeg, fval in fiber_degrees:
-                if fval == 0:
-                    continue
-                total = degree + fdeg
-                if best is None or total < best:
-                    best = total
-    assert best is not None, "support() guarantees a nonvanishing fiber generator"
-    return MuValue.finite(-best)
 
 
 def limit_point(problem: GitProblem, point: PointSample, lam: OnePS) -> PointSample | None:

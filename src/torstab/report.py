@@ -1,27 +1,29 @@
-"""Deterministic machine-readable reports.
+"""Deterministic reports: one dict per command, two views of it.
 
-Reports are plain dicts rendered either as human text or as canonical JSON
-(sorted keys, fixed separators).  Nothing time- or environment-dependent goes
-into a report, so repeated runs on identical inputs are byte-identical;
-timing is printed to stderr by the CLI instead.
+Every CLI subcommand computes one JSON-ready result dict, and `build_report`
+wraps it with the schema tag, the subcommand, the input digest and any
+warnings.  `to_json` renders that report as canonical JSON (sorted keys,
+fixed separators) and `to_text` as the human-readable text; `to_text` reads
+nothing but the report dict, so the two views cannot disagree.  Nothing
+time- or environment-dependent goes into a report, so repeated runs on
+identical inputs are byte-identical; timing is printed to stderr by the CLI
+instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 SCHEMA = "torstab-report/1"
 
 
-def input_digest(data: bytes) -> str:
+def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def build_report(
     subcommand: str,
-    command: list[str],
     digest: str | None,
     result: dict,
     warnings: list[str] | None = None,
@@ -29,7 +31,6 @@ def build_report(
     return {
         "schema": SCHEMA,
         "subcommand": subcommand,
-        "command": command,
         "input_digest": digest,
         "result": result,
         "warnings": warnings or [],
@@ -40,14 +41,209 @@ def to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def jsonable(value):
-    """Recursively convert Fractions and tuples for JSON output."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
+def to_text(report: dict) -> str:
+    lines = [f"warning: {warning}" for warning in report["warnings"]]
+    lines += _TEXT[report["subcommand"]](report["result"])
+    return "".join(line + "\n" for line in lines)
+
+
+# --- text pieces --------------------------------------------------------------
+
+
+def _vec(values) -> str:
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+def _braced(names) -> str:
+    return "{" + ",".join(map(str, names)) + "}"
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _order(order: int | None) -> str:
+    return "infinite" if order is None else str(order)
+
+
+def _verdict(verdict: dict) -> str:
+    if verdict["status"] == "stable":
+        return "stable"
+    return f"{verdict['status']} witness={_vec(verdict['witness'])} mu={verdict['witness_mu']}"
+
+
+def _monomial(powers: dict) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in powers.items()) or "1"
+
+
+def _poly(terms: list[dict]) -> str:
+    parts = []
+    for term in sorted(terms, key=lambda t: t["coeff"].startswith("-")):
+        coeff, text = term["coeff"], _monomial(term["monomial"])
+        if coeff == "1":
+            parts.append(f"+ {text}")
+        elif coeff == "-1":
+            parts.append(f"- {text}")
+        else:
+            parts.append(f"+ {coeff}*{text}")
+    joined = " ".join(parts)
+    return joined[2:] if joined.startswith("+ ") else joined
+
+
+def _relations(polys: list[list[dict]]) -> list[str]:
+    return [f"  {_poly(p)} = 0" for p in polys] or ["  (none)"]
+
+
+def _weight_table(table: dict, intervals: list[dict]) -> list[str]:
+    sign = "engine(+1)" if table["sign"] == 1 else "opposite(-1)"
+    lines = [
+        f"weight table: n={table['n']} twists={table['twists']} "
+        f"a0={table['a0']} sign={sign} shift=none"
+    ]
+    for k, entry in enumerate(intervals):
+        lines.append(
+            f"  component {k} {set(entry['interval']) or '{}'}: "
+            f"toward-start {_vec(entry['weight_toward_start'])}, "
+            f"toward-end {_vec(entry['weight_toward_end'])}"
+        )
+    return lines
+
+
+# --- one renderer per subcommand ----------------------------------------------
+
+
+def _text_mu(r: dict) -> list[str]:
+    return [f"mu(lambda={_vec(r['lambda'])}, p) = {r['mu']}"]
+
+
+def _text_limit(r: dict) -> list[str]:
+    if r["limit"] is None:
+        return ["limit does not exist (mu is infinite)"]
+    return ["limit point: " + ", ".join(f"{n}={v}" for n, v in r["limit"].items())]
+
+
+def _text_classify(r: dict) -> list[str]:
+    return [_verdict(r)]
+
+
+def _text_patterns(r: dict) -> list[str]:
+    lines = [
+        f"base={_braced(row['base'])} fiber={_braced(row['fiber'])}: {_verdict(row['verdict'])}"
+        for row in r["rows"]
+    ]
+    lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in r["counts"].items()))
+    return lines
+
+
+def _text_invariants(r: dict) -> list[str]:
+    monos = r["invariant_monomials"]
+    lines = [f"{len(monos)} invariant monomials up to total degree {r['max_degree']}:"]
+    lines += [f"  {_monomial(m['monomial'])}  (l_degree {m['l_degree']})" for m in monos]
+    return lines
+
+
+def _text_relations(r: dict) -> list[str]:
+    lines = ["generators:"]
+    lines += [f"  {g['name']} = {_monomial(g['monomial'])}" for g in r["generators"]]
+    return lines + ["relations:"] + _relations(r["relations"])
+
+
+def _text_quotient(r: dict) -> list[str]:
+    lines = ["base coordinates (degree 0):"]
+    lines += [
+        f"  {g['name']} = {_monomial(g['monomial'])}" for g in r["base_generators"]
+    ] or ["  (none)"]
+    lines.append("projective coordinates (degree > 0):")
+    lines += [
+        f"  {g['name']} = {_monomial(g['monomial'])}  (degree {g['l_degree']})"
+        for g in r["proj_generators"]
+    ]
+    lines += ["relations:"] + _relations(r["relations"])
+    lines.append(f"ambient: {r['ambient']}")
+    if r["veronese_divisor"]:
+        lines.append(
+            f"projective degrees share the common divisor {r['veronese_divisor']}; "
+            "a Veronese re-grading is available but not applied"
+        )
+    return lines
+
+
+def _text_stabilizer(r: dict) -> list[str]:
+    return [f"stabilizer order: {_order(r['stabilizer_order'])}"]
+
+
+def _text_sections(r: dict) -> list[str]:
+    section = r["section"]
+    if section is None:
+        return [f"no nonvanishing invariant section up to degree {r['max_degree']}"]
+    return [
+        f"nonvanishing invariant section: {_monomial(section['monomial'])} "
+        f"(degree {section['l_degree']})"
+    ]
+
+
+def _text_sweep(r: dict) -> list[str]:
+    # Each stratum's weights are printed once, before its first row.
+    unprinted = {tuple(s["stratum"]): s["intervals"] for s in r["stratum_weights"]}
+    lines = []
+    for row in r["rows"]:
+        stratum = tuple(row["stratum"])
+        if stratum in unprinted:
+            lines += _weight_table(r["weight_table"], unprinted.pop(stratum))
+        lines.append(
+            f"stratum {_braced(stratum)} lengths {_vec(row['lengths'])}: "
+            f"admissible={_yes_no(row['admissible'])} verdict={_verdict(row['verdict'])}"
+            + ("" if row["agreement"] else "  [DISAGREES]")
+        )
+    lines.append(
+        f"equivalence holds: {r['equivalence_holds']}; "
+        f"strictly semistable rows: {r['strictly_semistable_rows']}"
+    )
+    return lines
+
+
+def _text_conic(r: dict) -> list[str]:
+    if "rows" in r:
+        return _text_sweep(r)
+    lines = _weight_table(r["weight_table"], r["weight_table"]["intervals"])
+    lines.append(f"chain components: {r['intervals']}")
+    lines.append(f"admissible: {_yes_no(r['admissible'])}")
+    lines.append(f"verdict: {_verdict(r['verdict'])}")
+    if "lambda" in r:
+        lines.append(f"mu(lambda={_vec(r['lambda'])}) = {r['mu']}")
+    if "stabilizer_order" in r:
+        lines.append(f"stabilizer order: {_order(r['stabilizer_order'])}")
+    if "components" in r:
+        lines.append("components: " + ", ".join(c["label"] for c in r["components"]))
+        for meet in r["intersections"]:
+            witnesses = meet["witnesses"]
+            lines.append(
+                f"  {' * '.join(meet['components'])}: "
+                + (f"{len(witnesses)} witness configuration(s)" if witnesses else "empty")
+            )
+    return lines
+
+
+def _text_selftest(r: dict) -> list[str]:
+    lines = [
+        f"{'ok' if case['passed'] else 'FAIL'}: {' '.join(case['argv'])} ({case['detail']})"
+        for case in r["cases"]
+    ]
+    passed = sum(case["passed"] for case in r["cases"])
+    lines.append(f"{passed}/{len(r['cases'])} golden reports reproduced")
+    return lines
+
+
+_TEXT = {
+    "mu": _text_mu,
+    "limit": _text_limit,
+    "classify": _text_classify,
+    "patterns": _text_patterns,
+    "invariants": _text_invariants,
+    "relations": _text_relations,
+    "quotient": _text_quotient,
+    "stabilizer": _text_stabilizer,
+    "sections": _text_sections,
+    "conic": _text_conic,
+    "selftest": _text_selftest,
+}

@@ -2,19 +2,22 @@
 
 The brute-force classifiers here re-decide stability by scanning integral
 subgroups in a box, interpreting the weight thresholds directly.  They share
-no code path with the cone-based classifiers they validate.
+no code path with the cone-based classifiers they validate.  `mu_oracle`
+re-computes the subgroup weight by enumerating lifted monomials up to a
+degree bound instead of trusting the pure-generator argument of `torstab.mu`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from torstab import (
     GitProblem,
+    MuValue,
     PointSample,
     StabilityStatus,
     SupportPattern,
@@ -22,8 +25,10 @@ from torstab import (
     degenerating_conic_problem,
     king_theta1_problem,
     mu_from_pattern,
+    support,
 )
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
+from torstab.errors import InputError
 
 
 @pytest.fixture
@@ -47,6 +52,57 @@ def point(problem: GitProblem, **values) -> PointSample:
 
 def box(rank: int, bound: int):
     return product(range(-bound, bound + 1), repeat=rank)
+
+
+def _pairing(lam, weight) -> int:
+    return sum(a * b for a, b in zip(lam, weight))
+
+
+def mu_oracle(
+    problem: GitProblem, point: PointSample, lam: tuple[int, ...], degree_bound: int
+) -> MuValue:
+    """Enumeration oracle for `mu`.
+
+    Enumerates lifted monomials a*g, with a a base monomial of total degree
+    at most degree_bound and g a fiber generator, evaluates each at the lifted
+    point, and takes minus the minimal lambda-degree over the nonvanishing
+    ones.  A nonzero base coordinate of negative degree makes the degrees
+    unbounded below (a^N * g drops without limit), matching the infinite case.
+    """
+    if degree_bound < 0:
+        raise InputError(f"degree bound must be nonnegative, got {degree_bound}")
+    lam = problem.check_lambda(lam)
+    support(point)  # zero-section validation
+    values = point.as_dict()
+
+    base = list(problem.base_vars)
+    for name, weight in base:
+        if values[name] != 0 and _pairing(lam, weight) < 0:
+            return MuValue.infinite()
+
+    best: int | None = None
+    fiber_degrees = [
+        (_pairing(lam, problem.shifted_fiber_weight(name)), values[name])
+        for name in problem.fiber_names
+    ]
+    for size in range(degree_bound + 1):
+        for combo in combinations_with_replacement(range(len(base)), size):
+            coeff = Fraction(1)
+            degree = 0
+            for idx in combo:
+                name, weight = base[idx]
+                coeff *= values[name]
+                degree += _pairing(lam, weight)
+            if coeff == 0:
+                continue
+            for fdeg, fval in fiber_degrees:
+                if fval == 0:
+                    continue
+                total = degree + fdeg
+                if best is None or total < best:
+                    best = total
+    assert best is not None, "support() guarantees a nonvanishing fiber generator"
+    return MuValue.finite(-best)
 
 
 def brute_force_status(

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s` (or `torstab selftest` for
-the packaged subset).  Expected values for the two worked examples are frozen
-from the independent oracles exercised in the per-module test files.
+Run with `pytest tests/test_acceptance.py -v -s`.  Each criterion checks the
+library against independent oracles (box scans, the enumeration oracle
+`mu_oracle` and closed forms in `conftest.py`); expected values for the two
+worked examples are frozen from those oracles.  `torstab selftest` covers
+the same worked examples differently: it replays the golden CLI reports of
+`torstab.golden` and compares their digests.
 """
 
 import random
@@ -15,7 +18,6 @@ from torstab import (
     classify_patterns,
     conic_bundle_problem,
     mu,
-    mu_oracle,
     quotient_presentation,
     semistable_via_sections,
     stabilizer_order,
@@ -36,6 +38,7 @@ from torstab.degeneration import (
 from conftest import (
     brute_force_status,
     decay_profile,
+    mu_oracle,
     point,
     random_point,
     random_problem,

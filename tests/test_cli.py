@@ -1,9 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torstab
 from torstab.cli import main
+from torstab.golden import GOLDEN_REPORTS
+from torstab.report import build_report, to_text
 
 
 @pytest.fixture
@@ -104,6 +111,7 @@ def test_json_report_schema(capture):
     assert report["result"]["status"] == "unstable"
     assert report["result"]["witness"] == [1]
     assert report["input_digest"]
+    assert "command" not in report
 
 
 def test_reports_byte_identical(capture):
@@ -169,7 +177,27 @@ def test_conic_components(capture):
 def test_selftest_passes(capture):
     code, out, _ = capture("selftest")
     assert code == 0
-    assert "8/8 suites passed" in out
+    total = len(GOLDEN_REPORTS)
+    assert f"{total}/{total} golden reports reproduced" in out
+    assert "FAIL" not in out
+
+
+def test_selftest_names_a_corrupted_digest(capture, monkeypatch):
+    import torstab.cli as cli_module
+
+    (argv, json_digest, text_digest), *rest = GOLDEN_REPORTS
+    corrupted = [(argv, json_digest, "0" * 64)] + rest
+    monkeypatch.setattr(cli_module, "GOLDEN_REPORTS", tuple(corrupted))
+    code, out, _ = capture("selftest")
+    command = " ".join(argv)
+    assert code == 2
+    assert f"warning: self-test failed: {command}\n" in out
+    assert f"FAIL: {command} (text digest differs)" in out
+    code, out, _ = capture("selftest", "--format", "json")
+    report = json.loads(out)
+    assert code == 2
+    assert report["result"]["all_passed"] is False
+    assert report["warnings"] == [f"self-test failed: {command}"]
 
 
 def test_lambda_validation(capture):
@@ -258,3 +286,100 @@ def test_conic_non_integer_flags_exit_1(capture, argv, message):
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_input_digest_ignores_path_spelling_and_formatting(capture, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    problem = {"torus_rank": 1, "base_vars": {"x": [1], "y": [-1]},
+               "fiber_vars": {"u": [1], "v": [-1]}}
+    (tmp_path / "p.problem").write_text(json.dumps(problem))
+    (tmp_path / "q.problem").write_text(json.dumps(problem, indent=4) + "\n\n")
+    outputs = set()
+    for spec in ("./p.problem", str(tmp_path / "p.problem"), "q.problem", "builtin:conic-bundle"):
+        code, out, _ = capture(
+            "classify", "--problem", spec, "--point", "x=1,y=0,u=1,v=0", "--format", "json"
+        )
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("mu", "--problem", "builtin:conic-bundle", "--point", "x=1,y=0,u=1,v=1",
+          "--lambda=-1"), "lambda", [-1]),
+        (("invariants", "--problem", "builtin:conic-bundle", "--max-degree", "3"),
+         "max_degree", 3),
+        (("sections", "--problem", "builtin:conic-bundle", "--point", "x=1,y=0,u=1,v=0",
+          "--max-degree", "2"), "max_degree", 2),
+        (("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0",
+          "--lambda=-1,2"), "lambda", [-1, 2]),
+    ],
+    ids=["mu", "invariants", "sections", "conic"],
+)
+def test_json_carries_what_the_text_prints(capture, argv, key, value):
+    code, out, _ = capture(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"][key] == value
+
+
+def test_sweep_json_gives_every_stratum_weights(capture):
+    code, out, _ = capture("conic", "--n", "2", "--sweep", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    strata = [tuple(entry["stratum"]) for entry in result["stratum_weights"]]
+    assert sorted(strata) == sorted({tuple(row["stratum"]) for row in result["rows"]})
+    assert len(strata) == len(set(strata)) == 2 ** 3
+    by_stratum = {tuple(e["stratum"]): e["intervals"] for e in result["stratum_weights"]}
+    assert by_stratum[(1, 2, 3)] == result["weight_table"]["intervals"]
+    assert by_stratum[()] == [
+        {"interval": [0, 1, 2, 3], "weight_toward_start": [-20, -1],
+         "weight_toward_end": [10, 2]}
+    ]
+
+
+def test_text_renders_non_unit_coefficients():
+    report = build_report("relations", None, {
+        "generators": [],
+        "relations": [[
+            {"coeff": "-2", "monomial": {"x": 1}},
+            {"coeff": "2/3", "monomial": {"y": 2}},
+            {"coeff": "1", "monomial": {}},
+        ]],
+    })
+    assert to_text(report) == "generators:\nrelations:\n  2/3*y^2 + 1 + -2*x = 0\n"
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["conic", "--n", "1", "--sweep"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    src = Path(torstab.__file__).resolve().parent.parent
+    child = subprocess.Popen(
+        [sys.executable, "-m", "torstab.cli", "conic", "--n", "2", "--sweep"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    child.stdout.close()  # the reader is gone before the report is written
+    err = child.stderr.read().decode()
+    assert child.wait() == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

@@ -10,13 +10,12 @@ from torstab import (
     limit_point,
     mu,
     mu_from_pattern,
-    mu_oracle,
     support,
     synthetic_point,
 )
 from torstab.errors import DimensionMismatchError, ZeroSectionError
 
-from conftest import point, random_point, random_problem
+from conftest import mu_oracle, point, random_point, random_problem
 
 
 def test_unstable_direction(conic):
