@@ -74,10 +74,10 @@ def _load_problem(spec: str) -> tuple[GitProblem, str]:
     else:
         try:
             with open(spec, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
+                text = fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read problem file {spec!r}: {exc}") from exc
-        problem = parse_problem(data.decode("utf-8"))
+        problem = parse_problem(text)
     return problem, sha256_hex(serialize_problem(problem).encode())
 
 
@@ -92,8 +92,9 @@ def _load_point(problem: GitProblem, spec: str) -> PointSample:
     """Accept a file path, inline JSON, or inline name=value pairs."""
     if os.path.exists(spec):
         try:
-            text = open(spec, "r", encoding="utf-8").read()
-        except OSError as exc:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read point file {spec!r}: {exc}") from exc
         return parse_point(problem, text)
     return parse_point(problem, spec)

@@ -6,24 +6,29 @@ invariant under scaling ``lam`` by a positive integer, so the ``>= 1``
 encoding is equivalent to strict positivity and every rational solution
 scales to an integral one.
 
-The solver is Fourier-Motzkin elimination.  Eliminating a variable combines
-each positive-coefficient row with each negative-coefficient one using
-positive integer multipliers, so every derived row stays integral and no
-rounding can occur.  Back-substitution through the saved elimination stages
-produces an explicit witness, which is re-checked by substitution before it
-is returned.
+The solver is Fourier-Motzkin elimination, in integers only.  Eliminating a
+variable combines each positive-coefficient row with each negative-coefficient
+one using positive integer multipliers, so every derived row stays integral
+and no rounding can occur.  A stage that holds an all-zero row with a
+positive right-hand side proves the system infeasible, and the elimination
+stops there.  Otherwise back-substitution through the saved stages produces
+an explicit witness: the values are integer numerators over one positive
+common denominator, bounds are compared by cross-multiplication, and the
+witness is the primitive integral vector of the resulting ray.  It is
+re-checked by substitution before it is returned.
 
 A stage combines every positive row with every negative one, so the row
 count can grow doubly exponentially with the rank.  A stage that would form
 more than `MAX_STAGE_PAIRS` combinations is refused with an InputError
-instead of running for minutes or exhausting memory.
+instead of running for minutes or exhausting memory; a system already shown
+infeasible at an earlier stage never reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatchError, InputError, InternalInvariantError
 
@@ -85,13 +90,13 @@ def _normalize_row(coeffs: list[int], rhs: int) -> _Row | None:
     Derived right-hand sides are always >= 0, so ceil-dividing the rhs keeps
     exactly the integral solutions (row values at integral points are
     integers).  Trivially true rows are dropped; an all-zero row with a
-    positive rhs is kept as an infeasibility certificate.
+    positive rhs is kept, as ``0 >= 1``, as an infeasibility certificate.
     """
     g = 0
     for c in coeffs:
         g = gcd(g, c)
     if g == 0:
-        return None if rhs <= 0 else (tuple(coeffs), rhs)
+        return None if rhs <= 0 else (tuple(coeffs), 1)
     if g > 1:
         coeffs = [c // g for c in coeffs]
         rhs = -((-rhs) // g)
@@ -128,12 +133,14 @@ def _eliminate(rows: list[_Row], j: int) -> list[_Row]:
     return list(dict.fromkeys(out))
 
 
-def _pick_value(lower: Fraction | None, upper: Fraction | None) -> Fraction:
-    if lower is not None:
-        return lower
-    if upper is not None:
-        return min(upper, Fraction(0))
-    return Fraction(0)
+def _contradicts(rows: list[_Row], dim: int) -> bool:
+    """True if a stage whose rows have `dim` coefficients holds ``0 >= 1``.
+
+    That is the only form a contradiction takes: a strict input row has
+    rhs 1, `_normalize_row` writes every derived one so, and a row whose
+    eliminated coefficient is 0 passes on with only that coefficient dropped.
+    """
+    return ((0,) * dim, 1) in rows
 
 
 def _verify(problem: ConeProblem, witness: IntVec) -> None:
@@ -149,8 +156,11 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
     """Decide the system exactly; on success return an integral witness.
 
     The witness satisfies every weak row with ``>= 0`` and every strict row
-    with ``>= 1``, verified by substitution.  Infeasibility is a proof: the
-    eliminated system contains a contradictory constant row.
+    with ``>= 1``, verified by substitution; it is the primitive integral
+    vector of the ray that back-substitution picks (the largest lower bound
+    on each variable, otherwise the smaller of its upper bound and 0,
+    otherwise 0).  Infeasibility is a proof: some elimination stage contains
+    a contradictory constant row, and elimination stops at the first one.
     """
     r = problem.dim
     rows: list[_Row] = [(w, 0) for w in problem.nonneg_rows]
@@ -159,6 +169,8 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
     stages: list[list[_Row]] = [rows]
     try:
         for j in range(r - 1, -1, -1):
+            if _contradicts(rows, j + 1):
+                return FeasibilityResult(False, None)
             rows = _eliminate(rows, j)
             stages.append(rows)
     except InputError as exc:
@@ -166,37 +178,49 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
             f"rank-{r} cone system of {len(stages[0])} rows is too large for "
             f"Fourier-Motzkin elimination: {exc}"
         ) from None
-
-    if any(rhs > 0 for _, rhs in stages[-1]):
+    if _contradicts(rows, 0):
         return FeasibilityResult(False, None)
 
-    # Back-substitute: stage r-1-j constrains variables 0..j.
-    values: list[Fraction] = []
+    # Back-substitute: stage r-1-j constrains variables 0..j.  Value i is
+    # nums[i] / den with den > 0, and a bound on variable j is p / (q * den)
+    # with q > 0, so two bounds compare by one cross-multiplication.
+    nums: list[int] = []
+    den = 1
     for j in range(r):
-        lower: Fraction | None = None
-        upper: Fraction | None = None
+        lower: tuple[int, int] | None = None
+        upper: tuple[int, int] | None = None
         for coeffs, rhs in stages[r - 1 - j]:
             c = coeffs[j]
             if c == 0:
                 continue
-            bound = Fraction(rhs - sum(coeffs[i] * values[i] for i in range(j)), c)
+            # map stops at the end of nums, so only variables 0..j-1 enter.
+            s = rhs * den - sum(map(mul, coeffs, nums))
             if c > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None and upper is not None and lower > upper:
+                if lower is None or s * lower[1] > lower[0] * c:
+                    lower = (s, c)
+            elif upper is None or s * upper[1] > upper[0] * c:
+                # -s / -c < upper, with -c > 0, cross-multiplied.
+                upper = (-s, -c)
+        if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
             raise InternalInvariantError("empty interval during back-substitution")
-        values.append(_pick_value(lower, upper))
+        # The largest lower bound; otherwise min(upper bound, 0); otherwise 0.
+        if lower is not None:
+            p, q = lower
+        elif upper is not None and upper[0] < 0:
+            p, q = upper
+        else:
+            p, q = 0, 1
+        g = gcd(p, q)
+        if g < q:
+            q //= g
+            nums = [n * q for n in nums]
+            den *= q
+        nums.append(p // g)
 
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    witness = [int(v * scale) for v in values]
-    g = 0
-    for w in witness:
-        g = gcd(g, w)
-    if g > 1:
-        # g divides every pairing, so strict rows keep >= 1 after division.
-        witness = [w // g for w in witness]
-    result = tuple(witness)
+    # The primitive vector of the ray through nums / den; g divides every
+    # pairing, so strict rows keep >= 1 after division.
+    g = gcd(*nums)
+    result = tuple(n // g for n in nums) if g > 1 else tuple(nums)
     _verify(problem, result)
     return FeasibilityResult(True, result)
 
@@ -209,16 +233,24 @@ def cone_has_nonzero(
     Returns None when the cone is the origin alone.  The search forces each
     coordinate in turn to be >= 1 or <= -1; since the cone is scaling
     invariant, it contains a nonzero point iff one of the 2*dim restricted
-    systems is feasible.
+    systems is feasible.  A system whose forced coordinate contradicts a row
+    outright (``sign*x_i >= 1`` against the row ``-sign*x_i >= 0``) is
+    skipped without a solve; every orthant piece of a chain configuration
+    holds dim such rows.
     """
     rows = [tuple(r) for r in rows]
     if dim is None:
         if not rows:
             raise InputError("cannot infer dimension of an empty row set")
         dim = len(rows[0])
+    # Checks every row against dim even when no axis system reaches a solve.
+    make_cone_problem(rows, [], dim)
+    row_set = set(rows)
     for i in range(dim):
         for sign in (1, -1):
             axis = tuple(sign if k == i else 0 for k in range(dim))
+            if tuple(-a for a in axis) in row_set:
+                continue
             result = solve_cone(make_cone_problem(rows, [axis], dim))
             if result.feasible:
                 return result.witness

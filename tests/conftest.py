@@ -5,6 +5,9 @@ subgroups in a box, interpreting the weight thresholds directly.  They share
 no code path with the cone-based classifiers they validate.  `mu_oracle`
 re-computes the subgroup weight by enumerating lifted monomials up to a
 degree bound instead of trusting the pure-generator argument of `torstab.mu`.
+`solve_cone_oracle` and `cone_has_nonzero_oracle` are the Fourier-Motzkin
+solver as it was before its integer-only back-substitution: every stage is
+eliminated, and the witness is back-substituted with `Fraction`s.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd, lcm
 
 import pytest
 
@@ -27,6 +31,7 @@ from torstab import (
     mu_from_pattern,
     support,
 )
+from torstab.cones import ConeProblem, FeasibilityResult, _eliminate, make_cone_problem
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
 
@@ -103,6 +108,59 @@ def mu_oracle(
                     best = total
     assert best is not None, "support() guarantees a nonvanishing fiber generator"
     return MuValue.finite(-best)
+
+
+def solve_cone_oracle(problem: ConeProblem) -> FeasibilityResult:
+    """`torstab.solve_cone` with rational back-substitution and no early exit.
+
+    Every variable is eliminated (`torstab.cones._eliminate`); the system is
+    infeasible iff the last stage holds a positive constant.  Otherwise each
+    variable, in order, takes its largest lower bound, else the smaller of
+    its upper bound and 0, else 0, and the values are scaled to the
+    primitive integral vector of their ray.
+    """
+    r = problem.dim
+    rows = [(w, 0) for w in problem.nonneg_rows] + [(w, 1) for w in problem.strict_rows]
+    stages = [rows]
+    for j in range(r - 1, -1, -1):
+        rows = _eliminate(rows, j)
+        stages.append(rows)
+    if any(rhs > 0 for _, rhs in stages[-1]):
+        return FeasibilityResult(False, None)
+    values: list[Fraction] = []
+    for j in range(r):
+        lower = upper = None
+        for coeffs, rhs in stages[r - 1 - j]:
+            c = coeffs[j]
+            if c == 0:
+                continue
+            bound = Fraction(rhs - sum(coeffs[i] * values[i] for i in range(j)), c)
+            if c > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        assert lower is None or upper is None or lower <= upper
+        if lower is not None:
+            values.append(lower)
+        elif upper is not None:
+            values.append(min(upper, Fraction(0)))
+        else:
+            values.append(Fraction(0))
+    scale = lcm(*(v.denominator for v in values))
+    witness = [int(v * scale) for v in values]
+    g = gcd(*witness)
+    return FeasibilityResult(True, tuple(w // g if g > 1 else w for w in witness))
+
+
+def cone_has_nonzero_oracle(rows, dim: int):
+    """`torstab.cone_has_nonzero` solving all 2*dim axis systems in turn."""
+    for i in range(dim):
+        for sign in (1, -1):
+            axis = tuple(sign if k == i else 0 for k in range(dim))
+            result = solve_cone_oracle(make_cone_problem(rows, [axis], dim))
+            if result.feasible:
+                return result.witness
+    return None
 
 
 def brute_force_status(

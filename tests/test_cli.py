@@ -72,6 +72,25 @@ def test_missing_file_exit_code(capture):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--problem", "{bad}", "--point", "x=1"),
+        ("patterns", "--problem", "{bad}"),
+        ("mu", "--problem", "builtin:conic-bundle", "--point", "{bad}", "--lambda", "1"),
+    ],
+)
+def test_non_utf8_file_is_an_input_error(capture, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = capture(*(str(path) if a == "{bad}" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read")
+    assert "utf-8" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bad_flag_exit_code(capture):
     code, _, err = capture("classify", "--problem", "builtin:conic-bundle")
     assert code == 1

@@ -3,9 +3,12 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torstab import cone_has_nonzero, make_cone_problem, solve_cone
+from torstab import cone_has_nonzero, cones, make_cone_problem, solve_cone
 from torstab.errors import DimensionMismatchError, InputError
+
+from conftest import cone_has_nonzero_oracle, solve_cone_oracle
 
 
 def pairing(lam, row):
@@ -44,6 +47,9 @@ def test_destabilizing_pattern():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         make_cone_problem([(1, 0)], [(1,)], dim=2)
+    # Every axis system here is skipped, so no solve would see the bad row.
+    with pytest.raises(DimensionMismatchError):
+        cone_has_nonzero([(1,), (-1,), (1, 2)], dim=1)
 
 
 def test_nonzero_opposite_constraints_pin_origin():
@@ -139,3 +145,79 @@ def test_fourier_motzkin_growth_is_refused():
     with pytest.raises(InputError, match="rank-5 cone system of 15 rows"):
         cone_has_nonzero(rows)
     assert time.process_time() - start < 1
+
+
+@st.composite
+def cone_systems(draw):
+    """Rank 1-4, up to 8 weak and 4 strict rows with entries in [-5, 5];
+    rows repeat and the zero row appears often."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-5, 5)] * dim)
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    row = st.one_of(vector, st.sampled_from(pool + [(0,) * dim]))
+    weak = draw(st.lists(row, max_size=8))
+    strict = draw(st.lists(row, max_size=4))
+    return make_cone_problem(weak, strict, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_systems())
+def test_solve_cone_equals_rational_oracle(problem):
+    result = solve_cone(problem)
+    expected = solve_cone_oracle(problem)
+    assert (result.feasible, result.witness) == (expected.feasible, expected.witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_systems())
+def test_cone_has_nonzero_equals_rational_oracle(problem):
+    rows = problem.nonneg_rows + problem.strict_rows
+    assert cone_has_nonzero(rows, problem.dim) == cone_has_nonzero_oracle(rows, problem.dim)
+
+
+def test_contradictory_stage_stops_elimination(monkeypatch):
+    calls = []
+    original = cones._eliminate
+
+    def counted(rows, j):
+        calls.append(j)
+        return original(rows, j)
+
+    monkeypatch.setattr(cones, "_eliminate", counted)
+    # x2 >= 1 and -x2 >= 0: eliminating x2 leaves 0 >= 1.
+    result = solve_cone(make_cone_problem([(0, 0, -1)], [(0, 0, 1)], dim=3))
+    assert not result.feasible
+    assert calls == [2]
+
+
+def test_early_contradiction_answers_before_the_cap(monkeypatch):
+    # Eliminating x1 would combine 3 x 3 row pairs, over a cap of 4; x2 is
+    # eliminated first and already leaves 0 >= 1.
+    monkeypatch.setattr(cones, "MAX_STAGE_PAIRS", 4)
+    weak = [(1, 1, 0), (-1, 1, 0), (1, 2, 0), (1, -1, 0), (-1, -1, 0), (2, -1, 0), (0, 0, -1)]
+    problem = make_cone_problem(weak, [(0, 0, 1)], dim=3)
+    assert not solve_cone(problem).feasible
+    with pytest.raises(InputError, match="3 x 3 row pairs"):
+        solve_cone_oracle(problem)
+
+
+@pytest.mark.parametrize(
+    "rows, solves",
+    [
+        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin.
+        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], 3),
+        # x and y pinned to 0, z <= 0: only z = -1 is solved for.
+        ([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)], 1),
+    ],
+)
+def test_self_contradicting_axis_systems_are_skipped(monkeypatch, rows, solves):
+    calls = []
+    original = cones.solve_cone
+
+    def counted(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(cones, "solve_cone", counted)
+    assert cone_has_nonzero(rows, 3) == cone_has_nonzero_oracle(rows, 3)
+    assert len(calls) == solves < 2 * 3
