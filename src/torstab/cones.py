@@ -49,6 +49,10 @@ class ConeProblem:
     dim: int
 
     def __post_init__(self) -> None:
+        # Rows may arrive as lists; tuples keep the problem hashable, which
+        # the solver relies on when it deduplicates rows.
+        object.__setattr__(self, "nonneg_rows", tuple(map(tuple, self.nonneg_rows)))
+        object.__setattr__(self, "strict_rows", tuple(map(tuple, self.strict_rows)))
         if self.dim < 0:
             raise InputError(f"dimension must be nonnegative, got {self.dim}")
         for row in self.nonneg_rows + self.strict_rows:
@@ -81,7 +85,7 @@ def make_cone_problem(
         if not rows:
             raise InputError("cannot infer dimension of an empty constraint system")
         dim = len(rows[0])
-    return ConeProblem(tuple(map(tuple, nonneg_rows)), tuple(map(tuple, strict_rows)), dim)
+    return ConeProblem(nonneg_rows, strict_rows, dim)
 
 
 def _normalize_row(coeffs: list[int], rhs: int) -> _Row | None:

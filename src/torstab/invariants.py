@@ -4,7 +4,12 @@ weighted-projective quotient presentation.
 For a diagonal torus action the invariant sections are spanned by monomials
 of total weight zero, with the linearization shift charged once per fiber
 degree unit.  Enumeration is bounded by explicit total-degree caps supplied
-by the caller; there is no termination detection.
+by the caller, and outputs are exactly those of a full scan to the bounds.
+The relation scan stops early once the relations found span the whole
+lattice of integer relations among the generators, since nothing later
+could be emitted; a scan that never gets there tries at most
+`MAX_RELATION_CANDIDATES` generator products and is then refused with an
+InputError.
 
 Canonical monomial order everywhere: ascending total degree, then descending
 lexicographic exponent vector in declaration order.  All outputs are
@@ -18,9 +23,11 @@ from math import gcd
 
 from .errors import InputError
 from .model import GitProblem, Monomial, PointSample, Polynomial, support
-from .snf import IntegerLattice
+from .snf import IntegerLattice, smith_divisors
 
 WeightVector = tuple[int, ...]
+
+MAX_RELATION_CANDIDATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,10 +82,21 @@ def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[Mono
     rank = problem.torus_rank
     fiber_names = set(problem.fiber_names)
     found: list[MonomialInvariant] = []
+    # windows[idx][k]: per unit of degree, the least and greatest change to
+    # weight coordinate k that variables idx.. can make.  A branch whose
+    # remaining budget cannot bring every coordinate back to zero is cut;
+    # past the last variable the window is (0, 0), so a leaf has weight zero.
+    windows = [[(0, 0)] * rank]
+    for _, wvec, _ in reversed(variables):
+        windows.append([(min(lo, w), max(hi, w)) for (lo, hi), w in zip(windows[-1], wvec)])
+    windows.reverse()
 
     def descend(idx: int, budget: int, weight: list[int], exps: list[tuple[str, int]]) -> None:
+        for (low, high), w in zip(windows[idx], weight):
+            if not budget * low <= -w <= budget * high:
+                return
         if idx == len(variables):
-            if exps and not any(weight):
+            if exps:
                 l_degree = sum(e for n, e in exps if n in fiber_names)
                 found.append(MonomialInvariant(tuple(exps), l_degree))
             return
@@ -170,6 +188,13 @@ def relations(
     expanded monomial; binomials already in the lattice spanned by earlier
     ones are dropped, so the output generates all relations visible at the
     bound (it need not be minimal).
+
+    Every binomial's exponent difference lies in K, the integer vectors v
+    with v * A = 0 for the generator exponent matrix A.  Once the binomials
+    found span a saturated sublattice of full rank in K, they span all of K
+    and no later product could add one, so the scan stops there; the output
+    is the same as scanning to the bound.  A scan that tries more than
+    `MAX_RELATION_CANDIDATES` products is refused with an InputError.
     """
     if max_syzygy_degree < 1:
         raise InputError(f"syzygy degree bound must be >= 1, got {max_syzygy_degree}")
@@ -179,11 +204,23 @@ def relations(
         raise InputError("generator names and generators differ in length")
     if not generators:
         return []
+    variables = sorted({name for gen in generators for name, _ in gen.exponents})
+    matrix = [[gen.exponent(name) for name in variables] for gen in generators]
+    kernel_rank = len(generators) - sum(1 for d in smith_divisors(matrix) if d)
+    if kernel_rank == 0:
+        return []
 
     first_reaching: dict[tuple[tuple[str, int], ...], tuple[int, ...]] = {}
     lattice = IntegerLattice(len(generators))
     found: list[Polynomial] = []
-    for powers in _generator_monomials(len(generators), max_syzygy_degree):
+    products = _generator_monomials(len(generators), max_syzygy_degree)
+    for tried, powers in enumerate(products, 1):
+        if tried > MAX_RELATION_CANDIDATES:
+            raise InputError(
+                f"relations among {len(generators)} generators up to syzygy degree "
+                f"{max_syzygy_degree}: {MAX_RELATION_CANDIDATES} generator products "
+                "tried and the relation lattice is still incomplete"
+            )
         expanded = _expand(generators, powers)
         rep = first_reaching.get(expanded)
         if rep is None:
@@ -201,6 +238,8 @@ def relations(
                 ]
             )
         )
+        if lattice.rank == kernel_rank and lattice.is_saturated():
+            break
     return found
 
 

@@ -135,6 +135,15 @@ class IntegerLattice:
         rows = [list(r) for r in self._basis] + [list(vec)]
         self._basis = _echelonize(rows, self.dim)
 
+    @property
+    def rank(self) -> int:
+        return len(self._basis)  # echelon rows are linearly independent
+
+    def is_saturated(self) -> bool:
+        """True iff every integer vector in the lattice's rational span is in
+        the lattice, i.e. every elementary divisor of the basis is 1."""
+        return all(d == 1 for d in smith_divisors(self._basis))
+
 
 def _echelonize(rows: list[list[int]], dim: int) -> list[list[int]]:
     work = [r for r in rows if any(r)]

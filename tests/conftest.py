@@ -8,6 +8,10 @@ degree bound instead of trusting the pure-generator argument of `torstab.mu`.
 `solve_cone_oracle` and `cone_has_nonzero_oracle` are the Fourier-Motzkin
 solver as it was before its integer-only back-substitution: every stage is
 eliminated, and the witness is back-substituted with `Fraction`s.
+`invariant_monomials_oracle` and `relations_oracle` are the invariant-ring
+enumerations without their shortcuts: every exponent vector within the
+degree bound is visited, and every generator product up to the syzygy degree
+is tried.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import pytest
 
 from torstab import (
     GitProblem,
+    MonomialInvariant,
     MuValue,
+    Polynomial,
     PointSample,
     StabilityStatus,
     SupportPattern,
@@ -34,6 +40,8 @@ from torstab import (
 from torstab.cones import ConeProblem, FeasibilityResult, _eliminate, make_cone_problem
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
+from torstab.invariants import _expand, _generator_monomials, _order_key, _variable_weights
+from torstab.snf import IntegerLattice
 
 
 @pytest.fixture
@@ -238,3 +246,59 @@ def brute_force_config_status(
 def decay_profile(magnitude: Fraction, degree: int, steps: int = 20) -> list[Fraction]:
     """|c| * t^degree along t = 1/2, 1/4, ..., 2^-steps, computed exactly."""
     return [abs(magnitude) * Fraction(1, 2**k) ** degree for k in range(1, steps + 1)]
+
+
+def invariant_monomials_oracle(problem: GitProblem, bound: int) -> list[MonomialInvariant]:
+    """`torstab.invariant_monomials` descending into every exponent vector of
+    total degree <= bound and keeping those of weight zero."""
+    variables = _variable_weights(problem)
+    rank = problem.torus_rank
+    fiber_names = set(problem.fiber_names)
+    found: list[MonomialInvariant] = []
+
+    def descend(idx, budget, weight, exps):
+        if idx == len(variables):
+            if exps and not any(weight):
+                l_degree = sum(e for n, e in exps if n in fiber_names)
+                found.append(MonomialInvariant(tuple(exps), l_degree))
+            return
+        name, wvec, _ = variables[idx]
+        for e in range(budget + 1):
+            if e:
+                exps.append((name, e))
+            descend(idx + 1, budget - e, [weight[k] + e * wvec[k] for k in range(rank)], exps)
+            if e:
+                exps.pop()
+
+    descend(0, bound, [0] * rank, [])
+    found.sort(key=lambda m: _order_key(problem, m))
+    return found
+
+
+def relations_oracle(generators: list[MonomialInvariant], max_syzygy_degree: int) -> list[Polynomial]:
+    """`torstab.relations` with its default names, trying every generator
+    product up to the bound, with no stop once the relation lattice is
+    complete and no cap."""
+    names = [f"g{i}" for i in range(len(generators))]
+    first_reaching = {}
+    lattice = IntegerLattice(len(generators))
+    found = []
+    for powers in _generator_monomials(len(generators), max_syzygy_degree):
+        expanded = _expand(generators, powers)
+        rep = first_reaching.get(expanded)
+        if rep is None:
+            first_reaching[expanded] = powers
+            continue
+        vector = tuple(a - b for a, b in zip(powers, rep))
+        if lattice.contains(vector):
+            continue
+        lattice.add(vector)
+        found.append(
+            Polynomial.make(
+                [
+                    (1, {names[i]: e for i, e in enumerate(powers) if e}),
+                    (-1, {names[i]: e for i, e in enumerate(rep) if e}),
+                ]
+            )
+        )
+    return found

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,29 @@ def test_oversized_cone_system_exits_1(capture, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: rank-5 cone system of 14 rows is too large")
+
+
+P40 = str(Path(__file__).parent / "tables" / "p40.problem")
+
+
+def test_p40_quotient_at_the_default_syzygy_degree_is_fast(capture):
+    # A full scan at the default --syzygy-degree 8 would try C(24 + 8, 8) - 1,
+    # about 10.5 M, generator products.
+    start = time.process_time()
+    code, out, _ = capture("quotient", "--problem", P40, "--max-degree", "10")
+    assert time.process_time() - start < 1
+    assert code == 0
+    assert "ambient: A^1 x P(1,1,2,2,3,3,3,3,4,4,4,4,4,5,5,5,5,5,6,6,6,7,7)" in out
+
+
+def test_relation_scan_over_the_cap_exits_1(capture, monkeypatch):
+    from torstab import invariants
+
+    monkeypatch.setattr(invariants, "MAX_RELATION_CANDIDATES", 100)
+    code, out, err = capture("relations", "--problem", P40, "--max-degree", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: relations among 24 generators up to syzygy degree 8")
 
 
 def test_reported_witnesses_reverify(capture):

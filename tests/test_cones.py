@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torstab import cone_has_nonzero, cones, make_cone_problem, solve_cone
+from torstab.cones import ConeProblem
 from torstab.errors import DimensionMismatchError, InputError
 
 from conftest import cone_has_nonzero_oracle, solve_cone_oracle
@@ -50,6 +51,13 @@ def test_dimension_mismatch_rejected():
     # Every axis system here is skipped, so no solve would see the bad row.
     with pytest.raises(DimensionMismatchError):
         cone_has_nonzero([(1,), (-1,), (1, 2)], dim=1)
+
+
+def test_list_rows_are_accepted():
+    problem = ConeProblem(([1, 0], [-1, 1]), ([0, 1],), 2)
+    assert problem.nonneg_rows == ((1, 0), (-1, 1))
+    result = solve_cone(problem)
+    assert result.feasible and result.witness == (0, 1)
 
 
 def test_nonzero_opposite_constraints_pin_origin():

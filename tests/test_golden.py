@@ -41,6 +41,17 @@ TABLES = [
         "a2b38f9b5ea74cd52d371d0069c14a3c09e639e630f0ef0b3cc31ec073c65790",
         "669adb5e175fd7cb139e4082cced59e03e22d06f3cf968a6adc1ea02deac49c4",
     ),
+    # The rank-2 ring "P40" (weights in ROADMAP.md): 24 generators up to
+    # degree 10, whose relation scan stops at syzygy degree 3.  The digests
+    # were recorded while the scan still ran to the bound.
+    (
+        (
+            "relations", "--problem", "tests/tables/p40.problem",
+            "--max-degree", "10", "--syzygy-degree", "4",
+        ),
+        "4342ee959aaf3cd78bc390ba2c16db5b8a086fd06c615304f4e4325df52db563",
+        "20512901351bdd39e96fafa8ecdab19b1295853efbf937b3f44931a7b78ba5ce",
+    ),
 ]
 
 

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torstab import (
     GitProblem,
@@ -14,9 +17,13 @@ from torstab import (
     synthetic_point,
     StabilityStatus,
 )
+from torstab import invariants
 from torstab.errors import InputError
+from torstab.model import parse_problem
 
-from conftest import point
+from conftest import invariant_monomials_oracle, point, relations_oracle
+
+P40 = Path(__file__).parent / "tables" / "p40.problem"
 
 
 def exps(mono):
@@ -252,3 +259,116 @@ def test_degree_bound_validation(conic):
         invariant_monomials(conic, 0)
     with pytest.raises(InputError):
         relations([], 0)
+
+
+# --- shortcuts against the full scans ----------------------------------------
+
+
+@st.composite
+def weight_problems(draw):
+    """Rank 1 or 2, 2-6 variables with weights in [-3, 3]; zero weights and
+    repeated weights appear often."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(2, 6))
+    nfiber = draw(st.integers(1, nvars - 1))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    weight = st.one_of(vector, st.sampled_from(pool + [(0,) * rank]))
+    weights = [draw(weight) for _ in range(nvars)]
+    return GitProblem(
+        torus_rank=rank,
+        base_vars=tuple((f"x{i}", w) for i, w in enumerate(weights[: nvars - nfiber])),
+        fiber_vars=tuple((f"u{i}", w) for i, w in enumerate(weights[nvars - nfiber :])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_problems(), st.integers(1, 8))
+def test_invariant_monomials_equal_the_full_descent(problem, degree):
+    assert invariant_monomials(problem, degree) == invariant_monomials_oracle(problem, degree)
+
+
+@st.composite
+def problem_generators(draw):
+    """The minimal generators of a `weight_problems` ring at degree 1-8, at
+    most 10 of them, so that a full scan to syzygy degree 4 tries at most
+    1000 products."""
+    problem = draw(weight_problems())
+    return minimal_generators(invariant_monomials(problem, draw(st.integers(1, 8))))[:10]
+
+
+# Eleven monomials in eight variables whose relation lattice K has rank 3.
+# The binomials of syzygy degree <= 4 span a sublattice of full rank but of
+# index 2 in K; the vector that completes it appears at syzygy degree 5.
+# In 3 000 random rank-1/2 rings of up to 6 variables the first full-rank
+# lattice of the scan was always saturated, so this case is given explicitly.
+INDEX_TWO_GENERATORS = [
+    MonomialInvariant(tuple((name, e) for name, e in zip("abcdefgh", row)), 0)
+    for row in (
+        (3, 3, 1, 3, 3, 3, 1, 1),
+        (3, 3, 3, 1, 1, 1, 3, 3),
+        (1, 1, 1, 3, 3, 1, 3, 3),
+        (2, 1, 1, 1, 1, 1, 1, 1),
+        (1, 2, 1, 1, 1, 1, 1, 1),
+        (1, 1, 2, 1, 1, 1, 1, 1),
+        (1, 1, 1, 2, 1, 1, 1, 1),
+        (2, 2, 2, 2, 3, 2, 2, 2),
+        (1, 1, 1, 1, 1, 2, 1, 1),
+        (1, 1, 1, 1, 1, 1, 2, 1),
+        (2, 2, 2, 2, 2, 2, 2, 3),
+    )
+]
+
+
+@example(INDEX_TWO_GENERATORS, 5)
+@settings(max_examples=100, deadline=None)
+@given(problem_generators(), st.integers(1, 4))
+def test_relations_equal_the_full_scan(gens, syzygy):
+    assert relations(gens, syzygy) == relations_oracle(gens, syzygy)
+
+
+def test_index_two_lattice_is_completed_at_syzygy_degree_five():
+    assert len(relations(INDEX_TWO_GENERATORS, 4)) == 3
+    assert len(relations(INDEX_TWO_GENERATORS, 5)) == 4
+
+
+def count_expansions(monkeypatch):
+    calls = []
+    original = invariants._expand
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "_expand", counted)
+    return calls
+
+
+def test_relation_scan_stops_once_the_lattice_is_complete(monkeypatch):
+    # tests/test_golden.py pins the output of this scan.
+    gens = minimal_generators(invariant_monomials(parse_problem(P40.read_text()), 10))
+    assert len(gens) == 24
+    calls = count_expansions(monkeypatch)
+    assert len(relations(gens, 4)) == 20
+    # The full scan tries all C(24 + 4, 4) - 1 = 20 474 products; this one
+    # stops after 352, at syzygy degree 3.
+    assert 0 < len(calls) < (comb(24 + 4, 4) - 1) // 20
+
+
+def test_relations_without_a_kernel_try_no_product(monkeypatch, conic):
+    # x*y, x*v and y*u have independent exponent vectors.
+    gens = minimal_generators(invariant_monomials(conic, 2))[:3]
+    calls = count_expansions(monkeypatch)
+    assert relations(gens, 8) == []
+    assert calls == []
+
+
+def test_relation_scan_is_capped(monkeypatch, conic):
+    gens = minimal_generators(invariant_monomials(conic, 4))
+    monkeypatch.setattr(invariants, "MAX_RELATION_CANDIDATES", 5)
+    with pytest.raises(InputError, match="4 generators up to syzygy degree 8"):
+        relations(gens, 8)
+    # The conic's one relation, at syzygy degree 2, completes its lattice
+    # within 14 products, so a cap of 14 is not reached at any bound.
+    monkeypatch.setattr(invariants, "MAX_RELATION_CANDIDATES", 14)
+    assert relations(gens, 8) == relations_oracle(gens, 8)
