@@ -23,7 +23,6 @@ from .classify import (
     classify_pattern,
     classify_patterns,
     stabilizer_order,
-    synthetic_point,
 )
 from .cones import (
     ConeProblem,

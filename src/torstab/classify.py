@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -224,12 +223,3 @@ def stabilizer_order(problem: GitProblem, point: PointSample) -> int | None:
     rows = [r for r in rows if any(r)]
     _, index = lattice_rank_and_index(rows, problem.torus_rank)
     return index
-
-
-def synthetic_point(problem: GitProblem, pattern: SupportPattern) -> PointSample:
-    """A point realizing the pattern: value 1 on the support, 0 elsewhere."""
-    one, zero = Fraction(1), Fraction(0)
-    return PointSample(
-        tuple((n, one if n in pattern.base else zero) for n in problem.base_names),
-        tuple((n, one if n in pattern.fiber else zero) for n in problem.fiber_names),
-    )

@@ -1,16 +1,20 @@
 """Command-line interface.
 
 Each subcommand handler computes one JSON-ready result dict; `main` wraps it
-in a report and prints it as text or JSON (see `report`).  Exit codes: 0
-success, 1 input error (or stdout closed before the report was written), 2
-internal invariant violation (a witness failed re-verification) or self-test
-failure.  Reports go to stdout and are byte-identical across runs on
-identical inputs; timing goes to stderr.
+in a report and prints it as text or JSON (see `report`).  The argument
+parser is built once per process, on the first call, and holds no handler:
+the handler of subcommand `name` is the function `_cmd_<name>`, looked up by
+that name when the command runs.  Exit codes: 0 success, 1 input error (or
+stdout closed before the report was written), 2 internal invariant violation
+(a witness failed re-verification) or self-test failure.  Reports go to
+stdout and are byte-identical across runs on identical inputs; timing goes
+to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -150,19 +154,18 @@ def _cmd_classify(args):
 def _cmd_patterns(args):
     problem, digest = _load_problem(args.problem)
     table = classify_patterns(problem, max_vars=args.max_vars)
-    order = problem.var_names
-    rows = [
-        {
-            "base": sorted(pattern.base, key=order.index),
-            "fiber": sorted(pattern.fiber, key=order.index),
-            "verdict": _verdict_dict(verdict),
-        }
-        for pattern, verdict in table.rows
-    ]
-    counts = {
-        status.value: sum(1 for _, v in table.rows if v.status is status)
-        for status in StabilityStatus
-    }
+    position = {name: i for i, name in enumerate(problem.var_names)}.__getitem__
+    counts = {status.value: 0 for status in StabilityStatus}
+    rows = []
+    for pattern, verdict in table.rows:
+        counts[verdict.status.value] += 1
+        rows.append(
+            {
+                "base": sorted(pattern.base, key=position),
+                "fiber": sorted(pattern.fiber, key=position),
+                "verdict": _verdict_dict(verdict),
+            }
+        )
     return {"rows": rows, "counts": counts}, digest, list(table.warnings)
 
 
@@ -386,7 +389,10 @@ def _cmd_selftest(args):
 # --- argument wiring --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use rather than at
+    import; parsing a command line leaves it unchanged."""
     parser = _Parser(prog="torstab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torstab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -402,46 +408,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mu", help="subgroup weight at a point")
     common(p, point=True, lam="required")
-    p.set_defaults(handler=_cmd_mu)
 
     p = sub.add_parser("limit", help="limit point under a subgroup")
     common(p, point=True, lam="required")
-    p.set_defaults(handler=_cmd_limit)
 
     p = sub.add_parser("classify", help="stability verdict for a point")
     common(p, point=True)
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("patterns", help="verdicts for all support patterns")
     common(p)
     p.add_argument("--max-vars", type=int, default=16)
-    p.set_defaults(handler=_cmd_patterns)
 
     p = sub.add_parser("invariants", help="invariant monomials up to a degree bound")
     common(p)
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(handler=_cmd_invariants)
 
     p = sub.add_parser("relations", help="binomial relations among minimal generators")
     common(p)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--syzygy-degree", type=int, default=8)
-    p.set_defaults(handler=_cmd_relations)
 
     p = sub.add_parser("quotient", help="quotient presentation")
     common(p)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--syzygy-degree", type=int, default=8)
-    p.set_defaults(handler=_cmd_quotient)
 
     p = sub.add_parser("stabilizer", help="order of the torus stabilizer at a point")
     common(p, point=True)
-    p.set_defaults(handler=_cmd_stabilizer)
 
     p = sub.add_parser("sections", help="nonvanishing invariant section at a point")
     common(p, point=True)
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(handler=_cmd_sections)
 
     p = sub.add_parser("conic", help="degenerating-conic case study")
     p.add_argument("--n", type=int, required=True)
@@ -455,11 +452,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--components", action="store_true",
                    help="report component incidence")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_conic)
 
     p = sub.add_parser("selftest", help="replay the golden reports")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_selftest)
 
     return parser
 
@@ -467,7 +462,10 @@ def _build_parser() -> _Parser:
 def _run(argv: list[str]) -> tuple[argparse.Namespace, dict]:
     """Parse one command line and build its report."""
     args = _build_parser().parse_args(argv)
-    result, digest, warnings = args.handler(args)
+    # Looked up when called, not stored in the cached parser, so that
+    # rebinding a `_cmd_*` name takes effect.
+    handler = globals()[f"_cmd_{args.subcommand}"]
+    result, digest, warnings = handler(args)
     return args, build_report(args.subcommand, digest, result, warnings)
 
 

@@ -2,18 +2,21 @@
 
 Every CLI subcommand computes one JSON-ready result dict, and `build_report`
 wraps it with the schema tag, the subcommand, the input digest and any
-warnings.  `to_json` renders that report as canonical JSON (sorted keys,
-fixed separators) and `to_text` as the human-readable text; `to_text` reads
-nothing but the report dict, so the two views cannot disagree.  Nothing
-time- or environment-dependent goes into a report, so repeated runs on
-identical inputs are byte-identical; timing is printed to stderr by the CLI
-instead.
+warnings.  `to_json` renders that report as canonical JSON, byte for byte
+`json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)` plus a
+newline, and `to_text` as the human-readable text; `to_text` reads nothing
+but the report dict, so the two views cannot disagree.  `to_json` is written
+out by hand because the standard library runs its C encoder only without
+`indent`, and falls back to a generator-based pure-Python encoder with it.
+Nothing time- or environment-dependent goes into a report, so repeated runs
+on identical inputs are byte-identical; timing is printed to stderr by the
+CLI instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii
 
 SCHEMA = "torstab-report/1"
 
@@ -38,7 +41,76 @@ def build_report(
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The report as `json.dumps(report, sort_keys=True, separators=(",", ": "),
+    indent=1) + "\n"`, byte for byte, in one pass.
+
+    Under `indent` the standard library encodes through its pure-Python
+    generators, one token at a time; this emitter pushes one string per
+    output line and joins them once.  Reports hold only dicts with `str`
+    keys, lists, tuples, `str`, `int`, `bool` and `None` (no floats: the
+    arithmetic is exact), and each is matched by its exact type; any other
+    value, or a non-`str` key, raises `TypeError`.
+    """
+    pieces: list[str] = []
+    _put_value("", report, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+# Scalars by exact type, so that `bool` is never taken for `int`.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _put_value(lead: str, value, indent: str, put) -> None:
+    """Push `lead` followed by `value` rendered at the depth whose line break
+    and indentation is `indent`."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        put(lead + scalar(value))
+        return
+    if kind is dict:
+        if not value:
+            put(lead + "{}")
+            return
+        inner = indent + " "
+        lead += "{" + inner
+        sep = "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            head = lead + encode_basestring_ascii(key) + ": "
+            # A scalar is rendered here, without a call, on the key's line.
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                put(head + scalar(item))
+            else:
+                _put_value(head, item, inner, put)
+            lead = sep
+        put(indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put(lead + "[]")
+            return
+        inner = indent + " "
+        lead += "[" + inner
+        sep = "," + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                put(lead + scalar(item))
+            else:
+                _put_value(lead, item, inner, put)
+            lead = sep
+        put(indent + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def to_text(report: dict) -> str:

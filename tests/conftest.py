@@ -63,6 +63,15 @@ def point(problem: GitProblem, **values) -> PointSample:
     return PointSample.for_problem(problem, values)
 
 
+def synthetic_point(problem: GitProblem, pattern: SupportPattern) -> PointSample:
+    """A point realizing the pattern: value 1 on the support, 0 elsewhere."""
+    one, zero = Fraction(1), Fraction(0)
+    return PointSample(
+        tuple((n, one if n in pattern.base else zero) for n in problem.base_names),
+        tuple((n, one if n in pattern.fiber else zero) for n in problem.fiber_names),
+    )
+
+
 def box(rank: int, bound: int):
     return product(range(-bound, bound + 1), repeat=rank)
 

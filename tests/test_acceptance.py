@@ -22,7 +22,6 @@ from torstab import (
     semistable_via_sections,
     stabilizer_order,
     support,
-    synthetic_point,
 )
 from torstab.cli import main as cli_main
 from torstab.degeneration import (
@@ -42,6 +41,7 @@ from conftest import (
     point,
     random_point,
     random_problem,
+    synthetic_point,
 )
 
 GOLDEN_CONIC = {

@@ -19,14 +19,20 @@ from torstab import (
     parse_problem,
     stabilizer_order,
     support,
-    synthetic_point,
 )
 from torstab import cones
 from torstab.classify import verdict_over_pieces
 from torstab.errors import InputError, InternalInvariantError, ZeroSectionError
 from torstab.mu import MuValue
 
-from conftest import box, brute_force_status, point, random_point, random_problem
+from conftest import (
+    box,
+    brute_force_status,
+    point,
+    random_point,
+    random_problem,
+    synthetic_point,
+)
 
 GOLDEN_CONIC = {
     # (base support, fiber support) -> status, for all 12 patterns.

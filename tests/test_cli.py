@@ -250,6 +250,33 @@ def test_internal_invariant_violation_exit_code(capture, monkeypatch):
     assert "invariant violation" in err
 
 
+SUCCESSIVE_COMMANDS = [
+    ("invariants", "--problem", "builtin:conic-bundle", "--max-degree", "3"),
+    ("invariants", "--problem", "builtin:conic-bundle"),
+    ("patterns", "--problem", "builtin:conic-bundle", "--max-vars", "2"),
+    ("patterns", "--problem", "builtin:conic-bundle", "--format", "json"),
+    ("conic", "--n", "2", "--sweep", "--format", "json"),
+    ("conic", "--n", "2", "--stratum", "3", "--lengths", "2,0"),
+]
+
+
+def test_successive_calls_share_one_parser_and_leak_nothing(capture):
+    import torstab.cli as cli_module
+
+    alone = []
+    for argv in SUCCESSIVE_COMMANDS:
+        cli_module._build_parser.cache_clear()  # a fresh parser, as in a new process
+        code, out, _ = capture(*argv)
+        alone.append((code, out))
+    assert [code for code, _ in alone] == [0, 0, 1, 0, 0, 0]
+    assert alone[0] != alone[1]  # the second call runs at the default --max-degree
+
+    parser = cli_module._build_parser()
+    in_sequence = [capture(*argv)[:2] for argv in SUCCESSIVE_COMMANDS]
+    assert in_sequence == alone
+    assert cli_module._build_parser() is parser
+
+
 def test_oversized_cone_system_exits_1(capture, tmp_path):
     rng = random.Random(0)
     rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(14)]

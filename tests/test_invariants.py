@@ -14,14 +14,13 @@ from torstab import (
     quotient_presentation,
     relations,
     semistable_via_sections,
-    synthetic_point,
     StabilityStatus,
 )
 from torstab import invariants
 from torstab.errors import InputError
 from torstab.model import parse_problem
 
-from conftest import invariant_monomials_oracle, point, relations_oracle
+from conftest import invariant_monomials_oracle, point, relations_oracle, synthetic_point
 
 P40 = Path(__file__).parent / "tables" / "p40.problem"
 

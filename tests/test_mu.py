@@ -11,11 +11,10 @@ from torstab import (
     mu,
     mu_from_pattern,
     support,
-    synthetic_point,
 )
 from torstab.errors import DimensionMismatchError, ZeroSectionError
 
-from conftest import mu_oracle, point, random_point, random_problem
+from conftest import mu_oracle, point, random_point, random_problem, synthetic_point
 
 
 def test_unstable_direction(conic):
