@@ -90,6 +90,7 @@ def verdict_over_pieces(
     weight: Callable[[OnePS], MuValue],
     *,
     not_unstable: bool = False,
+    memo: dict | None = None,
 ) -> Verdict:
     """Verdict for a weight that is linear on each piece (weak, strict).
 
@@ -108,17 +109,36 @@ def verdict_over_pieces(
 
     With ``not_unstable`` the caller already knows that no piece has an
     integral point, so the first pass is skipped and only the second runs.
+
+    Every answer is kept in ``memo`` under its row set: a first-pass result
+    under (frozenset(weak), frozenset(strict)) and a second-pass one under
+    frozenset(weak + strict).  `solve_cone` and `cone_has_nonzero` answer as
+    functions of the row set alone, so a remembered answer, witness
+    included, is the one a fresh solve would give, and a caller may share
+    one dict across calls (`degeneration.sweep_equivalence` shares one per
+    sweep); without one, each call keeps its own.  `weight` still re-checks
+    every witness.
     """
+    if memo is None:
+        memo = {}
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
         if not_unstable:
             continue
-        destab = solve_cone(make_cone_problem(weak, strict, dim))
+        key = (frozenset(map(tuple, weak)), frozenset(map(tuple, strict)))
+        destab = memo.get(key)
+        if destab is None:
+            destab = memo[key] = solve_cone(make_cone_problem(weak, strict, dim))
         if destab.feasible:
             return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
     for weak, strict in seen:
-        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
+        rows = list(weak) + list(strict)
+        key = frozenset(map(tuple, rows))
+        if key in memo:
+            blocker = memo[key]
+        else:
+            blocker = memo[key] = cone_has_nonzero(rows, dim)
         if blocker is not None:
             return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
     return Verdict(StabilityStatus.STABLE)

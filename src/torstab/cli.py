@@ -64,6 +64,15 @@ from .mu import limit_point, mu
 from .report import build_report, sha256_hex, to_json, to_text
 
 
+# What `torstab --help` says; the module docstring is for maintainers.
+_DESCRIPTION = (
+    "Exact stability verdicts, invariant rings and quotient presentations for "
+    "split-torus actions, and the degenerating-conic case study. Reports go to "
+    "stdout as text or JSON. Exit codes: 0 success, 1 input error, 2 internal "
+    "invariant violation or self-test failure."
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         raise InputError(message)
@@ -393,7 +402,7 @@ def _cmd_selftest(args):
 def _build_parser() -> _Parser:
     """The one parser of this process, built on first use rather than at
     import; parsing a command line leaves it unchanged."""
-    parser = _Parser(prog="torstab", description=__doc__)
+    parser = _Parser(prog="torstab", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"torstab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -22,6 +22,14 @@ count can grow doubly exponentially with the rank.  A stage that would form
 more than `MAX_STAGE_PAIRS` combinations is refused with an InputError
 instead of running for minutes or exhausting memory; a system already shown
 infeasible at an earlier stage never reaches it.
+
+Every answer, witness and refusal included, is a function of the row set
+alone: each stage, the input included, drops repeated rows, a contradiction
+is found by membership, and back-substitution takes bounds by value.  So the
+order and repetition of the input rows never matter, which lets a caller
+remember answers under row sets (see `classify.verdict_over_pieces`).
+`cone_has_nonzero` settles a cone that lies in a closed orthant with one
+solve when it holds only the origin.
 """
 
 from __future__ import annotations
@@ -167,8 +175,12 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
     a contradictory constant row, and elimination stops at the first one.
     """
     r = problem.dim
-    rows: list[_Row] = [(w, 0) for w in problem.nonneg_rows]
-    rows += [(w, 1) for w in problem.strict_rows]
+    # Repeated rows are dropped here as every later stage drops them, so the
+    # stage sizes, and with them the MAX_STAGE_PAIRS check, depend only on
+    # the row set.
+    rows: list[_Row] = list(
+        dict.fromkeys([(w, 0) for w in problem.nonneg_rows] + [(w, 1) for w in problem.strict_rows])
+    )
 
     stages: list[list[_Row]] = [rows]
     try:
@@ -237,10 +249,19 @@ def cone_has_nonzero(
     Returns None when the cone is the origin alone.  The search forces each
     coordinate in turn to be >= 1 or <= -1; since the cone is scaling
     invariant, it contains a nonzero point iff one of the 2*dim restricted
-    systems is feasible.  A system whose forced coordinate contradicts a row
-    outright (``sign*x_i >= 1`` against the row ``-sign*x_i >= 0``) is
-    skipped without a solve; every orthant piece of a chain configuration
-    holds dim such rows.
+    systems is feasible, and the witness is the one the first feasible
+    system's solve returns.  A system whose forced coordinate contradicts a
+    row outright (``sign*x_i >= 1`` against the row ``-sign*x_i >= 0``) is
+    skipped without a solve.
+
+    When the rows hold a sign row ``s_i*x_i >= 0`` for every coordinate, the
+    cone lies in a closed orthant, and it holds a nonzero point iff the one
+    system {rows, ``sum s_i*x_i >= 1``} is feasible.  That system is solved
+    first whenever more than one axis system would be, so a cone that is the
+    origin alone costs one solve instead of up to dim; when it is feasible
+    the axis systems still pick the witness.  Every orthant piece of a chain
+    configuration is such a cone.  Like `solve_cone`, the answer depends
+    only on the set of rows.
     """
     rows = [tuple(r) for r in rows]
     if dim is None:
@@ -250,12 +271,25 @@ def cone_has_nonzero(
     # Checks every row against dim even when no axis system reaches a solve.
     make_cone_problem(rows, [], dim)
     row_set = set(rows)
+    axes = []  # the forced row of each axis system that needs a solve
+    orthant = []  # the sign row found for each coordinate that has one
     for i in range(dim):
-        for sign in (1, -1):
-            axis = tuple(sign if k == i else 0 for k in range(dim))
-            if tuple(-a for a in axis) in row_set:
-                continue
-            result = solve_cone(make_cone_problem(rows, [axis], dim))
-            if result.feasible:
-                return result.witness
+        plus = tuple(1 if k == i else 0 for k in range(dim))
+        minus = tuple(-a for a in plus)
+        if plus in row_set:
+            orthant.append(plus)
+        elif minus in row_set:
+            orthant.append(minus)
+        if minus not in row_set:
+            axes.append(plus)
+        if plus not in row_set:
+            axes.append(minus)
+    if len(axes) > 1 and len(orthant) == dim:
+        inward = tuple(map(sum, zip(*orthant)))
+        if not solve_cone(make_cone_problem(rows, [inward], dim)).feasible:
+            return None
+    for axis in axes:
+        result = solve_cone(make_cone_problem(rows, [axis], dim))
+        if result.feasible:
+            return result.witness
     return None

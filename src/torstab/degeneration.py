@@ -28,6 +28,14 @@ summed limit weights (engine sign +1), which is piecewise linear in lambda
 with one linear piece per sign orthant.  Classification hands one cone per
 orthant to `classify.verdict_over_pieces`, restricted to the subgroups whose
 limit exists on the base: t_i nonzero forces s_i - s_{i-1} >= 0.
+
+`sweep_equivalence` builds what the configurations of one stratum share (the
+chain, the base-limit rows, and per orthant the sign rows and each
+component's limit weights) once, and remembers every cone answer of the
+sweep under its row set, so a system that recurs across configurations is
+solved once.  Its rows and witnesses are those of `classify_config` run on
+each configuration alone, and every witness's weight is still recomputed
+from the configuration by `mu_config`.
 """
 
 from __future__ import annotations
@@ -69,9 +77,15 @@ class ChainFibre:
     intervals: tuple[Interval, ...]
 
 
+def _chain_cuts(stratum: Stratum) -> list[int]:
+    """Where the chain's intervals start, then n+2: {0, ..., n+1} is cut
+    before every vanishing index, so there is one interval per cut."""
+    return [0] + sorted(stratum.vanishing) + [stratum.n + 2]
+
+
 def chain(stratum: Stratum) -> ChainFibre:
     """Interval partition: cut {0, ..., n+1} before every vanishing index."""
-    cuts = [0] + sorted(stratum.vanishing) + [stratum.n + 2]
+    cuts = _chain_cuts(stratum)
     intervals = tuple(
         tuple(range(cuts[k], cuts[k + 1])) for k in range(len(cuts) - 1)
     )
@@ -88,10 +102,10 @@ class ChainConfiguration:
     marked_points: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        intervals = chain(self.stratum).intervals
-        if len(self.lengths) != len(intervals):
+        components = len(_chain_cuts(self.stratum)) - 1
+        if len(self.lengths) != components:
             raise InputError(
-                f"{len(self.lengths)} lengths for {len(intervals)} chain components"
+                f"{len(self.lengths)} lengths for {components} chain components"
             )
         if any(l < 0 for l in self.lengths):
             raise InputError(f"negative length in {self.lengths}")
@@ -100,7 +114,7 @@ class ChainConfiguration:
                 f"lengths {self.lengths} sum to {sum(self.lengths)}, expected {self.stratum.n}"
             )
         for idx, coord in self.marked_points:
-            if not 0 <= idx < len(intervals):
+            if not 0 <= idx < components:
                 raise InputError(f"marked point on unknown component {idx}")
             if coord == 0:
                 raise InputError("marked interior coordinates must be nonzero")
@@ -234,7 +248,26 @@ def _limit_rows(stratum: Stratum) -> list[tuple[int, ...]]:
     return rows
 
 
-def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
+def _orthant_pieces(table: WeightTable, stratum: Stratum) -> list[tuple[list, list]]:
+    """What every configuration over the stratum shares, per sign orthant:
+    the piece's weak rows (base-limit rows, then the orthant's sign rows)
+    and the limit weights of each chain component."""
+    n = table.n
+    limit_rows = _limit_rows(stratum)
+    intervals = chain(stratum).intervals
+    out = []
+    for orthant in product((1, -1), repeat=n):
+        orthant_rows = [
+            tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
+        ]
+        weights = [table.limit_weights(interval, orthant) for interval in intervals]
+        out.append((limit_rows + orthant_rows, weights))
+    return out
+
+
+def classify_config(
+    table: WeightTable, config: ChainConfiguration, *, memo: dict | None = None
+) -> Verdict:
     """Stability verdict by exact cone analysis, one piece per sign orthant.
 
     Only subgroups whose base limit exists are tested; the rest have
@@ -243,27 +276,36 @@ def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     components' limit weights, so that sum is the piece's strict row.
     Verdicts (and the reported witness weight) always use the engine
     orientation, so they do not change with the table's printing sign.
+
+    Cone answers are kept in `memo` (see `classify.verdict_over_pieces`),
+    and so is what every configuration over the stratum shares,
+    `_orthant_pieces(table, config.stratum)`, under (table, stratum), a key
+    no row-set key can equal: a caller that passes one memo for many configurations, as
+    `sweep_equivalence` does, builds each stratum's pieces once.  Each
+    witness's weight is recomputed from the configuration itself by
+    `mu_config`.
     """
+    if memo is None:
+        memo = {}
     n = table.n
-    limit_rows = _limit_rows(config.stratum)
-    intervals = chain(config.stratum).intervals
+    key = (table, config.stratum)
+    orthant_pieces = memo.get(key)
+    if orthant_pieces is None:
+        orthant_pieces = memo[key] = _orthant_pieces(table, config.stratum)
+    counted = [(k, count) for k, count in enumerate(config.lengths) if count]
 
     def pieces():
-        for orthant in product((1, -1), repeat=n):
-            orthant_rows = [
-                tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
-            ]
+        for weak, weights in orthant_pieces:
             form = [0] * n
-            for k, count in enumerate(config.lengths):
-                if count:
-                    for i, w in enumerate(table.limit_weights(intervals[k], orthant)):
-                        form[i] += count * w
-            yield limit_rows + orthant_rows, [tuple(form)]
+            for k, count in counted:
+                for i, w in enumerate(weights[k]):
+                    form[i] += count * w
+            yield weak, [tuple(form)]
 
     def engine_mu(lam: OnePS) -> MuValue:
         return MuValue.finite(int(table.sign * mu_config(table, config, lam)))
 
-    return verdict_over_pieces(pieces(), n, engine_mu)
+    return verdict_over_pieces(pieces(), n, engine_mu, memo=memo)
 
 
 def config_stabilizer(config: ChainConfiguration) -> int | None:
@@ -447,9 +489,16 @@ class SweepReport:
 
 def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
-    admissibility criterion."""
+    admissibility criterion.
+
+    One memo serves the whole sweep, so each stratum's orthant pieces are
+    built once for all its configurations and a cone system that recurs
+    across configurations is solved once (see `classify_config`).  Rows and
+    witnesses are those of classifying every configuration on its own.
+    """
+    memo: dict = {}
     rows = tuple(
-        SweepRow(config, admissible(config), classify_config(table, config))
+        SweepRow(config, admissible(config), classify_config(table, config, memo=memo))
         for config in _all_configs(table.n)
     )
     return SweepReport(table, rows)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputError, ZeroSectionError
@@ -141,17 +142,28 @@ class GitProblem:
     def var_names(self) -> tuple[str, ...]:
         return self.base_names + self.fiber_names
 
+    # Name -> weight lookups, built on first use.  They are cached properties,
+    # not fields, so equality, hashing and serialization see only the
+    # declared data.
+    @cached_property
+    def _base_weights(self) -> dict[str, WeightVector]:
+        return dict(self.base_vars)
+
+    @cached_property
+    def _shifted_fiber_weights(self) -> dict[str, WeightVector]:
+        return {n: tuple(a + b for a, b in zip(w, self.shift)) for n, w in self.fiber_vars}
+
     def base_weight(self, name: str) -> WeightVector:
-        for n, w in self.base_vars:
-            if n == name:
-                return w
-        raise InputError(f"unknown base variable {name!r}")
+        try:
+            return self._base_weights[name]
+        except KeyError:
+            raise InputError(f"unknown base variable {name!r}") from None
 
     def shifted_fiber_weight(self, name: str) -> WeightVector:
-        for n, w in self.fiber_vars:
-            if n == name:
-                return tuple(a + b for a, b in zip(w, self.shift))
-        raise InputError(f"unknown fiber variable {name!r}")
+        try:
+            return self._shifted_fiber_weights[name]
+        except KeyError:
+            raise InputError(f"unknown fiber variable {name!r}") from None
 
     def check_lambda(self, lam: OnePS) -> OnePS:
         lam = tuple(int(x) for x in lam)

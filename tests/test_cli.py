@@ -277,6 +277,16 @@ def test_successive_calls_share_one_parser_and_leak_nothing(capture):
     assert cli_module._build_parser() is parser
 
 
+def test_help_describes_the_tool_not_its_internals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: torstab")
+    assert "split-torus actions" in out
+    assert "_cmd_" not in out
+
+
 def test_oversized_cone_system_exits_1(capture, tmp_path):
     rng = random.Random(0)
     rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(14)]

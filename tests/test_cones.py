@@ -212,8 +212,9 @@ def test_early_contradiction_answers_before_the_cap(monkeypatch):
 @pytest.mark.parametrize(
     "rows, solves",
     [
-        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin.
-        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], 3),
+        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin, settled
+        # by the one orthant system {rows, x - y + z >= 1}.
+        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], 1),
         # x and y pinned to 0, z <= 0: only z = -1 is solved for.
         ([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)], 1),
     ],
@@ -229,3 +230,51 @@ def test_self_contradicting_axis_systems_are_skipped(monkeypatch, rows, solves):
     monkeypatch.setattr(cones, "solve_cone", counted)
     assert cone_has_nonzero(rows, 3) == cone_has_nonzero_oracle(rows, 3)
     assert len(calls) == solves < 2 * 3
+
+
+@st.composite
+def scrambled_systems(draw):
+    """A cone system and the same row sets shuffled, with rows repeated."""
+    problem = draw(cone_systems())
+
+    def scramble(rows):
+        extra = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        return draw(st.permutations(list(rows) + extra))
+
+    weak, strict = scramble(problem.nonneg_rows), scramble(problem.strict_rows)
+    return problem, make_cone_problem(weak, strict, problem.dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_systems())
+def test_answers_depend_only_on_the_row_set(systems):
+    # The sweep memo of `classify.verdict_over_pieces` keys answers by row
+    # sets, so order and repetition must not change a verdict or a witness.
+    problem, scrambled = systems
+    assert solve_cone(scrambled) == solve_cone(problem)
+    rows = problem.nonneg_rows + problem.strict_rows
+    assert cone_has_nonzero(scrambled.nonneg_rows + scrambled.strict_rows, problem.dim) == (
+        cone_has_nonzero(rows, problem.dim)
+    )
+
+
+@st.composite
+def orthant_cones(draw):
+    """Rows holding a sign row for every coordinate, some coordinates pinned
+    by both sign rows, plus up to 5 rows with entries in [-5, 5]."""
+    dim = draw(st.integers(1, 4))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    pinned = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    rows = [tuple(s if k == i else 0 for k in range(dim)) for i, s in enumerate(signs)]
+    rows += [tuple(-signs[i] if k == i else 0 for k in range(dim)) for i in pinned]
+    rows += draw(st.lists(st.tuples(*[st.integers(-5, 5)] * dim), max_size=5))
+    return draw(st.permutations(rows)), dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(orthant_cones())
+def test_orthant_cones_equal_rational_oracle(cone):
+    # The orthant system only decides whether a point exists; the witness
+    # must still be the first feasible axis system's, as the oracle finds it.
+    rows, dim = cone
+    assert cone_has_nonzero(rows, dim) == cone_has_nonzero_oracle(rows, dim)

@@ -1,11 +1,15 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from torstab import StabilityStatus
+from torstab import StabilityStatus, cones
 from torstab.degeneration import (
     ChainConfiguration,
     Stratum,
+    SweepRow,
+    WeightTable,
+    _all_configs,
     admissible,
     build_weight_table,
     chain,
@@ -242,6 +246,82 @@ def test_equivalence_theorem():
         report = sweep_equivalence(build_weight_table(n))
         assert report.equivalence_holds
         assert report.strictly_semistable_count == 0
+
+
+# (table, solve_cone calls of the sweep, of classifying each configuration
+# alone, strictly semistable rows).  The last four tables carry twists that
+# `build_weight_table` refuses; three of them give strictly semistable rows.
+SWEEP_CASES = [
+    (build_weight_table(1), 6, 14, 0),
+    (build_weight_table(1, sign=-1), 6, 14, 0),
+    (build_weight_table(2), 52, 112, 0),
+    (build_weight_table(2, (7,)), 52, 112, 0),
+    (build_weight_table(2, (2,), sign=-1), 52, 112, 0),
+    (build_weight_table(3), 244, 574, 0),
+    (build_weight_table(3, (5, 2)), 244, 574, 0),
+    (build_weight_table(3, (1000, 999), sign=-1), 244, 574, 0),
+    (WeightTable(2, (0, 1)), 42, 136, 14),
+    (WeightTable(3, (0, 2, 1)), 213, 662, 28),
+    (WeightTable(3, (2, 0, 1)), 229, 716, 28),
+    (WeightTable(3, (1, 1, 1)), 244, 574, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "table, swept, alone, semistable",
+    SWEEP_CASES,
+    ids=[f"n{t.n}-a{','.join(map(str, t.multipliers[:-1]))}-sign{t.sign}" for t, *_ in SWEEP_CASES],
+)
+def test_sweep_equals_classifying_each_configuration_alone(
+    monkeypatch, table, swept, alone, semistable
+):
+    # The sweep shares one memo and each stratum's orthant pieces across its
+    # configurations; rows and witnesses must be those of classifying every
+    # configuration on its own, with no memo.
+    # The package attribute `torstab.classify` is the function of that name.
+    classify_module = sys.modules["torstab.classify"]
+    solves = []
+    feasible_second_pass = []
+    solve_cone, cone_has_nonzero = cones.solve_cone, cones.cone_has_nonzero
+
+    def counted_solve(problem):
+        solves.append(problem)
+        return solve_cone(problem)
+
+    def counted_nonzero(rows, dim):
+        point = cone_has_nonzero(rows, dim)
+        if point is not None:
+            feasible_second_pass.append(point)
+        return point
+
+    monkeypatch.setattr(cones, "solve_cone", counted_solve)
+    monkeypatch.setattr(classify_module, "solve_cone", counted_solve)
+    monkeypatch.setattr(classify_module, "cone_has_nonzero", counted_nonzero)
+
+    report = sweep_equivalence(table)
+    assert len(solves) == swept
+    reused = report.strictly_semistable_count - len(feasible_second_pass)
+    del solves[:]
+    rows = [
+        SweepRow(config, admissible(config), classify_config(table, config))
+        for config in _all_configs(table.n)
+    ]
+    assert len(solves) == alone
+    assert report.rows == tuple(rows)
+    assert report.strictly_semistable_count == semistable
+    if semistable:
+        # Some strictly semistable verdicts came from remembered answers.
+        assert reused > 0
+
+
+def test_one_memo_shared_by_two_tables_keeps_their_verdicts_apart():
+    # The memo keeps each stratum's pieces under (table, stratum), so a memo
+    # passed for configurations of different tables never mixes them up.
+    tables = (build_weight_table(2), WeightTable(2, (0, 1)))
+    memo = {}
+    for config in _all_configs(2):
+        for table in tables:
+            assert classify_config(table, config, memo=memo) == classify_config(table, config)
 
 
 def test_classify_matches_box_scan_everywhere():

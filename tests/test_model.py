@@ -115,6 +115,24 @@ def test_round_trip(conic, king, conic_surface):
         assert parse_problem(serialize_problem(problem)) == problem
 
 
+def test_weight_lookup_is_not_part_of_the_problem():
+    problem = GitProblem(
+        torus_rank=2,
+        base_vars=(("x", (1, 0)),),
+        fiber_vars=(("u", (0, 1)), ("v", (2, -1))),
+        shift=(1, 1),
+    )
+    assert problem.base_weight("x") == (1, 0)
+    assert problem.shifted_fiber_weight("v") == (3, 0)
+    for lookup, name in ((problem.base_weight, "u"), (problem.shifted_fiber_weight, "x")):
+        with pytest.raises(InputError, match="unknown"):
+            lookup(name)
+    twin = parse_problem(serialize_problem(problem))
+    assert twin == problem and hash(twin) == hash(problem)
+    assert "_base_weights" not in repr(problem)
+    assert '"_' not in serialize_problem(problem)
+
+
 def test_fiber_variable_required():
     with pytest.raises(InputError):
         GitProblem(torus_rank=1, base_vars=(("x", (1,)),), fiber_vars=())
