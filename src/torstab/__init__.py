@@ -5,6 +5,13 @@ for Hilbert schemes of points on a degenerating conic.
 
 All decision arithmetic is exact (arbitrary-precision integers and
 rationals); no floating point enters any verdict.
+
+The package attributes `classify` and `mu` are the exported functions, not
+the submodules of the same names, which they replace on the package; so
+`import torstab.classify as m` binds the function too.  Reach the modules
+through `importlib.import_module("torstab.classify")` or
+`sys.modules["torstab.classify"]`, for instance to monkeypatch a name they
+use.
 """
 
 __version__ = "0.1.0"

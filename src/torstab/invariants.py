@@ -7,19 +7,33 @@ degree unit.  Enumeration is bounded by explicit total-degree caps supplied
 by the caller, and outputs are exactly those of a full scan to the bounds.
 The relation scan stops early once the relations found span the whole
 lattice of integer relations among the generators, since nothing later
-could be emitted; a scan that never gets there tries at most
-`MAX_RELATION_CANDIDATES` generator products and is then refused with an
-InputError.
+could be emitted; a scan that never gets there makes at most
+`MAX_RELATION_CANDIDATES` tries of generator products and is then refused
+with an InputError.
+
+Invariant monomials are found meet-in-the-middle.  The variables are split
+at n // 2; every exponent vector of the second half within the degree bound
+is tabled by its weight, and each vector of the first half takes the tabled
+vectors of opposite weight that fit its remaining degree.  Both halves cut a
+vector whose weight the variables not yet placed cannot bring back to zero.
+On a degree-closed list, a monomial is a product of two smaller listed
+monomials iff a generator of smaller degree divides it, so
+`minimal_generators` tests each monomial against the generators found so
+far only.
 
 Canonical monomial order everywhere: ascending total degree, then descending
-lexicographic exponent vector in declaration order.  All outputs are
-deterministic.
+lexicographic exponent vector in declaration order, i.e. ascending
+(total degree, negated exponent vector), the key each monomial gets once,
+when it is found.  All outputs are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations_with_replacement
 from math import gcd
+from operator import add, itemgetter, le, neg, sub
 
 from .errors import InputError
 from .model import GitProblem, Monomial, PointSample, Polynomial, support
@@ -27,7 +41,7 @@ from .snf import IntegerLattice, smith_divisors
 
 WeightVector = tuple[int, ...]
 
-MAX_RELATION_CANDIDATES = 100_000
+MAX_RELATION_CANDIDATES = 100_000  # tries, re-tries included (see `_products`)
 
 
 @dataclass(frozen=True)
@@ -37,7 +51,9 @@ class MonomialInvariant:
     exponents: Monomial
     l_degree: int
 
-    @property
+    # Summed on first use and kept.  A cached property, not a field, so
+    # equality, hashing and repr see only the exponents and l_degree.
+    @cached_property
     def total_degree(self) -> int:
         return sum(e for _, e in self.exponents)
 
@@ -65,10 +81,39 @@ def _variable_weights(problem: GitProblem) -> list[tuple[str, WeightVector, bool
     return rows
 
 
-def _order_key(problem: GitProblem, mono: MonomialInvariant) -> tuple[int, tuple[int, ...]]:
-    exps = mono.as_dict()
-    vector = tuple(exps.get(name, 0) for name in problem.var_names)
-    return mono.total_degree, tuple(-e for e in vector)
+Window = list[tuple[int, int]]  # per weight coordinate: least and greatest change
+
+
+def _windows(weights: list[WeightVector], rank: int) -> list[Window]:
+    """windows[k][c]: the least and greatest change to weight coordinate c
+    that the first k variables can make per unit of degree (0 included)."""
+    windows = [[(0, 0)] * rank]
+    for wvec in weights:
+        windows.append([(min(lo, w), max(hi, w)) for (lo, hi), w in zip(windows[-1], wvec)])
+    return windows
+
+
+def _placements(
+    weights: list[WeightVector], windows: list[Window], rank: int, bound: int
+) -> list[tuple[int, WeightVector, tuple[int, ...]]]:
+    """Exponent vectors over `weights`, in the order given, of total degree
+    <= bound, as (degree, weight, negated exponents) triples.
+
+    windows[k] is the window of the variables still unplaced once variable k
+    is placed; a vector whose weight the remaining budget cannot bring back
+    to zero within that window is cut.
+    """
+    level = [(0, (0,) * rank, ())]
+    for wvec, window in zip(weights, windows):
+        grown = []
+        for degree, weight, exps in level:
+            for e in range(bound - degree + 1):
+                room = bound - degree - e
+                if all(room * low <= -w <= room * high for (low, high), w in zip(window, weight)):
+                    grown.append((degree + e, weight, exps + (-e,)))
+                weight = tuple(map(add, weight, wvec))
+        level = grown
+    return level
 
 
 def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[MonomialInvariant]:
@@ -79,101 +124,90 @@ def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[Mono
     if max_total_degree < 1:
         raise InputError(f"degree bound must be >= 1, got {max_total_degree}")
     variables = _variable_weights(problem)
-    rank = problem.torus_rank
-    fiber_names = set(problem.fiber_names)
-    found: list[MonomialInvariant] = []
-    # windows[idx][k]: per unit of degree, the least and greatest change to
-    # weight coordinate k that variables idx.. can make.  A branch whose
-    # remaining budget cannot bring every coordinate back to zero is cut;
-    # past the last variable the window is (0, 0), so a leaf has weight zero.
-    windows = [[(0, 0)] * rank]
-    for _, wvec, _ in reversed(variables):
-        windows.append([(min(lo, w), max(hi, w)) for (lo, hi), w in zip(windows[-1], wvec)])
-    windows.reverse()
-
-    def descend(idx: int, budget: int, weight: list[int], exps: list[tuple[str, int]]) -> None:
-        for (low, high), w in zip(windows[idx], weight):
-            if not budget * low <= -w <= budget * high:
-                return
-        if idx == len(variables):
-            if exps:
-                l_degree = sum(e for n, e in exps if n in fiber_names)
-                found.append(MonomialInvariant(tuple(exps), l_degree))
-            return
-        name, wvec, _ = variables[idx]
-        for e in range(budget + 1):
-            if e:
-                exps.append((name, e))
-            descend(
-                idx + 1,
-                budget - e,
-                [weight[k] + e * wvec[k] for k in range(rank)],
-                exps,
-            )
-            if e:
-                exps.pop()
-
-    descend(0, max_total_degree, [0] * rank, [])
-    found.sort(key=lambda m: _order_key(problem, m))
-    return found
+    weights = [wvec for _, wvec, _ in variables]
+    n, rank, bound = len(weights), problem.torus_rank, max_total_degree
+    split = n // 2
+    before = _windows(weights, rank)
+    after = _windows(weights[::-1], rank)[::-1]  # after[k]: variables k..n-1
+    heads = _placements(weights[:split], after[1 : split + 1], rank, bound)
+    # The tails are placed last variable first, so the variables still
+    # unplaced once variable j is placed are 0..j-1.
+    backwards = range(n - 1, split - 1, -1)
+    tails = _placements(
+        [weights[j] for j in backwards], [before[j] for j in backwards], rank, bound
+    )
+    table: dict[WeightVector, list[tuple[int, tuple[int, ...]]]] = {}
+    for degree, weight, exps in sorted(tails, key=itemgetter(0)):
+        table.setdefault(tuple(map(neg, weight)), []).append((degree, exps[::-1]))
+    keys = []
+    for degree, weight, head in heads:
+        room = bound - degree
+        for tail_degree, tail in table.get(weight, ()):
+            if tail_degree > room:
+                break
+            keys.append((degree + tail_degree, head + tail))
+    keys.sort()
+    names = [name for name, _, _ in variables]
+    nbase = len(problem.base_vars)
+    # keys[0] is (0, all zeros), the monomial 1.
+    return [
+        MonomialInvariant(
+            tuple((name, -e) for name, e in zip(names, negated) if e), -sum(negated[nbase:])
+        )
+        for _, negated in keys[1:]
+    ]
 
 
 def minimal_generators(monomials: list[MonomialInvariant]) -> list[MonomialInvariant]:
     """Monomials not expressible as a product of two smaller listed monomials.
 
-    The input must be degree-closed (everything invariant up to its bound),
-    as produced by invariant_monomials.
+    The input must be degree-closed (everything invariant up to its bound)
+    and in canonical order, as produced by invariant_monomials.  Then a
+    monomial is such a product iff a generator of smaller degree divides it:
+    the quotient is invariant, nonconstant and within the bound, so it is
+    listed, and every listed monomial is a product of generators.  The
+    generators of smaller degree are those found so far, and one of equal
+    degree divides only itself, so each monomial is tested against them.
     """
-    listed = {mono.exponents for mono in monomials}
+    names = dict.fromkeys(name for mono in monomials for name, _ in mono.exponents)
+    index = {name: i for i, name in enumerate(names)}
     generators = []
+    rows: list[list[int]] = []
     for mono in monomials:
-        reducible = False
-        for factor in monomials:
-            if factor.total_degree >= mono.total_degree:
-                break  # canonical order is ascending in total degree
-            taken = factor.as_dict()
-            remainder = []
-            divides = True
-            for name, e in mono.exponents:
-                left = e - taken.pop(name, 0)
-                if left < 0:
-                    divides = False
-                    break
-                if left:
-                    remainder.append((name, left))
-            if not divides or taken:
-                continue
-            rem = tuple(remainder)
-            if rem and rem in listed:
-                reducible = True
-                break
-        if not reducible:
+        vector = [0] * len(index)
+        for name, e in mono.exponents:
+            vector[index[name]] = e
+        if not any(all(map(le, row, vector)) for row in rows):
             generators.append(mono)
+            rows.append(vector)
     return generators
 
 
-def _expand(generators: list[MonomialInvariant], powers: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
-    total: dict[str, int] = {}
-    for gen, power in zip(generators, powers):
-        if not power:
-            continue
-        for name, e in gen.exponents:
-            total[name] = total.get(name, 0) + power * e
-    return tuple(sorted(total.items()))
+def _products(count: int, bound: int):
+    """Generator products tried by `relations`, as sorted tuples of generator
+    indices.
+
+    Pass t = 1..bound yields every multiset of size t over the generators
+    plus a slack index `count`, in lexicographic order: every product of at
+    most t generators, the empty one included, in descending lexicographic
+    order of exponent vectors.  A product of degree d < t is yielded again
+    in pass t.
+    """
+    return chain.from_iterable(
+        combinations_with_replacement(range(count + 1), t) for t in range(1, bound + 1)
+    )
 
 
-def _generator_monomials(count: int, bound: int):
-    """Exponent vectors over the generators, ascending total degree, then
-    descending lexicographic."""
-    def descend(idx: int, budget: int, prefix: tuple[int, ...]):
-        if idx == count:
-            yield prefix
-            return
-        for e in range(budget, -1, -1):
-            yield from descend(idx + 1, budget - e, prefix + (e,))
+def _expand(rows: list[tuple[int, ...]], product: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent vector of a generator product: the sum of its rows."""
+    return tuple(map(sum, zip(*map(rows.__getitem__, product))))
 
-    for total in range(1, bound + 1):
-        yield from descend(0, total, ())
+
+def _powers(product: tuple[int, ...], count: int) -> list[int]:
+    powers = [0] * (count + 1)
+    for i in product:
+        powers[i] += 1
+    return powers[:count]
 
 
 def relations(
@@ -184,17 +218,20 @@ def relations(
     """Binomial relations among the generators up to the given degree.
 
     The degree bound counts generator factors, not underlying variables.
-    Coincident products are paired against the first product reaching each
-    expanded monomial; binomials already in the lattice spanned by earlier
-    ones are dropped, so the output generates all relations visible at the
-    bound (it need not be minimal).
+    Products are tried pass by pass (`_products`): pass t tries every
+    product of at most t factors, so a product of lower degree is tried
+    again in each later pass.  Coincident products are paired against the
+    first product reaching each expanded monomial; binomials already in the
+    lattice spanned by earlier ones are dropped, so the output generates all
+    relations visible at the bound (it need not be minimal).
 
     Every binomial's exponent difference lies in K, the integer vectors v
     with v * A = 0 for the generator exponent matrix A.  Once the binomials
     found span a saturated sublattice of full rank in K, they span all of K
     and no later product could add one, so the scan stops there; the output
-    is the same as scanning to the bound.  A scan that tries more than
-    `MAX_RELATION_CANDIDATES` products is refused with an InputError.
+    is the same as scanning to the bound.  A scan that makes more than
+    `MAX_RELATION_CANDIDATES` tries, re-tries included, is refused with an
+    InputError.
     """
     if max_syzygy_degree < 1:
         raise InputError(f"syzygy degree bound must be >= 1, got {max_syzygy_degree}")
@@ -204,29 +241,33 @@ def relations(
         raise InputError("generator names and generators differ in length")
     if not generators:
         return []
+    count = len(generators)
     variables = sorted({name for gen in generators for name, _ in gen.exponents})
     matrix = [[gen.exponent(name) for name in variables] for gen in generators]
-    kernel_rank = len(generators) - sum(1 for d in smith_divisors(matrix) if d)
+    kernel_rank = count - sum(1 for d in smith_divisors(matrix) if d)
     if kernel_rank == 0:
         return []
 
-    first_reaching: dict[tuple[tuple[str, int], ...], tuple[int, ...]] = {}
-    lattice = IntegerLattice(len(generators))
+    rows = [tuple(row) for row in matrix] + [(0,) * len(variables)]  # slack row last
+    first_reaching: dict[tuple[int, ...], tuple[int, ...]] = {}
+    lattice = IntegerLattice(count)
     found: list[Polynomial] = []
-    products = _generator_monomials(len(generators), max_syzygy_degree)
-    for tried, powers in enumerate(products, 1):
+    for tried, product in enumerate(_products(count, max_syzygy_degree), 1):
         if tried > MAX_RELATION_CANDIDATES:
             raise InputError(
-                f"relations among {len(generators)} generators up to syzygy degree "
+                f"relations among {count} generators up to syzygy degree "
                 f"{max_syzygy_degree}: {MAX_RELATION_CANDIDATES} generator products "
                 "tried and the relation lattice is still incomplete"
             )
-        expanded = _expand(generators, powers)
+        expanded = _expand(rows, product)
         rep = first_reaching.get(expanded)
         if rep is None:
-            first_reaching[expanded] = powers
+            first_reaching[expanded] = product
             continue
-        vector = tuple(a - b for a, b in zip(powers, rep))
+        powers, rep_powers = _powers(product, count), _powers(rep, count)
+        if powers == rep_powers:
+            continue  # a re-try of the representative: difference 0
+        vector = tuple(map(sub, powers, rep_powers))
         if lattice.contains(vector):
             continue
         lattice.add(vector)
@@ -234,7 +275,7 @@ def relations(
             Polynomial.make(
                 [
                     (1, {names[i]: e for i, e in enumerate(powers) if e}),
-                    (-1, {names[i]: e for i, e in enumerate(rep) if e}),
+                    (-1, {names[i]: e for i, e in enumerate(rep_powers) if e}),
                 ]
             )
         )

@@ -118,13 +118,13 @@ class IntegerLattice:
     def __init__(self, dim: int):
         self.dim = dim
         self._basis: list[list[int]] = []  # sorted by pivot column
+        self._pivots: list[int] = []  # pivot (first nonzero) column of each basis row
 
     def _reduce(self, vec: list[int]) -> list[int]:
-        for row in self._basis:
-            c = next(i for i, x in enumerate(row) if x)
+        for c, row in zip(self._pivots, self._basis):
             if vec[c] and vec[c] % row[c] == 0:
                 q = vec[c] // row[c]
-                for i in range(self.dim):
+                for i in range(c, self.dim):
                     vec[i] -= q * row[i]
         return vec
 
@@ -133,7 +133,7 @@ class IntegerLattice:
 
     def add(self, vec: tuple[int, ...] | list[int]) -> None:
         rows = [list(r) for r in self._basis] + [list(vec)]
-        self._basis = _echelonize(rows, self.dim)
+        self._basis, self._pivots = _echelonize(rows, self.dim)
 
     @property
     def rank(self) -> int:
@@ -145,9 +145,11 @@ class IntegerLattice:
         return all(d == 1 for d in smith_divisors(self._basis))
 
 
-def _echelonize(rows: list[list[int]], dim: int) -> list[list[int]]:
+def _echelonize(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int]]:
+    """Echelon basis of the row lattice and the pivot column of each row."""
     work = [r for r in rows if any(r)]
     basis: list[list[int]] = []
+    pivots: list[int] = []
     for col in range(dim):
         active = [r for r in work if r[col]]
         if not active:
@@ -167,5 +169,6 @@ def _echelonize(rows: list[list[int]], dim: int) -> list[list[int]]:
         if pivot[col] < 0:
             pivot = [-x for x in pivot]
         basis.append(pivot)
+        pivots.append(col)
         work = rest
-    return basis
+    return basis, pivots

@@ -8,10 +8,13 @@ degree bound instead of trusting the pure-generator argument of `torstab.mu`.
 `solve_cone_oracle` and `cone_has_nonzero_oracle` are the Fourier-Motzkin
 solver as it was before its integer-only back-substitution: every stage is
 eliminated, and the witness is back-substituted with `Fraction`s.
-`invariant_monomials_oracle` and `relations_oracle` are the invariant-ring
-enumerations without their shortcuts: every exponent vector within the
-degree bound is visited, and every generator product up to the syzygy degree
-is tried.
+`invariant_monomials_oracle`, `minimal_generators_oracle` and
+`relations_oracle` are the invariant-ring kernels as they were before the
+meet-in-the-middle enumeration, without their shortcuts: every exponent
+vector within the degree bound is visited, every monomial is tested against
+every smaller one, and every generator product up to the syzygy degree is
+tried.  Their helpers (`_order_key`, `_expand`, `_generator_monomials`) are
+kept here, so that the oracles share no code with the kernel they check.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from torstab import (
 from torstab.cones import ConeProblem, FeasibilityResult, _eliminate, make_cone_problem
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
-from torstab.invariants import _expand, _generator_monomials, _order_key, _variable_weights
+from torstab.invariants import _variable_weights
 from torstab.snf import IntegerLattice
 
 
@@ -257,6 +260,12 @@ def decay_profile(magnitude: Fraction, degree: int, steps: int = 20) -> list[Fra
     return [abs(magnitude) * Fraction(1, 2**k) ** degree for k in range(1, steps + 1)]
 
 
+def _order_key(problem: GitProblem, mono: MonomialInvariant) -> tuple[int, tuple[int, ...]]:
+    exps = mono.as_dict()
+    vector = tuple(exps.get(name, 0) for name in problem.var_names)
+    return mono.total_degree, tuple(-e for e in vector)
+
+
 def invariant_monomials_oracle(problem: GitProblem, bound: int) -> list[MonomialInvariant]:
     """`torstab.invariant_monomials` descending into every exponent vector of
     total degree <= bound and keeping those of weight zero."""
@@ -282,6 +291,64 @@ def invariant_monomials_oracle(problem: GitProblem, bound: int) -> list[Monomial
     descend(0, bound, [0] * rank, [])
     found.sort(key=lambda m: _order_key(problem, m))
     return found
+
+
+def minimal_generators_oracle(monomials: list[MonomialInvariant]) -> list[MonomialInvariant]:
+    """`torstab.minimal_generators` testing every monomial against every
+    listed monomial of smaller degree: it is a generator unless one of them
+    divides it with a listed quotient."""
+    listed = {mono.exponents for mono in monomials}
+    generators = []
+    for mono in monomials:
+        reducible = False
+        for factor in monomials:
+            if factor.total_degree >= mono.total_degree:
+                break  # canonical order is ascending in total degree
+            taken = factor.as_dict()
+            remainder = []
+            divides = True
+            for name, e in mono.exponents:
+                left = e - taken.pop(name, 0)
+                if left < 0:
+                    divides = False
+                    break
+                if left:
+                    remainder.append((name, left))
+            if not divides or taken:
+                continue
+            rem = tuple(remainder)
+            if rem and rem in listed:
+                reducible = True
+                break
+        if not reducible:
+            generators.append(mono)
+    return generators
+
+
+def _expand(generators: list[MonomialInvariant], powers: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+    total: dict[str, int] = {}
+    for gen, power in zip(generators, powers):
+        if not power:
+            continue
+        for name, e in gen.exponents:
+            total[name] = total.get(name, 0) + power * e
+    return tuple(sorted(total.items()))
+
+
+def _generator_monomials(count: int, bound: int):
+    """Exponent vectors over the generators, pass by pass: pass t = 1..bound
+    yields every vector of total degree <= t, the zero vector included, in
+    descending lexicographic order.  A vector of degree d < t is yielded
+    again in pass t."""
+    def descend(idx: int, budget: int, prefix: tuple[int, ...]):
+        if idx == count:
+            yield prefix
+            return
+        for e in range(budget, -1, -1):
+            yield from descend(idx + 1, budget - e, prefix + (e,))
+
+    for total in range(1, bound + 1):
+        yield from descend(0, total, ())
 
 
 def relations_oracle(generators: list[MonomialInvariant], max_syzygy_degree: int) -> list[Polynomial]:

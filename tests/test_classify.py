@@ -1,5 +1,7 @@
 import importlib
 import random
+import sys
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -342,6 +344,22 @@ def test_pattern_table_is_monotone(problem):
                     assert w.status is StabilityStatus.STABLE
                 if w.status is StabilityStatus.UNSTABLE:
                     assert v.status is StabilityStatus.UNSTABLE
+
+
+def test_package_names_classify_and_mu_are_the_functions():
+    # The functions replace the submodules of the same names on the package,
+    # so a monkeypatch of `torstab.classify` would patch the function.
+    import torstab
+    import torstab.classify as bound
+
+    for name in ("classify", "mu"):
+        module = importlib.import_module(f"torstab.{name}")
+        assert module is sys.modules[f"torstab.{name}"]
+        assert isinstance(module, types.ModuleType)
+        assert getattr(torstab, name) is getattr(module, name)
+    assert bound is torstab.classify
+    assert not hasattr(torstab.classify, "solve_cone")
+    assert hasattr(sys.modules["torstab.classify"], "solve_cone")
 
 
 def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):

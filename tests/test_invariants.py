@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -20,7 +21,14 @@ from torstab import invariants
 from torstab.errors import InputError
 from torstab.model import parse_problem
 
-from conftest import invariant_monomials_oracle, point, relations_oracle, synthetic_point
+from conftest import (
+    _generator_monomials,
+    invariant_monomials_oracle,
+    minimal_generators_oracle,
+    point,
+    relations_oracle,
+    synthetic_point,
+)
 
 P40 = Path(__file__).parent / "tables" / "p40.problem"
 
@@ -288,6 +296,72 @@ def test_invariant_monomials_equal_the_full_descent(problem, degree):
 
 
 @st.composite
+def ring_problems(draw):
+    """Rank 1-3, 1-6 variables of which any number up to all are fiber
+    variables, weights in [-3, 3] with zero and repeated weights often, and
+    a linearization shift half of the time."""
+    rank = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 6))
+    nfiber = draw(st.integers(1, nvars))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    weight = st.one_of(vector, st.sampled_from(pool + [(0,) * rank]))
+    weights = [draw(weight) for _ in range(nvars)]
+    return GitProblem(
+        torus_rank=rank,
+        base_vars=tuple((f"x{i}", w) for i, w in enumerate(weights[: nvars - nfiber])),
+        fiber_vars=tuple((f"u{i}", w) for i, w in enumerate(weights[nvars - nfiber :])),
+        shift=draw(st.one_of(st.just(()), vector)),
+    )
+
+
+@example(GitProblem(torus_rank=1, base_vars=(), fiber_vars=(("u", (0,)),)), 5)
+@example(
+    GitProblem(
+        torus_rank=3,
+        base_vars=(),
+        fiber_vars=tuple(
+            zip("abcde", ((1, -3, 2), (1, -3, -2), (1, -1, 3), (1, 1, 0), (1, -3, 1)))
+        ),
+        shift=(-1, 1, 0),
+    ),
+    8,
+)
+@settings(max_examples=150, deadline=None)
+@given(ring_problems(), st.integers(1, 8))
+def test_minimal_generators_equal_the_quadratic_scan(problem, degree):
+    monos = invariant_monomials(problem, degree)
+    assert monos == invariant_monomials_oracle(problem, degree)
+    assert minimal_generators(monos) == minimal_generators_oracle(monos)
+
+
+def test_p40_ring_to_degree_thirty_is_enumerated_within_its_budget():
+    problem = parse_problem(P40.read_text())
+    start = time.process_time()
+    monos = invariant_monomials(problem, 30)
+    gens = minimal_generators(monos)
+    elapsed = time.process_time() - start
+    assert len(monos) == 818
+    assert len(gens) == 32
+    assert max(g.total_degree for g in gens) == 21
+    assert elapsed < 0.3, f"{elapsed:.3f} s of CPU time"
+
+
+def test_product_order_is_unchanged():
+    # As multisets over the generators plus a slack index, the products the
+    # relation scan tries are the old descent's pass-by-pass exponent
+    # vectors, re-tries included, so the first product reaching each
+    # monomial and the tries counted against the cap are unchanged.
+    for count in range(7):
+        for bound in range(1, 5):
+            scan = [
+                tuple(product.count(i) for i in range(count))
+                for product in invariants._products(count, bound)
+            ]
+            assert scan == list(_generator_monomials(count, bound))
+
+
+@st.composite
 def problem_generators(draw):
     """The minimal generators of a `weight_problems` ring at degree 1-8, at
     most 10 of them, so that a full scan to syzygy degree 4 tries at most
@@ -349,8 +423,9 @@ def test_relation_scan_stops_once_the_lattice_is_complete(monkeypatch):
     assert len(gens) == 24
     calls = count_expansions(monkeypatch)
     assert len(relations(gens, 4)) == 20
-    # The full scan tries all C(24 + 4, 4) - 1 = 20 474 products; this one
-    # stops after 352, at syzygy degree 3.
+    # The full scan makes C(25, 1) + C(26, 2) + C(27, 3) + C(28, 4) = 23 750
+    # tries, pass t trying every product of at most t generators (the empty
+    # one included); this one stops after 352, at syzygy degree 3.
     assert 0 < len(calls) < (comb(24 + 4, 4) - 1) // 20
 
 
