@@ -89,4 +89,4 @@ from .model import (
     support,
 )
 from .mu import MuValue, limit_point, mu, mu_from_pattern
-from .snf import IntegerLattice, lattice_rank_and_index, smith_divisors
+from .snf import IntegerLattice, lattice_rank_and_index

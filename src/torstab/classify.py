@@ -231,7 +231,7 @@ def stabilizer_order(problem: GitProblem, point: PointSample) -> int | None:
     The stabilizer is cut out by the character lattice spanned by the weights
     of the nonzero base coordinates together with the pairwise differences of
     the nonzero fiber weights (fiber coordinates matter up to common scalar).
-    Its order is the lattice index, a product of Smith divisors.
+    Its order is the lattice index, the product of the echelon pivots.
     """
     pattern = support(point)
     rows: list[tuple[int, ...]] = [problem.base_weight(n) for n in sorted(pattern.base)]

@@ -7,9 +7,9 @@ degree unit.  Enumeration is bounded by explicit total-degree caps supplied
 by the caller, and outputs are exactly those of a full scan to the bounds.
 The relation scan stops early once the relations found span the whole
 lattice of integer relations among the generators, since nothing later
-could be emitted; a scan that never gets there makes at most
-`MAX_RELATION_CANDIDATES` tries of generator products and is then refused
-with an InputError.
+could be emitted; a scan that never gets there tries at most
+`MAX_RELATION_CANDIDATES` generator products and is then refused with an
+InputError.
 
 Invariant monomials are found meet-in-the-middle.  The variables are split
 at n // 2; every exponent vector of the second half within the degree bound
@@ -37,11 +37,11 @@ from operator import add, itemgetter, le, neg, sub
 
 from .errors import InputError
 from .model import GitProblem, Monomial, PointSample, Polynomial, support
-from .snf import IntegerLattice, smith_divisors
+from .snf import IntegerLattice, left_kernel
 
 WeightVector = tuple[int, ...]
 
-MAX_RELATION_CANDIDATES = 100_000  # tries, re-tries included (see `_products`)
+MAX_RELATION_CANDIDATES = 100_000  # distinct generator products tried
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,12 @@ def minimal_generators(monomials: list[MonomialInvariant]) -> list[MonomialInvar
 
 def _products(count: int, bound: int):
     """Generator products tried by `relations`, as sorted tuples of generator
-    indices.
-
-    Pass t = 1..bound yields every multiset of size t over the generators
-    plus a slack index `count`, in lexicographic order: every product of at
-    most t generators, the empty one included, in descending lexicographic
-    order of exponent vectors.  A product of degree d < t is yielded again
-    in pass t.
+    indices: each product of 1..bound generators once, by degree, and within
+    a degree in lexicographic order, i.e. descending lexicographic order of
+    exponent vectors.
     """
     return chain.from_iterable(
-        combinations_with_replacement(range(count + 1), t) for t in range(1, bound + 1)
+        combinations_with_replacement(range(count), t) for t in range(1, bound + 1)
     )
 
 
@@ -204,10 +200,10 @@ def _expand(rows: list[tuple[int, ...]], product: tuple[int, ...]) -> tuple[int,
 
 
 def _powers(product: tuple[int, ...], count: int) -> list[int]:
-    powers = [0] * (count + 1)
+    powers = [0] * count
     for i in product:
         powers[i] += 1
-    return powers[:count]
+    return powers
 
 
 def relations(
@@ -218,20 +214,19 @@ def relations(
     """Binomial relations among the generators up to the given degree.
 
     The degree bound counts generator factors, not underlying variables.
-    Products are tried pass by pass (`_products`): pass t tries every
-    product of at most t factors, so a product of lower degree is tried
-    again in each later pass.  Coincident products are paired against the
-    first product reaching each expanded monomial; binomials already in the
-    lattice spanned by earlier ones are dropped, so the output generates all
-    relations visible at the bound (it need not be minimal).
+    Each product is tried once, by degree (`_products`).  Coincident
+    products are paired against the first product reaching each expanded
+    monomial; binomials already in the lattice spanned by earlier ones are
+    dropped, so the output generates all relations visible at the bound (it
+    need not be minimal).
 
     Every binomial's exponent difference lies in K, the integer vectors v
     with v * A = 0 for the generator exponent matrix A.  Once the binomials
-    found span a saturated sublattice of full rank in K, they span all of K
-    and no later product could add one, so the scan stops there; the output
-    is the same as scanning to the bound.  A scan that makes more than
-    `MAX_RELATION_CANDIDATES` tries, re-tries included, is refused with an
-    InputError.
+    found span a lattice of K's rank that contains a basis of K
+    (`left_kernel`), they span all of K and no later product could add one,
+    so the scan stops there; the output is the same as scanning to the
+    bound.  A scan that tries more than `MAX_RELATION_CANDIDATES` products
+    is refused with an InputError.
     """
     if max_syzygy_degree < 1:
         raise InputError(f"syzygy degree bound must be >= 1, got {max_syzygy_degree}")
@@ -243,12 +238,11 @@ def relations(
         return []
     count = len(generators)
     variables = sorted({name for gen in generators for name, _ in gen.exponents})
-    matrix = [[gen.exponent(name) for name in variables] for gen in generators]
-    kernel_rank = count - sum(1 for d in smith_divisors(matrix) if d)
-    if kernel_rank == 0:
+    rows = [tuple(gen.exponent(name) for name in variables) for gen in generators]
+    kernel = left_kernel(rows, len(variables))
+    if not kernel:
         return []
 
-    rows = [tuple(row) for row in matrix] + [(0,) * len(variables)]  # slack row last
     first_reaching: dict[tuple[int, ...], tuple[int, ...]] = {}
     lattice = IntegerLattice(count)
     found: list[Polynomial] = []
@@ -265,8 +259,6 @@ def relations(
             first_reaching[expanded] = product
             continue
         powers, rep_powers = _powers(product, count), _powers(rep, count)
-        if powers == rep_powers:
-            continue  # a re-try of the representative: difference 0
         vector = tuple(map(sub, powers, rep_powers))
         if lattice.contains(vector):
             continue
@@ -279,7 +271,7 @@ def relations(
                 ]
             )
         )
-        if lattice.rank == kernel_rank and lattice.is_saturated():
+        if lattice.rank == len(kernel) and all(map(lattice.contains, kernel)):
             break
     return found
 

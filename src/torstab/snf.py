@@ -1,115 +1,64 @@
-"""Smith normal form over the integers and row-lattice membership.
+"""Integer row lattices in echelon form: membership, rank, index and left
+kernels.
+
+One algorithm answers every lattice question in torstab.  `_echelonize`
+brings integer rows to an echelon basis of the lattice they span by Euclid's
+algorithm on each column in turn; each basis row starts at its own pivot
+column with a positive pivot.  From that basis:
+
+- a vector lies in the lattice iff reducing it by the basis rows in pivot
+  order leaves zero (`IntegerLattice.contains`);
+- the rank is the number of basis rows;
+- a lattice of full rank in Z^dim has a triangular basis, so its index is
+  the product of the pivots (`lattice_rank_and_index`);
+- the rows of the echelon form of [A | I] whose A-part is zero have I-parts
+  that form a basis of {v : v * A = 0}, which is saturated (`left_kernel`).
 
 Everything here works on plain Python ints, so there is no overflow and no
-precision loss regardless of entry size.
+precision loss regardless of entry size.  The module keeps the name `snf`,
+from the Smith normal form it once held, because the benchmark's tracer
+(`bench/tracing.py`) looks `torstab.snf` and `IntegerLattice` up by name.
 """
 
 from __future__ import annotations
 
-IntMatrix = list[list[int]]
+from math import prod
 
+from .errors import DimensionMismatchError
 
-def _find_pivot(a: IntMatrix, t: int) -> tuple[int, int] | None:
-    """Position of a nonzero entry of smallest magnitude in the trailing block."""
-    best = None
-    best_abs = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            v = abs(a[i][j])
-            if v and (best_abs is None or v < best_abs):
-                best, best_abs = (i, j), v
-                if v == 1:
-                    return best
-    return best
-
-
-def smith_divisors(matrix: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[int]:
-    """Elementary divisors d1 | d2 | ... of an integer matrix.
-
-    The result has length min(rows, cols); trailing zeros mark rank
-    deficiency.  The product of the nonzero divisors equals |det| for a
-    square nonsingular input.
-    """
-    a: IntMatrix = [list(map(int, row)) for row in matrix]
-    if not a or not a[0]:
-        return []
-    nrows, ncols = len(a), len(a[0])
-    size = min(nrows, ncols)
-    divisors: list[int] = []
-    t = 0
-    while t < size:
-        pos = _find_pivot(a, t)
-        if pos is None:
-            break
-        pi, pj = pos
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-
-        # Euclid on row t and column t until both are clear of off-pivot
-        # entries; the pivot magnitude strictly decreases on each retry.
-        while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                q = a[i][t] // pivot
-                if q:
-                    for j in range(t, ncols):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, ncols):
-                q = a[t][j] // pivot
-                if q:
-                    for i in range(t, nrows):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # Divisibility pass: the pivot must divide the trailing block.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-        divisors.append(abs(a[t][t]))
-        t += 1
-    divisors.extend([0] * (size - len(divisors)))
-    return divisors
+def _row(vec, dim: int) -> list[int]:
+    """A fresh list copy of vec, which must have length dim."""
+    row = list(vec)
+    if len(row) != dim:
+        raise DimensionMismatchError(f"row {tuple(row)} has length {len(row)}, expected {dim}")
+    return row
 
 
 def lattice_rank_and_index(rows: list[tuple[int, ...]], ambient_dim: int) -> tuple[int, int | None]:
     """Rank of the row lattice and its index in Z^ambient_dim.
 
-    The index (product of the nonzero elementary divisors) is None when the
-    lattice has rank below the ambient dimension, i.e. infinite index.
+    The index (the product of the echelon pivots) is None when the lattice
+    has rank below the ambient dimension, i.e. infinite index.
     """
-    if not rows:
-        return 0, None if ambient_dim > 0 else 1
-    divisors = smith_divisors([list(r) for r in rows])
-    nonzero = [d for d in divisors if d]
-    rank = len(nonzero)
-    if rank < ambient_dim:
-        return rank, None
-    index = 1
-    for d in nonzero:
-        index *= d
-    return rank, index
+    basis, pivots = _echelonize([_row(r, ambient_dim) for r in rows], ambient_dim)
+    if len(basis) < ambient_dim:
+        return len(basis), None
+    return len(basis), prod(row[c] for row, c in zip(basis, pivots))
+
+
+def left_kernel(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """A basis of the integer vectors v with sum(v[i] * rows[i]) = 0.
+
+    The rows lie in Z^dim.  The basis spans every integer solution, so the
+    lattice it spans is saturated; it is empty when the rows are
+    independent.
+    """
+    count = len(rows)
+    augmented = [
+        _row(row, dim) + [int(i == j) for j in range(count)] for i, row in enumerate(rows)
+    ]
+    basis, pivots = _echelonize(augmented, dim + count)
+    return [tuple(row[dim:]) for row, c in zip(basis, pivots) if c >= dim]
 
 
 class IntegerLattice:
@@ -129,24 +78,22 @@ class IntegerLattice:
         return vec
 
     def contains(self, vec: tuple[int, ...] | list[int]) -> bool:
-        return not any(self._reduce(list(vec)))
+        return not any(self._reduce(_row(vec, self.dim)))
 
     def add(self, vec: tuple[int, ...] | list[int]) -> None:
-        rows = [list(r) for r in self._basis] + [list(vec)]
+        rows = [list(r) for r in self._basis] + [_row(vec, self.dim)]
         self._basis, self._pivots = _echelonize(rows, self.dim)
 
     @property
     def rank(self) -> int:
         return len(self._basis)  # echelon rows are linearly independent
 
-    def is_saturated(self) -> bool:
-        """True iff every integer vector in the lattice's rational span is in
-        the lattice, i.e. every elementary divisor of the basis is 1."""
-        return all(d == 1 for d in smith_divisors(self._basis))
-
 
 def _echelonize(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int]]:
-    """Echelon basis of the row lattice and the pivot column of each row."""
+    """Echelon basis of the row lattice and the pivot column of each row.
+
+    The rows are modified in place.
+    """
     work = [r for r in rows if any(r)]
     basis: list[list[int]] = []
     pivots: list[int] = []
