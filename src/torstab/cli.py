@@ -132,6 +132,13 @@ def _mono_dict(mono) -> dict:
     return {"monomial": {n: e for n, e in mono.exponents}, "l_degree": mono.l_degree}
 
 
+def _degree_bounded(max_degree: int) -> list[str]:
+    """The warning of a report whose invariant monomials stop at a degree bound."""
+    return [
+        f"degree-bounded: invariant monomials of total degree > {max_degree} were not enumerated"
+    ]
+
+
 # --- subcommand handlers: (result, input digest, warnings) --------------------
 
 
@@ -185,7 +192,7 @@ def _cmd_invariants(args):
         "invariant_monomials": [_mono_dict(m) for m in monos],
         "max_degree": args.max_degree,
     }
-    return result, digest, []
+    return result, digest, _degree_bounded(args.max_degree)
 
 
 def _cmd_relations(args):
@@ -197,7 +204,7 @@ def _cmd_relations(args):
         "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
         "relations": [_poly_dict(p) for p in rels],
     }
-    return result, digest, []
+    return result, digest, _degree_bounded(args.max_degree)
 
 
 def _cmd_quotient(args):
@@ -212,7 +219,7 @@ def _cmd_quotient(args):
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
     }
-    return result, digest, []
+    return result, digest, _degree_bounded(args.max_degree)
 
 
 def _cmd_stabilizer(args):
@@ -229,7 +236,8 @@ def _cmd_sections(args):
         "section": None if section is None else _mono_dict(section),
         "max_degree": args.max_degree,
     }
-    return result, digest, []
+    # A section found certifies semistability whatever the bound.
+    return result, digest, _degree_bounded(args.max_degree) if section is None else []
 
 
 def _parse_stratum(args) -> Stratum:

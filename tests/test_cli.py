@@ -157,6 +157,26 @@ def test_quotient_text(capture):
     assert "Z0*Z1 - T0*Z2 = 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, warned",
+    [
+        (("invariants", "--max-degree", "3"), True),
+        (("relations", "--max-degree", "3"), True),
+        (("quotient", "--max-degree", "3"), True),
+        (("sections", "--max-degree", "3", "--point", "x=1,y=0,u=1,v=0"), True),
+        # A section found certifies semistability at any bound.
+        (("sections", "--max-degree", "3", "--point", "x=1,y=0,u=1,v=1"), False),
+        (("classify", "--point", "x=1,y=0,u=1,v=0"), False),
+    ],
+    ids=["invariants", "relations", "quotient", "no-section", "section", "classify"],
+)
+def test_degree_bounded_reports_say_so(capture, argv, warned):
+    code, out, _ = capture(*argv, "--problem", "builtin:conic-bundle", "--format", "json")
+    assert code == 0
+    expected = "degree-bounded: invariant monomials of total degree > 3 were not enumerated"
+    assert json.loads(out)["warnings"] == ([expected] if warned else [])
+
+
 def test_conic_sweep_prints_weight_table(capture):
     code, out, _ = capture("conic", "--n", "1", "--sweep")
     assert code == 0
