@@ -221,11 +221,11 @@ def relations(
     need not be minimal).
 
     Every binomial's exponent difference lies in K, the integer vectors v
-    with v * A = 0 for the generator exponent matrix A.  Once the binomials
-    found span a lattice of K's rank that contains a basis of K
-    (`left_kernel`), they span all of K and no later product could add one,
-    so the scan stops there; the output is the same as scanning to the
-    bound.  A scan that tries more than `MAX_RELATION_CANDIDATES` products
+    with v * A = 0 for the generator exponent matrix A.  Once the lattice
+    the binomials span contains a basis of K (`left_kernel`; its rank is
+    compared first, the cheaper test), it is all of K and no later product
+    could add one, so the scan stops there; the output is the same as
+    scanning to the bound.  A scan that tries more than `MAX_RELATION_CANDIDATES` products
     is refused with an InputError.
     """
     if max_syzygy_degree < 1:

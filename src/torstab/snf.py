@@ -15,9 +15,9 @@ column with a positive pivot.  From that basis:
   that form a basis of {v : v * A = 0}, which is saturated (`left_kernel`).
 
 Everything here works on plain Python ints, so there is no overflow and no
-precision loss regardless of entry size.  The module keeps the name `snf`,
-from the Smith normal form it once held, because the benchmark's tracer
-(`bench/tracing.py`) looks `torstab.snf` and `IntegerLattice` up by name.
+precision loss regardless of entry size.  The module keeps its old name,
+`snf`, because the benchmark's tracer (`bench/tracing.py`) looks
+`torstab.snf` and `IntegerLattice` up by name.
 """
 
 from __future__ import annotations
