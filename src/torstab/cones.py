@@ -28,8 +28,9 @@ alone: each stage, the input included, drops repeated rows, a contradiction
 is found by membership, and back-substitution takes bounds by value.  So the
 order and repetition of the input rows never matter, which lets a caller
 remember answers under row sets (see `classify.verdict_over_pieces`).
-`cone_has_nonzero` settles a cone that lies in a closed orthant with one
-solve when it holds only the origin.
+`cone_has_nonzero` needs no solve: each stage of one elimination of the
+homogeneous rows is a projection of the cone, and the first stage over
+x_0..x_j whose rows all have s*c_j >= 0 starts a witness (0, ..., 0, s).
 """
 
 from __future__ import annotations
@@ -164,29 +165,17 @@ def _verify(problem: ConeProblem, witness: IntVec) -> None:
             raise InternalInvariantError(f"witness {witness} violates strict row {row}")
 
 
-def solve_cone(problem: ConeProblem) -> FeasibilityResult:
-    """Decide the system exactly; on success return an integral witness.
+def _stages(rows: list[_Row], r: int, last: int) -> list[list[_Row]]:
+    """Eliminate x_{r-1} down to x_last and return every stage, the input first.
 
-    The witness satisfies every weak row with ``>= 0`` and every strict row
-    with ``>= 1``, verified by substitution; it is the primitive integral
-    vector of the ray that back-substitution picks (the largest lower bound
-    on each variable, otherwise the smaller of its upper bound and 0,
-    otherwise 0).  Infeasibility is a proof: some elimination stage contains
-    a contradictory constant row, and elimination stops at the first one.
+    Stage k constrains x_0..x_{r-1-k}.  Elimination stops early at the first
+    stage that holds ``0 >= 1``, which is then the last one returned.
     """
-    r = problem.dim
-    # Repeated rows are dropped here as every later stage drops them, so the
-    # stage sizes, and with them the MAX_STAGE_PAIRS check, depend only on
-    # the row set.
-    rows: list[_Row] = list(
-        dict.fromkeys([(w, 0) for w in problem.nonneg_rows] + [(w, 1) for w in problem.strict_rows])
-    )
-
-    stages: list[list[_Row]] = [rows]
+    stages = [rows]
     try:
-        for j in range(r - 1, -1, -1):
+        for j in range(r - 1, last - 1, -1):
             if _contradicts(rows, j + 1):
-                return FeasibilityResult(False, None)
+                break
             rows = _eliminate(rows, j)
             stages.append(rows)
     except InputError as exc:
@@ -194,15 +183,20 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
             f"rank-{r} cone system of {len(stages[0])} rows is too large for "
             f"Fourier-Motzkin elimination: {exc}"
         ) from None
-    if _contradicts(rows, 0):
-        return FeasibilityResult(False, None)
+    return stages
 
-    # Back-substitute: stage r-1-j constrains variables 0..j.  Value i is
-    # nums[i] / den with den > 0, and a bound on variable j is p / (q * den)
-    # with q > 0, so two bounds compare by one cross-multiplication.
-    nums: list[int] = []
+
+def _back_substitute(stages: list[list[_Row]], nums: list[int], r: int) -> IntVec:
+    """Extend the integral values `nums` of x_0.. to all r variables.
+
+    Stage r-1-j constrains variables 0..j.  Value i is nums[i] / den with
+    den > 0, and a bound on variable j is p / (q * den) with q > 0, so two
+    bounds compare by one cross-multiplication.  Each variable takes its
+    largest lower bound; otherwise the smaller of its upper bound and 0;
+    otherwise 0.  The result is the primitive integral vector of the ray.
+    """
     den = 1
-    for j in range(r):
+    for j in range(len(nums), r):
         lower: tuple[int, int] | None = None
         upper: tuple[int, int] | None = None
         for coeffs, rhs in stages[r - 1 - j]:
@@ -219,7 +213,6 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
                 upper = (-s, -c)
         if lower is not None and upper is not None and lower[0] * upper[1] > upper[0] * lower[1]:
             raise InternalInvariantError("empty interval during back-substitution")
-        # The largest lower bound; otherwise min(upper bound, 0); otherwise 0.
         if lower is not None:
             p, q = lower
         elif upper is not None and upper[0] < 0:
@@ -233,10 +226,30 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
             den *= q
         nums.append(p // g)
 
-    # The primitive vector of the ray through nums / den; g divides every
-    # pairing, so strict rows keep >= 1 after division.
+    # g divides every pairing, so strict rows keep >= 1 after division.
     g = gcd(*nums)
-    result = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+    return tuple(n // g for n in nums) if g > 1 else tuple(nums)
+
+
+def solve_cone(problem: ConeProblem) -> FeasibilityResult:
+    """Decide the system exactly; on success return an integral witness.
+
+    The witness satisfies every weak row with ``>= 0`` and every strict row
+    with ``>= 1``, verified by substitution; `_back_substitute` picks it.
+    Infeasibility is a proof: some elimination stage contains a
+    contradictory constant row, and elimination stops at the first one.
+    """
+    r = problem.dim
+    # Repeated rows are dropped here as every later stage drops them, so the
+    # stage sizes, and with them the MAX_STAGE_PAIRS check, depend only on
+    # the row set.
+    rows: list[_Row] = list(
+        dict.fromkeys([(w, 0) for w in problem.nonneg_rows] + [(w, 1) for w in problem.strict_rows])
+    )
+    stages = _stages(rows, r, 0)
+    if _contradicts(stages[-1], r + 1 - len(stages)):
+        return FeasibilityResult(False, None)
+    result = _back_substitute(stages, [], r)
     _verify(problem, result)
     return FeasibilityResult(True, result)
 
@@ -246,50 +259,30 @@ def cone_has_nonzero(
 ) -> IntVec | None:
     """Find a nonzero integral point of the closed cone ``{all rows >= 0}``.
 
-    Returns None when the cone is the origin alone.  The search forces each
-    coordinate in turn to be >= 1 or <= -1; since the cone is scaling
-    invariant, it contains a nonzero point iff one of the 2*dim restricted
-    systems is feasible, and the witness is the one the first feasible
-    system's solve returns.  A system whose forced coordinate contradicts a
-    row outright (``sign*x_i >= 1`` against the row ``-sign*x_i >= 0``) is
-    skipped without a solve.
-
-    When the rows hold a sign row ``s_i*x_i >= 0`` for every coordinate, the
-    cone lies in a closed orthant, and it holds a nonzero point iff the one
-    system {rows, ``sum s_i*x_i >= 1``} is feasible.  That system is solved
-    first whenever more than one axis system would be, so a cone that is the
-    origin alone costs one solve instead of up to dim; when it is feasible
-    the axis systems still pick the witness.  Every orthant piece of a chain
-    configuration is such a cone.  Like `solve_cone`, the answer depends
-    only on the set of rows.
+    Returns None when the cone is the origin alone.  Eliminating x_{dim-1}
+    down to x_1 gives every projection at once: the stage over x_0..x_j is
+    exactly the projection, since a right-hand side of 0 is never rounded.
+    The cone holds a point with x_0..x_{j-1} = 0 and s*x_j > 0 iff every row
+    of that stage has s*c_j >= 0.  The first such (j, s), j ascending and
+    s = +1 first, is back-substituted from (0, ..., 0, s); that is the
+    witness `solve_cone` gives for {rows, s*x_j >= 1}, since every point of
+    the cone has x_0..x_{j-1} = 0.  The answer depends only on the row set.
     """
     rows = [tuple(r) for r in rows]
     if dim is None:
         if not rows:
             raise InputError("cannot infer dimension of an empty row set")
         dim = len(rows[0])
-    # Checks every row against dim even when no axis system reaches a solve.
-    make_cone_problem(rows, [], dim)
-    row_set = set(rows)
-    axes = []  # the forced row of each axis system that needs a solve
-    orthant = []  # the sign row found for each coordinate that has one
-    for i in range(dim):
-        plus = tuple(1 if k == i else 0 for k in range(dim))
-        minus = tuple(-a for a in plus)
-        if plus in row_set:
-            orthant.append(plus)
-        elif minus in row_set:
-            orthant.append(minus)
-        if minus not in row_set:
-            axes.append(plus)
-        if plus not in row_set:
-            axes.append(minus)
-    if len(axes) > 1 and len(orthant) == dim:
-        inward = tuple(map(sum, zip(*orthant)))
-        if not solve_cone(make_cone_problem(rows, [inward], dim)).feasible:
-            return None
-    for axis in axes:
-        result = solve_cone(make_cone_problem(rows, [axis], dim))
-        if result.feasible:
-            return result.witness
+    problem = make_cone_problem(rows, [], dim)
+    # Homogeneous rows never contradict, so every stage is there.
+    stages = _stages(list(dict.fromkeys((w, 0) for w in problem.nonneg_rows)), dim, 1)
+    for j in range(dim):
+        coeffs = [c[j] for c, _ in stages[dim - 1 - j]]
+        for s in (1, -1):
+            if all(s * c >= 0 for c in coeffs):
+                witness = _back_substitute(stages, [0] * j + [s], dim)
+                _verify(problem, witness)
+                if not any(witness):
+                    raise InternalInvariantError("the cone witness is the origin")
+                return witness
     return None

@@ -345,15 +345,12 @@ def config_stabilizer(config: ChainConfiguration) -> int | None:
 
 
 def _multiset_stabilizer_order(coords: list[Fraction]) -> int:
-    """Number of rational scalars mapping the multiset onto itself."""
+    """Number of rational scalars mapping the multiset onto itself; each is
+    one of the distinct ratios c / coords[0]."""
     reference = sorted(coords)
     anchor = coords[0]
-    order = 0
-    for c in coords:
-        ratio = c / anchor
-        if sorted(x * ratio for x in coords) == reference:
-            order += 1
-    return order
+    ratios = {c / anchor for c in coords}
+    return sum(sorted(x * ratio for x in coords) == reference for ratio in ratios)
 
 
 # --- Hilbert scheme components and incidence -------------------------------

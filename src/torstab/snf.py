@@ -11,8 +11,9 @@ column with a positive pivot.  From that basis:
 - the rank is the number of basis rows;
 - a lattice of full rank in Z^dim has a triangular basis, so its index is
   the product of the pivots (`lattice_rank_and_index`);
-- the rows of the echelon form of [A | I] whose A-part is zero have I-parts
-  that form a basis of {v : v * A = 0}, which is saturated (`left_kernel`).
+- echelonizing [A | I] on the columns of A alone leaves rows whose A-part
+  is zero; the row operations are unimodular, so their I-parts form a
+  basis of {v : v * A = 0}, which is saturated (`left_kernel`).
 
 Everything here works on plain Python ints, so there is no overflow and no
 precision loss regardless of entry size.  The module keeps its old name,
@@ -40,7 +41,7 @@ def lattice_rank_and_index(rows: list[tuple[int, ...]], ambient_dim: int) -> tup
     The index (the product of the echelon pivots) is None when the lattice
     has rank below the ambient dimension, i.e. infinite index.
     """
-    basis, pivots = _echelonize([_row(r, ambient_dim) for r in rows], ambient_dim)
+    basis, pivots, _ = _echelonize([_row(r, ambient_dim) for r in rows], ambient_dim)
     if len(basis) < ambient_dim:
         return len(basis), None
     return len(basis), prod(row[c] for row, c in zip(basis, pivots))
@@ -57,8 +58,8 @@ def left_kernel(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     augmented = [
         _row(row, dim) + [int(i == j) for j in range(count)] for i, row in enumerate(rows)
     ]
-    basis, pivots = _echelonize(augmented, dim + count)
-    return [tuple(row[dim:]) for row, c in zip(basis, pivots) if c >= dim]
+    _, _, rest = _echelonize(augmented, dim)
+    return [tuple(row[dim:]) for row in rest]
 
 
 class IntegerLattice:
@@ -82,22 +83,23 @@ class IntegerLattice:
 
     def add(self, vec: tuple[int, ...] | list[int]) -> None:
         rows = [list(r) for r in self._basis] + [_row(vec, self.dim)]
-        self._basis, self._pivots = _echelonize(rows, self.dim)
+        self._basis, self._pivots, _ = _echelonize(rows, self.dim)
 
     @property
     def rank(self) -> int:
         return len(self._basis)  # echelon rows are linearly independent
 
 
-def _echelonize(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int]]:
-    """Echelon basis of the row lattice and the pivot column of each row.
+def _echelonize(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Echelon basis on the first `cols` columns, its pivot columns, and the
+    nonzero rows left over, which are zero there.
 
-    The rows are modified in place.
+    The unimodular row operations act on whole rows, in place.
     """
     work = [r for r in rows if any(r)]
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for col in range(dim):
+    for col in range(cols):
         active = [r for r in work if r[col]]
         if not active:
             continue
@@ -106,7 +108,7 @@ def _echelonize(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[
             active.sort(key=lambda r: abs(r[col]))
             a, b = active[0], active[1]
             q = b[col] // a[col]
-            for i in range(dim):
+            for i in range(col, len(b)):
                 b[i] -= q * a[i]
             if not b[col]:
                 active.pop(1)
@@ -118,4 +120,4 @@ def _echelonize(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[
         basis.append(pivot)
         pivots.append(col)
         work = rest
-    return basis, pivots
+    return basis, pivots, work

@@ -364,24 +364,28 @@ def test_package_names_classify_and_mu_are_the_functions():
 
 def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
     problem = parse_problem((TABLES / "rank3_5x5_seed1.problem").read_text())
-    solves = []
-    solve = cones.solve_cone
-
-    def counted(cone_problem):
-        solves.append(cone_problem)
-        return solve(cone_problem)
-
-    monkeypatch.setattr(cones, "solve_cone", counted)
+    # Each cone question is a `solve_cone` or a `cone_has_nonzero` call.
+    questions = []
     # `torstab.classify` as an attribute is the function; the module is needed.
-    monkeypatch.setattr(importlib.import_module("torstab.classify"), "solve_cone", counted)
+    classify_module = importlib.import_module("torstab.classify")
+    for name in ("solve_cone", "cone_has_nonzero"):
+
+        def counted(*args, _name=name, _original=getattr(cones, name)):
+            questions.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cones, name, counted)
+        monkeypatch.setattr(classify_module, name, counted)
     for pattern in _patterns_in_order(problem):
         classify_pattern(problem, pattern)
-    one_by_one = len(solves)
-    solves.clear()
+    one_by_one = questions[:]
+    questions.clear()
     table = classify_patterns(problem)
     statuses = {v.status for _, v in table.rows}
     assert StabilityStatus.STABLE in statuses
     assert StabilityStatus.STRICTLY_SEMISTABLE in statuses
-    # 992 patterns: 1238 solves against 3128, most of the saving from the
-    # stable supersets of stable supports.
-    assert 2 * len(solves) < one_by_one
+    # 992 patterns: 754 cone questions against 1364, that is 638 solves
+    # against 992 and 116 nonzero-point questions against 372; the stable
+    # supersets of stable supports ask neither.
+    assert len(questions) < len(one_by_one)
+    assert 2 * questions.count("cone_has_nonzero") < one_by_one.count("cone_has_nonzero")

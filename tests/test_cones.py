@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Eq, Matrix, symbols
+from sympy.solvers.simplex import lpmin
 
 from torstab import cone_has_nonzero, cones, make_cone_problem, solve_cone
 from torstab.cones import ConeProblem
@@ -48,7 +50,7 @@ def test_destabilizing_pattern():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         make_cone_problem([(1, 0)], [(1,)], dim=2)
-    # Every axis system here is skipped, so no solve would see the bad row.
+    # The bad row is caught before any elimination.
     with pytest.raises(DimensionMismatchError):
         cone_has_nonzero([(1,), (-1,), (1, 2)], dim=1)
 
@@ -150,9 +152,27 @@ def test_fourier_motzkin_growth_is_refused():
     rng = random.Random(0)
     rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(14)]
     start = time.process_time()
-    with pytest.raises(InputError, match="rank-5 cone system of 15 rows"):
+    with pytest.raises(InputError, match="rank-5 cone system of 14 rows"):
         cone_has_nonzero(rows)
     assert time.process_time() - start < 1
+
+
+def test_rank_five_origin_cone_is_answered():
+    # Eliminating down to x_0 with an axis row formed 1066 x 1432 row pairs,
+    # over MAX_STAGE_PAIRS; the homogeneous stages down to x_1 stay under it.
+    rows = [
+        (3, 3, 0, 0, 1), (3, 1, -2, -2, 3), (1, 0, 2, 1, 3), (-2, -3, 0, -1, -2),
+        (-3, 1, 3, 2, 2), (-3, 1, 0, 0, 2), (2, 1, 2, -2, 1), (-3, 3, 1, -3, -3),
+        (-3, -2, -2, 1, -3), (3, 0, -1, 0, 1),
+    ]
+    assert cone_has_nonzero(rows) is None
+    # Stiemke: some y >= 1 has y^T R = 0, so R x >= 0 forces R x = 0, and
+    # R has rank 5, so x = 0.
+    y = symbols(f"y:{len(rows)}")
+    balance = [Eq(sum(yi * row[k] for yi, row in zip(y, rows)), 0) for k in range(5)]
+    _, point = lpmin(sum(y), [yi >= 1 for yi in y] + balance)
+    assert all(point[yi] >= 1 for yi in y)
+    assert Matrix(rows).rank() == 5
 
 
 @st.composite
@@ -210,26 +230,31 @@ def test_early_contradiction_answers_before_the_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows, solves",
+    "rows",
     [
-        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin, settled
-        # by the one orthant system {rows, x - y + z >= 1}.
-        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], 1),
-        # x and y pinned to 0, z <= 0: only z = -1 is solved for.
-        ([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)], 1),
+        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin.
+        [(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)],
+        # x and y pinned to 0, z <= 0: the witness is z = -1.
+        [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)],
     ],
 )
-def test_self_contradicting_axis_systems_are_skipped(monkeypatch, rows, solves):
-    calls = []
-    original = cones.solve_cone
+def test_nonzero_point_is_read_off_one_elimination(monkeypatch, rows):
+    solves, eliminations = [], []
+    solve, eliminate = cones.solve_cone, cones._eliminate
 
-    def counted(problem):
-        calls.append(problem)
-        return original(problem)
+    def counted_solve(problem):
+        solves.append(problem)
+        return solve(problem)
 
-    monkeypatch.setattr(cones, "solve_cone", counted)
-    assert cone_has_nonzero(rows, 3) == cone_has_nonzero_oracle(rows, 3)
-    assert len(calls) == solves < 2 * 3
+    def counted_eliminate(stage, j):
+        eliminations.append(j)
+        return eliminate(stage, j)
+
+    monkeypatch.setattr(cones, "solve_cone", counted_solve)
+    monkeypatch.setattr(cones, "_eliminate", counted_eliminate)
+    answer = cone_has_nonzero(rows, 3)
+    assert (len(solves), eliminations) == (0, [2, 1])
+    assert answer == cone_has_nonzero_oracle(rows, 3)
 
 
 @st.composite
@@ -274,7 +299,7 @@ def orthant_cones(draw):
 @settings(max_examples=200, deadline=None)
 @given(orthant_cones())
 def test_orthant_cones_equal_rational_oracle(cone):
-    # The orthant system only decides whether a point exists; the witness
-    # must still be the first feasible axis system's, as the oracle finds it.
+    # The witness must be the first feasible axis system's, as the oracle
+    # finds it, also when sign rows pin some coordinates.
     rows, dim = cone
     assert cone_has_nonzero(rows, dim) == cone_has_nonzero_oracle(rows, dim)

@@ -248,21 +248,22 @@ def test_equivalence_theorem():
         assert report.strictly_semistable_count == 0
 
 
-# (table, solve_cone calls of the sweep, of classifying each configuration
-# alone, strictly semistable rows).  The last four tables carry twists that
+# (table, cone questions of the sweep, of classifying each configuration
+# alone, strictly semistable rows); a cone question is a `solve_cone` or a
+# `cone_has_nonzero` call.  The last four tables carry twists that
 # `build_weight_table` refuses; three of them give strictly semistable rows.
 SWEEP_CASES = [
-    (build_weight_table(1), 6, 14, 0),
-    (build_weight_table(1, sign=-1), 6, 14, 0),
-    (build_weight_table(2), 52, 112, 0),
-    (build_weight_table(2, (7,)), 52, 112, 0),
-    (build_weight_table(2, (2,), sign=-1), 52, 112, 0),
+    (build_weight_table(1), 7, 18, 0),
+    (build_weight_table(1, sign=-1), 7, 18, 0),
+    (build_weight_table(2), 54, 114, 0),
+    (build_weight_table(2, (7,)), 54, 114, 0),
+    (build_weight_table(2, (2,), sign=-1), 54, 114, 0),
     (build_weight_table(3), 244, 574, 0),
     (build_weight_table(3, (5, 2)), 244, 574, 0),
     (build_weight_table(3, (1000, 999), sign=-1), 244, 574, 0),
-    (WeightTable(2, (0, 1)), 42, 136, 14),
-    (WeightTable(3, (0, 2, 1)), 213, 662, 28),
-    (WeightTable(3, (2, 0, 1)), 229, 716, 28),
+    (WeightTable(2, (0, 1)), 41, 130, 14),
+    (WeightTable(3, (0, 2, 1)), 205, 634, 28),
+    (WeightTable(3, (2, 0, 1)), 205, 660, 28),
     (WeightTable(3, (1, 1, 1)), 244, 574, 0),
 ]
 
@@ -280,15 +281,17 @@ def test_sweep_equals_classifying_each_configuration_alone(
     # configuration on its own, with no memo.
     # The package attribute `torstab.classify` is the function of that name.
     classify_module = sys.modules["torstab.classify"]
-    solves = []
+    # Each cone question is a `solve_cone` or a `cone_has_nonzero` call.
+    questions = []
     feasible_second_pass = []
     solve_cone, cone_has_nonzero = cones.solve_cone, cones.cone_has_nonzero
 
     def counted_solve(problem):
-        solves.append(problem)
+        questions.append(problem)
         return solve_cone(problem)
 
     def counted_nonzero(rows, dim):
+        questions.append(rows)
         point = cone_has_nonzero(rows, dim)
         if point is not None:
             feasible_second_pass.append(point)
@@ -299,14 +302,14 @@ def test_sweep_equals_classifying_each_configuration_alone(
     monkeypatch.setattr(classify_module, "cone_has_nonzero", counted_nonzero)
 
     report = sweep_equivalence(table)
-    assert len(solves) == swept
+    assert len(questions) == swept
     reused = report.strictly_semistable_count - len(feasible_second_pass)
-    del solves[:]
+    del questions[:]
     rows = [
         SweepRow(config, admissible(config), classify_config(table, config))
         for config in _all_configs(table.n)
     ]
-    assert len(solves) == alone
+    assert len(questions) == alone
     assert report.rows == tuple(rows)
     assert report.strictly_semistable_count == semistable
     if semistable:
@@ -365,6 +368,19 @@ def test_stabilizer_antipodal_pair():
 
 def test_stabilizer_generic_pair():
     assert config_stabilizer(middle_pair(Fraction(1, 2), Fraction(1))) == 1
+
+
+def test_stabilizer_repeated_coordinate_counts_one_scalar():
+    # The only scalar fixing {a, a} is 1, whatever a is.
+    assert config_stabilizer(middle_pair(Fraction(1), Fraction(1))) == 1
+    assert config_stabilizer(middle_pair(Fraction(2), Fraction(2))) == 1
+
+
+def test_stabilizer_repeated_antipodal_pairs():
+    # {1, 1, -1, -1} is fixed by 1 and -1 only.
+    stratum = Stratum(4, frozenset({1, 5}))
+    marked = tuple((1, Fraction(c)) for c in (1, 1, -1, -1))
+    assert config_stabilizer(ChainConfiguration(stratum, (0, 4, 0), marked)) == 2
 
 
 def test_stabilizer_origin_single_points():

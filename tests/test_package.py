@@ -22,3 +22,15 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_benchmark_hooks_exist():
+    # bench/tracing.py looks these up by name.  It skips a missing
+    # `_eliminate` or `_expand` silently, which would leave `cones.rows_max`
+    # and `invariants.candidates` at zero with no error.
+    from torstab import cones, invariants, snf
+
+    assert callable(cones._eliminate)
+    assert callable(invariants._expand)
+    for name in ("add", "contains", "rank"):
+        assert hasattr(snf.IntegerLattice, name)
