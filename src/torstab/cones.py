@@ -30,7 +30,8 @@ order and repetition of the input rows never matter, which lets a caller
 remember answers under row sets (see `classify.verdict_over_pieces`).
 `cone_has_nonzero` needs no solve: each stage of one elimination of the
 homogeneous rows is a projection of the cone, and the first stage over
-x_0..x_j whose rows all have s*c_j >= 0 starts a witness (0, ..., 0, s).
+x_0..x_j whose rows all have s*c_j >= 0 starts a witness (0, ..., 0, s);
+coordinates pinned to 0 by a pair of unit rows are left out of it.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def cone_has_nonzero(
     of that stage has s*c_j >= 0.  The first such (j, s), j ascending and
     s = +1 first, is back-substituted from (0, ..., 0, s); that is the
     witness `solve_cone` gives for {rows, s*x_j >= 1}, since every point of
-    the cone has x_0..x_{j-1} = 0.  The answer depends only on the row set.
+    the cone has x_0..x_{j-1} = 0.  A coordinate with both unit rows ±x_i
+    is 0 on the cone; it is left out of the elimination, which keeps every
+    stage exact, and put back as 0.  The answer depends only on the row set.
     """
     rows = [tuple(r) for r in rows]
     if dim is None:
@@ -274,13 +277,17 @@ def cone_has_nonzero(
             raise InputError("cannot infer dimension of an empty row set")
         dim = len(rows[0])
     problem = make_cone_problem(rows, [], dim)
+    units = {(w.index(sum(w)), sum(w)) for w in rows if sum(map(abs, w)) == 1}
+    free = [i for i in range(dim) if (i, 1) not in units or (i, -1) not in units]
+    r = len(free)
     # Homogeneous rows never contradict, so every stage is there.
-    stages = _stages(list(dict.fromkeys((w, 0) for w in problem.nonneg_rows)), dim, 1)
-    for j in range(dim):
-        coeffs = [c[j] for c, _ in stages[dim - 1 - j]]
+    stages = _stages(list(dict.fromkeys((tuple(w[i] for i in free), 0) for w in rows)), r, 1)
+    for j in range(r):
+        coeffs = [c[j] for c, _ in stages[r - 1 - j]]
         for s in (1, -1):
             if all(s * c >= 0 for c in coeffs):
-                witness = _back_substitute(stages, [0] * j + [s], dim)
+                point = dict(zip(free, _back_substitute(stages, [0] * j + [s], r)))
+                witness = tuple(point.get(i, 0) for i in range(dim))
                 _verify(problem, witness)
                 if not any(witness):
                     raise InternalInvariantError("the cone witness is the origin")

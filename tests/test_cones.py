@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Eq, Matrix, symbols
-from sympy.solvers.simplex import lpmin
 
 from torstab import cone_has_nonzero, cones, make_cone_problem, solve_cone
 from torstab.cones import ConeProblem
@@ -157,9 +156,22 @@ def test_fourier_motzkin_growth_is_refused():
     assert time.process_time() - start < 1
 
 
+def test_pinned_coordinates_are_left_out_of_the_elimination():
+    # The rows of test_fourier_motzkin_growth_is_refused with both unit rows
+    # of every coordinate: the cone is the origin, and no elimination is
+    # needed to see it.
+    rng = random.Random(0)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(14)]
+    units = [tuple(s * (k == i) for k in range(5)) for i in range(5) for s in (1, -1)]
+    start = time.process_time()
+    assert cone_has_nonzero(rows + units) is None
+    assert time.process_time() - start < 1
+
+
 def test_rank_five_origin_cone_is_answered():
-    # Eliminating down to x_0 with an axis row formed 1066 x 1432 row pairs,
-    # over MAX_STAGE_PAIRS; the homogeneous stages down to x_1 stay under it.
+    # The homogeneous stages down to x_1 stay under MAX_STAGE_PAIRS.
+    from sympy.solvers.simplex import lpmin
+
     rows = [
         (3, 3, 0, 0, 1), (3, 1, -2, -2, 3), (1, 0, 2, 1, 3), (-2, -3, 0, -1, -2),
         (-3, 1, 3, 2, 2), (-3, 1, 0, 0, 2), (2, 1, 2, -2, 1), (-3, 3, 1, -3, -3),
@@ -230,15 +242,16 @@ def test_early_contradiction_answers_before_the_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, eliminated",
     [
         # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin.
-        [(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)],
-        # x and y pinned to 0, z <= 0: the witness is z = -1.
-        [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)],
+        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], [2, 1]),
+        # x and y pinned to 0, so z is the only coordinate left, and z <= 0:
+        # the witness is z = -1.
+        ([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)], []),
     ],
 )
-def test_nonzero_point_is_read_off_one_elimination(monkeypatch, rows):
+def test_nonzero_point_is_read_off_one_elimination(monkeypatch, rows, eliminated):
     solves, eliminations = [], []
     solve, eliminate = cones.solve_cone, cones._eliminate
 
@@ -253,7 +266,7 @@ def test_nonzero_point_is_read_off_one_elimination(monkeypatch, rows):
     monkeypatch.setattr(cones, "solve_cone", counted_solve)
     monkeypatch.setattr(cones, "_eliminate", counted_eliminate)
     answer = cone_has_nonzero(rows, 3)
-    assert (len(solves), eliminations) == (0, [2, 1])
+    assert (len(solves), eliminations) == (0, eliminated)
     assert answer == cone_has_nonzero_oracle(rows, 3)
 
 
