@@ -35,9 +35,9 @@ before it is returned; a mismatch raises InternalInvariantError.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
 
 from .cones import IntVec, cone_has_nonzero, make_cone_problem, solve_cone
 from .errors import InputError, InternalInvariantError
@@ -52,33 +52,35 @@ class StabilityStatus(enum.Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status witness witness_mu")):
     status: StabilityStatus
-    witness: OnePS | None = None
-    witness_mu: MuValue | None = None
+    witness: OnePS | None
+    witness_mu: MuValue | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status is StabilityStatus.STABLE:
-            ok = self.witness is None and self.witness_mu is None
-        elif self.status is StabilityStatus.UNSTABLE:
-            ok = self.witness is not None and self.witness_mu is not None and self.witness_mu < 0
+    def __new__(cls, status, witness=None, witness_mu=None) -> Verdict:
+        self = tuple.__new__(cls, (status, witness, witness_mu))
+        if status is StabilityStatus.STABLE:
+            ok = witness is None and witness_mu is None
+        elif status is StabilityStatus.UNSTABLE:
+            ok = witness is not None and witness_mu is not None and witness_mu < 0
         else:
             ok = (
-                self.witness is not None
-                and any(self.witness)
-                and self.witness_mu is not None
-                and not self.witness_mu.is_infinite
-                and self.witness_mu.value == 0
+                witness is not None
+                and any(witness)
+                and witness_mu is not None
+                and not witness_mu.is_infinite
+                and witness_mu.value == 0
             )
         if not ok:
             raise InternalInvariantError(f"inconsistent verdict {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class PatternTable:
+class PatternTable(namedtuple("PatternTable", "rows warnings", defaults=((),))):
     rows: tuple[tuple[SupportPattern, Verdict], ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+    __slots__ = ()
 
 
 Piece = tuple[Sequence[IntVec], Sequence[IntVec]]

@@ -199,12 +199,13 @@ def _cmd_relations(args):
     problem, digest = _load_problem(args.problem)
     gens = minimal_generators(invariant_monomials(problem, args.max_degree))
     names = [f"g{i}" for i in range(len(gens))]
-    rels = relations(gens, args.syzygy_degree, names)
+    warnings = _degree_bounded(args.max_degree)
+    rels = relations(gens, args.syzygy_degree, names, warnings=warnings)
     result = {
         "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
         "relations": [_poly_dict(p) for p in rels],
     }
-    return result, digest, _degree_bounded(args.max_degree)
+    return result, digest, warnings
 
 
 def _cmd_quotient(args):
@@ -219,7 +220,7 @@ def _cmd_quotient(args):
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
     }
-    return result, digest, _degree_bounded(args.max_degree)
+    return result, digest, _degree_bounded(args.max_degree) + list(pres.warnings)
 
 
 def _cmd_stabilizer(args):

@@ -36,7 +36,7 @@ coordinates pinned to 0 by a pair of unit rows are left out of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import mul
 
@@ -50,38 +50,40 @@ _Row = tuple[IntVec, int]
 MAX_STAGE_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
-class ConeProblem:
+class ConeProblem(namedtuple("ConeProblem", "nonneg_rows strict_rows dim")):
     """A conjunction of weak (>= 0) and strict (>= 1) integral constraints."""
 
     nonneg_rows: tuple[IntVec, ...]
     strict_rows: tuple[IntVec, ...]
     dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, nonneg_rows, strict_rows, dim) -> ConeProblem:
         # Rows may arrive as lists; tuples keep the problem hashable, which
         # the solver relies on when it deduplicates rows.
-        object.__setattr__(self, "nonneg_rows", tuple(map(tuple, self.nonneg_rows)))
-        object.__setattr__(self, "strict_rows", tuple(map(tuple, self.strict_rows)))
-        if self.dim < 0:
-            raise InputError(f"dimension must be nonnegative, got {self.dim}")
-        for row in self.nonneg_rows + self.strict_rows:
-            if len(row) != self.dim:
+        nonneg_rows = tuple(map(tuple, nonneg_rows))
+        strict_rows = tuple(map(tuple, strict_rows))
+        if dim < 0:
+            raise InputError(f"dimension must be nonnegative, got {dim}")
+        for row in nonneg_rows + strict_rows:
+            if len(row) != dim:
                 raise DimensionMismatchError(
-                    f"row {row} has length {len(row)}, expected {self.dim}"
+                    f"row {row} has length {len(row)}, expected {dim}"
                 )
+        return tuple.__new__(cls, (nonneg_rows, strict_rows, dim))
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(namedtuple("FeasibilityResult", "feasible witness")):
     """Outcome of a feasibility question; a witness is present iff feasible."""
 
     feasible: bool
     witness: IntVec | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.feasible != (self.witness is not None):
+    def __new__(cls, feasible, witness) -> FeasibilityResult:
+        if feasible != (witness is not None):
             raise InternalInvariantError("feasible flag and witness disagree")
+        return tuple.__new__(cls, (feasible, witness))
 
 
 def make_cone_problem(

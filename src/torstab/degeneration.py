@@ -40,10 +40,10 @@ from the configuration by `mu_config`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator
 
 from .classify import StabilityStatus, Verdict, verdict_over_pieces
 from .errors import InputError
@@ -53,28 +53,29 @@ from .mu import MuValue
 Interval = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "n vanishing")):
     """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`."""
 
     n: int
     vanishing: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"n must be positive, got {self.n}")
-        bad = [i for i in self.vanishing if not 1 <= i <= self.n + 1]
+    def __new__(cls, n, vanishing) -> Stratum:
+        if n < 1:
+            raise InputError(f"n must be positive, got {n}")
+        bad = [i for i in vanishing if not 1 <= i <= n + 1]
         if bad:
             raise InputError(
-                f"vanishing indices {sorted(bad)} outside 1..{self.n + 1}"
+                f"vanishing indices {sorted(bad)} outside 1..{n + 1}"
             )
+        return tuple.__new__(cls, (n, vanishing))
 
 
-@dataclass(frozen=True)
-class ChainFibre:
+class ChainFibre(namedtuple("ChainFibre", "intervals")):
     """Ordered interval partition of {0, ..., n+1} describing the fibre chain."""
 
     intervals: tuple[Interval, ...]
+    __slots__ = ()
 
 
 def _chain_cuts(stratum: Stratum) -> list[int]:
@@ -92,32 +93,33 @@ def chain(stratum: Stratum) -> ChainFibre:
     return ChainFibre(intervals)
 
 
-@dataclass(frozen=True)
-class ChainConfiguration:
+class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marked_points")):
     """Per-component lengths of a length-n subscheme, with optional marked
     interior coordinates used only for stabilizer computations."""
 
     stratum: Stratum
     lengths: tuple[int, ...]
-    marked_points: tuple[tuple[int, Fraction], ...] = ()
+    marked_points: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        components = len(_chain_cuts(self.stratum)) - 1
-        if len(self.lengths) != components:
+    def __new__(cls, stratum, lengths, marked_points=()) -> ChainConfiguration:
+        components = len(_chain_cuts(stratum)) - 1
+        if len(lengths) != components:
             raise InputError(
-                f"{len(self.lengths)} lengths for {components} chain components"
+                f"{len(lengths)} lengths for {components} chain components"
             )
-        if any(l < 0 for l in self.lengths):
-            raise InputError(f"negative length in {self.lengths}")
-        if sum(self.lengths) != self.stratum.n:
+        if any(l < 0 for l in lengths):
+            raise InputError(f"negative length in {lengths}")
+        if sum(lengths) != stratum.n:
             raise InputError(
-                f"lengths {self.lengths} sum to {sum(self.lengths)}, expected {self.stratum.n}"
+                f"lengths {lengths} sum to {sum(lengths)}, expected {stratum.n}"
             )
-        for idx, coord in self.marked_points:
+        for idx, coord in marked_points:
             if not 0 <= idx < components:
                 raise InputError(f"marked point on unknown component {idx}")
             if coord == 0:
                 raise InputError("marked interior coordinates must be nonzero")
+        return tuple.__new__(cls, (stratum, lengths, marked_points))
 
 
 def admissible(config: ChainConfiguration) -> bool:
@@ -131,8 +133,7 @@ def admissible(config: ChainConfiguration) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(namedtuple("WeightTable", "n multipliers sign a0", defaults=(1, 1000))):
     """Per-bundle weight data of the polarization at torus-limit points.
 
     multipliers[i-1] is the twist a_i of the i-th hyperplane factor, with
@@ -144,8 +145,9 @@ class WeightTable:
 
     n: int
     multipliers: tuple[int, ...]
-    sign: int = 1
-    a0: int = 1000
+    sign: int
+    a0: int
+    __slots__ = ()
 
     def u_weight(self, i: int) -> int:
         """Fibre weight when v_i = 0 at the limit (u-monomial generates)."""
@@ -356,8 +358,7 @@ def _multiset_stabilizer_order(coords: list[Fraction]) -> int:
 # --- Hilbert scheme components and incidence -------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertComponent:
+class HilbertComponent(namedtuple("HilbertComponent", "i j stratum lengths")):
     """Irreducible component whose generic configuration puts i points on the
     first and j points on the last chain component."""
 
@@ -365,16 +366,17 @@ class HilbertComponent:
     j: int
     stratum: Stratum
     lengths: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def label(self) -> str:
         return f"H{self.i}{self.j}"
 
 
-@dataclass(frozen=True)
-class HilbertIncidence:
+class HilbertIncidence(namedtuple("HilbertIncidence", "components intersections")):
     components: tuple[HilbertComponent, ...]
     intersections: tuple[tuple[tuple[str, ...], tuple[ChainConfiguration, ...]], ...]
+    __slots__ = ()
 
 
 def strata(n: int) -> list[Stratum]:
@@ -457,17 +459,17 @@ def hilbert_components(n: int) -> HilbertIncidence:
     return HilbertIncidence(components, tuple(intersections))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(namedtuple("SweepRow", "config admissible verdict")):
     config: ChainConfiguration
     admissible: bool
     verdict: Verdict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(namedtuple("SweepReport", "table rows")):
     table: WeightTable
     rows: tuple[SweepRow, ...]
+    __slots__ = ()
 
     @property
     def equivalence_holds(self) -> bool:

@@ -29,7 +29,7 @@ when it is found.  All outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import gcd
@@ -44,9 +44,11 @@ WeightVector = tuple[int, ...]
 MAX_RELATION_CANDIDATES = 100_000  # distinct generator products tried
 
 
-@dataclass(frozen=True)
-class MonomialInvariant:
-    """A weight-zero monomial; l_degree is its total degree in fiber variables."""
+class MonomialInvariant(namedtuple("MonomialInvariant", "exponents l_degree")):
+    """A weight-zero monomial; l_degree is its total degree in fiber variables.
+
+    No ``__slots__``: `total_degree` is kept in the instance dict.
+    """
 
     exponents: Monomial
     l_degree: int
@@ -210,6 +212,8 @@ def relations(
     generators: list[MonomialInvariant],
     max_syzygy_degree: int,
     names: list[str] | None = None,
+    *,
+    warnings: list[str] | None = None,
 ) -> list[Polynomial]:
     """Binomial relations among the generators up to the given degree.
 
@@ -225,8 +229,11 @@ def relations(
     the binomials span contains a basis of K (`left_kernel`; its rank is
     compared first, the cheaper test), it is all of K and no later product
     could add one, so the scan stops there; the output is the same as
-    scanning to the bound.  A scan that tries more than `MAX_RELATION_CANDIDATES` products
-    is refused with an InputError.
+    scanning to the bound.  A scan that reaches the bound first leaves a
+    proper sublattice of K: the output then misses relations, and a
+    ``syzygy-bounded`` warning saying so is appended to ``warnings`` when a
+    list is given.  A scan that tries more than `MAX_RELATION_CANDIDATES`
+    products is refused with an InputError.
     """
     if max_syzygy_degree < 1:
         raise InputError(f"syzygy degree bound must be >= 1, got {max_syzygy_degree}")
@@ -273,19 +280,32 @@ def relations(
         )
         if lattice.rank == len(kernel) and all(map(lattice.contains, kernel)):
             break
+    else:
+        if warnings is not None:
+            warnings.append(
+                f"syzygy-bounded: generator products of syzygy degree > {max_syzygy_degree} "
+                "were not tried, and the relations found span a proper sublattice of "
+                "the relation lattice"
+            )
     return found
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(namedtuple(
+    "QuotientPresentation",
+    "base_generators proj_generators relations ambient veronese_divisor warnings",
+    defaults=((),),
+)):
     """Coordinates and relations for the quotient: Spec of the degree-zero
-    invariants times a weighted projective space cut out by the relations."""
+    invariants times a weighted projective space cut out by the relations.
+    `warnings` holds the `relations` warning of an incomplete relation set."""
 
     base_generators: tuple[tuple[str, MonomialInvariant], ...]
     proj_generators: tuple[tuple[str, MonomialInvariant, int], ...]
     relations: tuple[Polynomial, ...]
     ambient: str
     veronese_divisor: int | None
+    warnings: tuple[str, ...]
+    __slots__ = ()
 
 
 def quotient_presentation(
@@ -307,7 +327,10 @@ def quotient_presentation(
     named += [(f"Z{i}", m) for i, m in enumerate(proj)]
     if syzygy_degree is None:
         syzygy_degree = max((2 * m.total_degree for m in gens), default=1)
-    rels = relations([m for _, m in named], syzygy_degree, [n for n, _ in named]) if named else []
+    warnings: list[str] = []
+    rels = relations(
+        [m for _, m in named], syzygy_degree, [n for n, _ in named], warnings=warnings
+    ) if named else []
 
     degrees = sorted(m.l_degree for m in proj)
     parts = []
@@ -331,6 +354,7 @@ def quotient_presentation(
         relations=tuple(rels),
         ambient=ambient,
         veronese_divisor=veronese,
+        warnings=tuple(warnings),
     )
 
 

@@ -8,15 +8,20 @@ point only through its support pattern.
 
 File format: JSON with integer weight vectors and rationals as "p/q" or "n"
 strings (never floats).  See the README for the full grammar.
+
+The value types here and across the package are `collections.namedtuple`
+subclasses: equal by value, hashable, with read-only fields.  A type with
+checks runs them in `__new__`, and a type with no cached property declares
+empty `__slots__`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, InputError, ZeroSectionError
 
@@ -59,8 +64,7 @@ def _canonical_monomial(exponents: Mapping[str, int]) -> Monomial:
     return tuple(sorted(items))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "terms")):
     """Sparse polynomial with exact rational coefficients.
 
     Terms are stored canonically: sorted monomials, no duplicates, no zero
@@ -68,6 +72,7 @@ class Polynomial:
     """
 
     terms: tuple[tuple[Fraction, Monomial], ...]
+    __slots__ = ()
 
     @classmethod
     def make(cls, terms: Iterable[tuple[Fraction | int | str, Mapping[str, int]]]) -> "Polynomial":
@@ -94,30 +99,33 @@ class Polynomial:
         return frozenset(name for _, mono in self.terms for name, _ in mono)
 
 
-@dataclass(frozen=True)
-class GitProblem:
-    """A linearized split-torus action on a projective-over-affine model."""
+class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift ideal")):
+    """A linearized split-torus action on a projective-over-affine model.
+
+    An empty shift stands for the zero shift.  No ``__slots__``: the cached
+    name -> weight lookups below live in the instance dict.
+    """
 
     torus_rank: int
     base_vars: tuple[tuple[str, WeightVector], ...]
     fiber_vars: tuple[tuple[str, WeightVector], ...]
-    shift: WeightVector = ()
-    ideal: tuple[Polynomial, ...] = ()
+    shift: WeightVector
+    ideal: tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
-        r = self.torus_rank
+    def __new__(cls, torus_rank, base_vars, fiber_vars, shift=(), ideal=()) -> GitProblem:
+        r = torus_rank
         if r < 1:
             raise InputError(f"torus rank must be positive, got {r}")
-        if not self.fiber_vars:
+        if not fiber_vars:
             raise InputError("at least one fiber variable is required")
-        if not self.shift:
-            object.__setattr__(self, "shift", (0,) * r)
-        if len(self.shift) != r:
+        if not shift:
+            shift = (0,) * r
+        if len(shift) != r:
             raise DimensionMismatchError(
-                f"linearization shift has length {len(self.shift)}, expected rank {r}"
+                f"linearization shift has length {len(shift)}, expected rank {r}"
             )
         seen: set[str] = set()
-        for name, weight in self.base_vars + self.fiber_vars:
+        for name, weight in base_vars + fiber_vars:
             if name in seen:
                 raise InputError(f"duplicate variable name {name!r}")
             seen.add(name)
@@ -125,10 +133,11 @@ class GitProblem:
                 raise DimensionMismatchError(
                     f"weight of {name!r} has length {len(weight)}, expected rank {r}"
                 )
-        for poly in self.ideal:
+        for poly in ideal:
             undeclared = poly.variables() - seen
             if undeclared:
                 raise InputError(f"ideal uses undeclared variables {sorted(undeclared)}")
+        return tuple.__new__(cls, (torus_rank, base_vars, fiber_vars, shift, ideal))
 
     @property
     def base_names(self) -> tuple[str, ...]:
@@ -143,7 +152,7 @@ class GitProblem:
         return self.base_names + self.fiber_names
 
     # Name -> weight lookups, built on first use.  They are cached properties,
-    # not fields, so equality, hashing and serialization see only the
+    # not fields, so equality, hashing, repr and serialization see only the
     # declared data.
     @cached_property
     def _base_weights(self) -> dict[str, WeightVector]:
@@ -175,12 +184,12 @@ class GitProblem:
         return lam
 
 
-@dataclass(frozen=True)
-class PointSample:
+class PointSample(namedtuple("PointSample", "base_values fiber_values")):
     """Exact rational coordinates for every declared variable."""
 
     base_values: tuple[tuple[str, Fraction], ...]
     fiber_values: tuple[tuple[str, Fraction], ...]
+    __slots__ = ()
 
     @classmethod
     def for_problem(
@@ -209,16 +218,17 @@ class PointSample:
         return dict(self.base_values + self.fiber_values)
 
 
-@dataclass(frozen=True)
-class SupportPattern:
+class SupportPattern(namedtuple("SupportPattern", "base fiber")):
     """Names of the nonvanishing coordinates of a point."""
 
     base: frozenset[str]
     fiber: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.fiber:
+    def __new__(cls, base, fiber) -> SupportPattern:
+        if not fiber:
             raise ZeroSectionError("lift lies in the zero section: empty fiber support")
+        return tuple.__new__(cls, (base, fiber))
 
 
 def support(point: PointSample) -> SupportPattern:

@@ -12,18 +12,18 @@ its support pattern; `mu_from_pattern` is the shared core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 
 
-@dataclass(frozen=True, order=False)
-class MuValue:
+class MuValue(namedtuple("MuValue", "value", defaults=(None,))):
     """An integer weight or the infinite marker (no limit point)."""
 
-    value: int | None = None
+    value: int | None
+    __slots__ = ()
 
     @classmethod
     def finite(cls, value: int) -> "MuValue":

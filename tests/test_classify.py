@@ -24,7 +24,7 @@ from torstab import (
     support,
 )
 from torstab import cones
-from torstab.classify import verdict_over_pieces
+from torstab.classify import Verdict, verdict_over_pieces
 from torstab.errors import InputError, InternalInvariantError, ZeroSectionError
 from torstab.mu import MuValue
 
@@ -261,6 +261,20 @@ def test_verdict_over_pieces_rejects_a_witness_that_fails_reverification():
         verdict_over_pieces([([], [(1,)])], 1, lambda lam: MuValue.finite(0))
     with pytest.raises(InternalInvariantError):
         verdict_over_pieces([([(1, 0), (-1, 0)], [(1, 0)])], 2, lambda lam: MuValue.infinite())
+
+
+def test_inconsistent_verdict_is_reported_with_its_fields():
+    verdict = Verdict(StabilityStatus.UNSTABLE, (1, 0), MuValue.finite(-2))
+    assert repr(verdict) == (
+        "Verdict(status=<StabilityStatus.UNSTABLE: 'unstable'>, witness=(1, 0), "
+        "witness_mu=MuValue(value=-2))"
+    )
+    with pytest.raises(InternalInvariantError) as caught:
+        Verdict(StabilityStatus.STABLE, witness=(1, 0))
+    assert str(caught.value) == (
+        "inconsistent verdict Verdict(status=<StabilityStatus.STABLE: 'stable'>, "
+        "witness=(1, 0), witness_mu=None)"
+    )
 
 
 def test_verdict_over_pieces_not_unstable_runs_only_the_second_pass():

@@ -177,6 +177,24 @@ def test_degree_bounded_reports_say_so(capture, argv, warned):
     assert json.loads(out)["warnings"] == ([expected] if warned else [])
 
 
+@pytest.mark.parametrize("subcommand", ["relations", "quotient"])
+def test_incomplete_relation_sets_say_so(capture, subcommand):
+    # The conic bundle's one relation has syzygy degree 2.
+    expected = (
+        "syzygy-bounded: generator products of syzygy degree > 1 were not tried, "
+        "and the relations found span a proper sublattice of the relation lattice"
+    )
+    for syzygy, warned in (("1", True), ("2", False)):
+        code, out, _ = capture(
+            subcommand, "--problem", "builtin:conic-bundle", "--syzygy-degree", syzygy,
+            "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (expected in report["warnings"]) == warned
+        assert len(report["result"]["relations"]) == (0 if warned else 1)
+
+
 def test_conic_sweep_prints_weight_table(capture):
     code, out, _ = capture("conic", "--n", "1", "--sweep")
     assert code == 0

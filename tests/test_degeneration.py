@@ -95,6 +95,23 @@ def test_weight_table_defaults():
     assert build_weight_table(3).multipliers == (100, 10, 1)
 
 
+def test_equal_tables_and_strata_are_equal_and_hash_alike():
+    # classify_config keys the pieces a stratum shares on (table, stratum).
+    table, twin = build_weight_table(2), WeightTable(2, (10, 1))
+    stratum, twin_stratum = origin(2), Stratum(2, frozenset({3, 2, 1}))
+    assert table is not twin and table == twin and hash(table) == hash(twin)
+    assert stratum is not twin_stratum and stratum == twin_stratum
+    assert hash(stratum) == hash(twin_stratum)
+    assert WeightTable(2, (10, 1), sign=-1) != table
+    assert Stratum(2, frozenset({1})) != stratum
+    memo = {}
+    verdict = classify_config(table, ChainConfiguration(stratum, (0, 1, 1, 0)), memo=memo)
+    size = len(memo)
+    config = ChainConfiguration(twin_stratum, (0, 1, 1, 0))
+    assert classify_config(twin, config, memo=memo) == verdict
+    assert len(memo) == size
+
+
 def test_weight_table_validation():
     with pytest.raises(InputError):
         build_weight_table(4)

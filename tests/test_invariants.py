@@ -401,8 +401,15 @@ def test_relations_equal_the_full_scan(gens, syzygy):
 
 
 def test_index_two_lattice_is_completed_at_syzygy_degree_five():
-    assert len(relations(INDEX_TWO_GENERATORS, 4)) == 3
-    assert len(relations(INDEX_TWO_GENERATORS, 5)) == 4
+    warnings = []
+    assert len(relations(INDEX_TWO_GENERATORS, 4, warnings=warnings)) == 3
+    assert warnings == [
+        "syzygy-bounded: generator products of syzygy degree > 4 were not tried, "
+        "and the relations found span a proper sublattice of the relation lattice"
+    ]
+    warnings = []
+    assert len(relations(INDEX_TWO_GENERATORS, 5, warnings=warnings)) == 4
+    assert warnings == []
 
 
 def count_expansions(monkeypatch):

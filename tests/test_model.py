@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import torstab as ts
 from torstab import (
     GitProblem,
     PointSample,
@@ -131,6 +132,29 @@ def test_weight_lookup_is_not_part_of_the_problem():
     assert twin == problem and hash(twin) == hash(problem)
     assert "_base_weights" not in repr(problem)
     assert '"_' not in serialize_problem(problem)
+
+
+def test_record_fields_are_read_only(conic):
+    table = ts.classify_patterns(conic)
+    pattern, verdict = table.rows[0]
+    quotient = ts.quotient_presentation(conic)
+    cone = ts.make_cone_problem([(1, 0)], [(0, 1)])
+    sweep = ts.sweep_equivalence(ts.build_weight_table(1))
+    config = sweep.rows[0].config
+    incidence = ts.hilbert_components(2)
+    records = [
+        conic, point(conic, x=1, y=0, u=1, v=0), pattern, verdict, table,
+        ts.MuValue.finite(1), quotient, quotient.base_generators[0][1],
+        quotient.relations[0], cone, ts.solve_cone(cone), sweep, sweep.rows[0],
+        sweep.table, config, config.stratum, ts.chain(config.stratum), incidence,
+        incidence.components[0],
+    ]
+    assert len({type(record) for record in records}) == 19
+    conic.base_weight("x")  # fills a cached property of the instance dict
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 def test_fiber_variable_required():

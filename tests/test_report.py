@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torstab.model import SupportPattern
+from torstab.mu import MuValue
 from torstab.report import to_json
 
 
@@ -78,6 +80,9 @@ def test_explicit_renderings(value, expected):
         ({"a": [0, Fraction(-3, 7)]}, "Fraction"),
         ({1: "one"}, "int"),
         ({None: "none"}, "NoneType"),
+        # Records are tuples, which `json.dumps` would write as arrays.
+        (MuValue.finite(3), "MuValue"),
+        ({"rows": [SupportPattern(frozenset(), frozenset("u"))]}, "SupportPattern"),
     ],
 )
 def test_other_values_raise_type_error(value, named):
