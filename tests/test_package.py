@@ -39,9 +39,8 @@ def test_benchmark_hooks_exist():
 
 def test_cli_start_up_skips_heavy_standard_modules():
     # Every subcommand is one process, so the import of torstab.cli is paid
-    # on each call.  `dataclasses` (which pulls in `inspect`) and `typing`
-    # cost about 7.7 and 6.4 ms of CPU there; `-S` keeps `site` from
-    # loading any of them first.
+    # on each call, and `dataclasses` (which pulls in `inspect`) and `typing`
+    # were most of it.  `-S` keeps `site` from loading any of them first.
     src = Path(torstab.__file__).resolve().parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import torstab.cli; "
