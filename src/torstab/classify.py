@@ -24,9 +24,12 @@ Across a pattern table the verdicts are monotone in the support, since each
 added coordinate adds one row: stable is closed under taking larger
 supports (the cone only shrinks, so it stays {0}), and unstable under
 taking smaller ones (a larger support's system {B >= 0, F >= 1} only gains
-rows, so if a support's system is infeasible, every larger one's is too).  `classify_patterns` uses both rules to skip
-solves whose outcome a smaller support already fixed; see there why every
-witness stays the one `classify_pattern` returns.
+rows, so if a support's system is infeasible, every larger one's is too).
+Beyond that, one subgroup certifies every support whose rows it satisfies.
+`classify_patterns` uses all three facts to skip solves whose outcome a
+smaller support already fixed, so a row's witness may be a checked lambda
+found for a smaller support: it can differ from the one `classify_pattern`,
+and so `classify` on a point of that support, returns.
 
 Every verdict's witness is re-verified by an independent weight computation
 before it is returned; a mismatch raises InternalInvariantError.
@@ -165,7 +168,12 @@ def _pattern_verdict(
 
 
 def classify(problem: GitProblem, point: PointSample) -> Verdict:
-    """Stable / strictly semistable / unstable, with a witness when not stable."""
+    """Stable / strictly semistable / unstable, with a witness when not stable.
+
+    The witness is `classify_pattern`'s for the point's support; that
+    support's row in `classify_patterns` has the same status but may carry
+    another checked witness.
+    """
     return classify_pattern(problem, support(point))
 
 
@@ -178,19 +186,29 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     is not checked.
 
     The loops run base size outer, fiber size inner, so every proper
-    subpattern is classified before the patterns containing it.  The
-    supports solved stable and solved strictly semistable are kept as
-    bitmasks over `problem.var_names`, and a pattern containing one of them
-    skips solves whose outcome is already fixed:
+    subpattern is classified before the patterns containing it.  Supports
+    are bitmasks over `problem.var_names`.  The call keeps the supports
+    solved stable and solved strictly semistable, and the witness of every
+    solved non-stable support with the mask of the variables whose rows it
+    satisfies: base rows >= 0, and fiber rows >= 1 for an unstable witness
+    or >= 0 for a strictly semistable one.  A pattern is then decided by
+    the first rule that applies:
 
       * containing a stable support, it is stable with no solve (its cone
         lies in one that is {0}, and a stable verdict has no witness);
-      * containing a strictly semistable one, it is not unstable, so only
-        the second pass runs; the first pass would have found nothing, so
-        its witness is the one `classify_pattern` returns.
+      * containing a strictly semistable support, it is not unstable, and
+        the first strictly semistable witness whose mask contains it is a
+        nonzero lambda of weight 0 on it;
+      * otherwise the first unstable witness whose mask contains it
+        destabilizes it;
+      * a pattern no witness covers is solved on its own: by
+        `classify_pattern`, or by the second pass alone if it is known not
+        to be unstable.
 
-    Any other pattern goes to `classify_pattern`.  Rows and witnesses are
-    therefore exactly those of classifying every pattern on its own.
+    A reused witness still goes through `mu_from_pattern` and the `Verdict`
+    checks.  The statuses are those of classifying every pattern on its
+    own; a witness may be another checked lambda than `classify_pattern`
+    gives for that pattern.  Nothing is kept past the call.
     """
     names = problem.var_names
     if len(names) > max_vars:
@@ -198,11 +216,29 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             f"{len(names)} variables exceed the pattern enumeration cap {max_vars}"
         )
     bit = {name: 1 << i for i, name in enumerate(names)}
-    stable: list[int] = []
-    semistable: list[int] = []
-    rows = []
     base_names = problem.base_names
     fiber_names = problem.fiber_names
+    base_rows = [(bit[n], problem.base_weight(n)) for n in base_names]
+    fiber_rows = [(bit[n], problem.shifted_fiber_weight(n)) for n in fiber_names]
+
+    def satisfied(lam: OnePS, fiber_floor: int) -> int:
+        """Mask of the variables whose row lam satisfies: base rows >= 0,
+        fiber rows >= fiber_floor."""
+        mask = 0
+        for b, w in base_rows:
+            if sum(x * y for x, y in zip(w, lam)) >= 0:
+                mask |= b
+        for b, w in fiber_rows:
+            if sum(x * y for x, y in zip(w, lam)) >= fiber_floor:
+                mask |= b
+        return mask
+
+    stable: list[int] = []
+    semistable: list[int] = []
+    # (mask, lambda) of every solved unstable and strictly semistable support.
+    destabilizers: list[tuple[int, OnePS]] = []
+    blockers: list[tuple[int, OnePS]] = []
+    rows = []
     for bsize in range(len(base_names) + 1):
         for bsub in combinations(base_names, bsize):
             for fsize in range(1, len(fiber_names) + 1):
@@ -212,15 +248,31 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
                     if any(m & mask == m for m in stable):
                         rows.append((pattern, Verdict(StabilityStatus.STABLE)))
                         continue
-                    if any(m & mask == m for m in semistable):
+                    not_unstable = any(m & mask == m for m in semistable)
+                    certificates = blockers if not_unstable else destabilizers
+                    lam = next((lam for m, lam in certificates if mask & m == mask), None)
+                    if lam is not None:
+                        status = (
+                            StabilityStatus.STRICTLY_SEMISTABLE
+                            if not_unstable
+                            else StabilityStatus.UNSTABLE
+                        )
+                        verdict = Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
+                        rows.append((pattern, verdict))
+                        continue
+                    if not_unstable:
                         verdict = _pattern_verdict(problem, pattern, not_unstable=True)
                     else:
                         verdict = classify_pattern(problem, pattern)
                     rows.append((pattern, verdict))
+                    lam = verdict.witness
                     if verdict.status is StabilityStatus.STABLE:
                         stable.append(mask)
-                    elif verdict.status is StabilityStatus.STRICTLY_SEMISTABLE:
+                    elif verdict.status is StabilityStatus.UNSTABLE:
+                        destabilizers.append((satisfied(lam, 1), lam))
+                    else:
                         semistable.append(mask)
+                        blockers.append((satisfied(lam, 0), lam))
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)

@@ -338,13 +338,38 @@ ZERO_WEIGHTS = GitProblem(
 )
 
 
+def _rows_hold(problem, pattern, lam, fiber_floor):
+    """Substitute lam into the pattern's rows: base >= 0, shifted fiber >= fiber_floor."""
+
+    def dot(w):
+        return sum(a * b for a, b in zip(w, lam))
+
+    return all(dot(problem.base_weight(n)) >= 0 for n in pattern.base) and all(
+        dot(problem.shifted_fiber_weight(n)) >= fiber_floor for n in pattern.fiber
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(pattern_problems())
 @example(ZERO_WEIGHTS)
 @example(degenerating_conic_problem())
 def test_pattern_table_equals_patternwise_classification(problem):
-    expected = [(p, classify_pattern(problem, p)) for p in _patterns_in_order(problem)]
-    assert list(classify_patterns(problem).rows) == expected
+    # Same patterns, order and statuses as classifying each on its own.  A
+    # witness may come from a smaller support, so it is checked against the
+    # pattern's own rows rather than compared with `classify_pattern`'s.
+    rows = classify_patterns(problem).rows
+    assert [p for p, _ in rows] == _patterns_in_order(problem)
+    for pattern, verdict in rows:
+        assert verdict.status is classify_pattern(problem, pattern).status
+        lam = verdict.witness
+        if verdict.status is StabilityStatus.STABLE:
+            assert lam is None and verdict.witness_mu is None
+            continue
+        if verdict.status is StabilityStatus.UNSTABLE:
+            assert _rows_hold(problem, pattern, lam, 1)
+        else:
+            assert _rows_hold(problem, pattern, lam, 0) and any(lam)
+        assert verdict.witness_mu == mu_from_pattern(problem, pattern, lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,9 +402,8 @@ def test_package_names_classify_and_mu_are_the_functions():
     assert hasattr(sys.modules["torstab.classify"], "solve_cone")
 
 
-def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
-    problem = parse_problem((TABLES / "rank3_5x5_seed1.problem").read_text())
-    # Each cone question is a `solve_cone` or a `cone_has_nonzero` call.
+def _count_cone_questions(monkeypatch):
+    """List that records each `solve_cone` and `cone_has_nonzero` call by name."""
     questions = []
     # `torstab.classify` as an attribute is the function; the module is needed.
     classify_module = importlib.import_module("torstab.classify")
@@ -391,6 +415,12 @@ def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
 
         monkeypatch.setattr(cones, name, counted)
         monkeypatch.setattr(classify_module, name, counted)
+    return questions
+
+
+def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
+    problem = parse_problem((TABLES / "rank3_5x5_seed1.problem").read_text())
+    questions = _count_cone_questions(monkeypatch)
     for pattern in _patterns_in_order(problem):
         classify_pattern(problem, pattern)
     one_by_one = questions[:]
@@ -399,7 +429,52 @@ def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
     statuses = {v.status for _, v in table.rows}
     assert StabilityStatus.STABLE in statuses
     assert StabilityStatus.STRICTLY_SEMISTABLE in statuses
-    # 992 patterns: 754 cone questions against 1364; the stable supersets of
-    # stable supports ask neither kind.
-    assert Counter(questions) == {"solve_cone": 638, "cone_has_nonzero": 116}
+    # 992 patterns: 51 cone questions against 1364.  Stable supersets of
+    # stable supports ask neither kind, and so does every pattern whose rows
+    # a witness already found for a smaller support satisfies.
+    assert Counter(questions) == {"solve_cone": 31, "cone_has_nonzero": 20}
     assert Counter(one_by_one) == {"solve_cone": 992, "cone_has_nonzero": 372}
+
+
+def test_one_solved_witness_covers_the_larger_supports_it_satisfies(monkeypatch):
+    # Rank 1, base x (1), fiber u (1), v (1), w (-1), no shift.  Solving {u}
+    # gives lambda = 1, which has x >= 0 and u, v >= 1: it destabilizes every
+    # support inside {x, u, v}.  Its w row is -1, so {w} is solved on its
+    # own (lambda = -1, whose x row is -1); {u, w}, {v, w} and {x, w} are
+    # solved stable, and the rest contain one of them.
+    problem = GitProblem(
+        torus_rank=1,
+        base_vars=(("x", (1,)),),
+        fiber_vars=(("u", (1,)), ("v", (1,)), ("w", (-1,))),
+    )
+    questions = _count_cone_questions(monkeypatch)
+    rows = {
+        (tuple(sorted(p.base)), tuple(sorted(p.fiber))): v
+        for p, v in classify_patterns(problem).rows
+    }
+    assert len(rows) == 14
+    covered = [
+        ((), ("u",)), ((), ("v",)), ((), ("u", "v")),
+        (("x",), ("u",)), (("x",), ("v",)), (("x",), ("u", "v")),
+    ]
+    for key in covered:
+        assert rows[key].status is StabilityStatus.UNSTABLE
+        assert rows[key].witness == (1,)
+    assert rows[((), ("w",))] == Verdict(StabilityStatus.UNSTABLE, (-1,), MuValue.finite(-1))
+    stable = [s for s, v in rows.items() if v.status is StabilityStatus.STABLE]
+    assert len(stable) == 7
+    # One solve for {u}, one for {w}, and both passes for each of the three
+    # minimal stable supports.
+    assert Counter(questions) == {"solve_cone": 5, "cone_has_nonzero": 3}
+
+
+def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch):
+    # Rank 1, base y (0), fiber z (0): {z} is strictly semistable through
+    # both passes, and {y, z}, which contains it, reuses its nonzero lambda
+    # (the y row is 0 there too) without a solve.
+    problem = GitProblem(torus_rank=1, base_vars=(("y", (0,)),), fiber_vars=(("z", (0,)),))
+    questions = _count_cone_questions(monkeypatch)
+    (_, alone), (_, both) = classify_patterns(problem).rows
+    assert alone.status is StabilityStatus.STRICTLY_SEMISTABLE
+    assert both == alone
+    assert Counter(questions) == {"solve_cone": 1, "cone_has_nonzero": 1}

@@ -6,11 +6,14 @@ package's own golden table (`torstab.golden`, which `torstab selftest`
 replays); this module adds seeded problem files that do not ship with the
 package.  The sweeps pin every configuration's verdict and witness, the
 pattern tables every pattern's, so a refactor of the classifiers that
-changes any verdict, witness, weight or ordering fails here.  A deliberate
-output change must re-record the digests and say why.
+changes any verdict, witness, weight or ordering fails here.  The seeded
+tables are also pinned by verdict alone, witnesses removed, so a change
+that only picks other valid witnesses shows as such.  A deliberate output
+change must re-record the digests and say why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from torstab.golden import GOLDEN_REPORTS
 
 # Seeded tables of 240-992 patterns with stable and strictly semistable
 # rows, large enough that `classify_patterns` skips solves a smaller support
-# already decided.  Each file's weights are random.Random(seed).randint(-3, 3),
+# already decided and reuses witnesses found for smaller supports.  Each file's weights are random.Random(seed).randint(-3, 3),
 # drawn for the base variables x0, x1, ... first, then the fiber variables
 # u0, u1, ...  Paths are relative to the repository root.
 ROOT = Path(__file__).parent.parent
@@ -28,18 +31,18 @@ ROOT = Path(__file__).parent.parent
 TABLES = [
     (
         ("patterns", "--problem", "tests/tables/rank3_5x5_seed1.problem"),
-        "80c0c8bdc88524467a57b2ce01d158a4036302f8650a719dda5aa09a39ec7964",
-        "e3b237c1cc4e8b56a78012ca74ef4310f91cec02aa5b58a2819cb4d9a17428cd",
+        "8d27eb2e4777771aa7451fb7cb5a140e6bc243267b8b70089291ab5c1771f4d2",
+        "f51c982c898bb9a45aec8135e65a7172a8a9b37d67ceaba951167f7f598b3907",
     ),
     (
         ("patterns", "--problem", "tests/tables/rank4_4x4_seed1.problem"),
-        "dc0c8c206824d66208f91f7c98ed7f532df581bdf2e1678a011612a4018c168d",
-        "2333c8f15c3fcec70d2b8e071a731d8e2898397e6cca2d1d54307b7b690cf1e1",
+        "66337ca4bde445c362a39239e4e01fbd2378ecafe514ac7676b537a807a0948d",
+        "1eead767421b2ab49bbc66adcbfcb00424e728486c9f7b70717a58afc85842f8",
     ),
     (
         ("patterns", "--problem", "tests/tables/rank4_4x4_seed2.problem"),
-        "a2b38f9b5ea74cd52d371d0069c14a3c09e639e630f0ef0b3cc31ec073c65790",
-        "669adb5e175fd7cb139e4082cced59e03e22d06f3cf968a6adc1ea02deac49c4",
+        "a97fd26c6b203acf46140add385da0b8873ab697bf40f2c72e2e184e92e8ec1a",
+        "c79d18125dc19ac0351d63e5a3745aed01274e921437c5e6cdc6cdfa48872d9e",
     ),
     # The rank-2 ring "P40" (weights in ROADMAP.md): 24 generators up to
     # degree 10, whose relation scan stops at syzygy degree 3.  Its relations
@@ -53,6 +56,44 @@ TABLES = [
         "80262fa8860d3b5a14d5ef86d72ccd275ce5322f479f8dfca75dc765426b283f",
     ),
 ]
+
+
+# The same seeded tables pinned by verdict alone: the sha256 of the JSON
+# report with every `witness` and `witness_mu` key removed, re-encoded the
+# way `report.to_json` encodes.  `classify_patterns` may give a row any
+# checked witness, so a change of witness moves the digests above but must
+# leave these.
+VERDICT_DIGESTS = {
+    "tests/tables/rank3_5x5_seed1.problem": (
+        "1425a652cf870a1e9af92422e5210957b7a1d111b5d1d085e5580f99bfd4db4c"
+    ),
+    "tests/tables/rank4_4x4_seed1.problem": (
+        "d188456f99d30c5e88dbf99f2457867b74e55570a1037299e929ad54b36c305d"
+    ),
+    "tests/tables/rank4_4x4_seed2.problem": (
+        "6e05c14089a11405ab73a6623b4a27cc87b8f6587b6c04ea0e63e65f60ed0b83"
+    ),
+}
+
+
+def _without_witnesses(value):
+    if isinstance(value, dict):
+        return {
+            k: _without_witnesses(v)
+            for k, v in value.items()
+            if k not in ("witness", "witness_mu")
+        }
+    if isinstance(value, list):
+        return [_without_witnesses(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("path, digest", sorted(VERDICT_DIGESTS.items()))
+def test_table_verdict_digest(capsys, path, digest):
+    assert main(["patterns", "--problem", str(ROOT / path), "--format", "json"]) == 0
+    report = _without_witnesses(json.loads(capsys.readouterr().out))
+    text = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
