@@ -187,12 +187,14 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
 
     The loops run base size outer, fiber size inner, so every proper
     subpattern is classified before the patterns containing it.  Supports
-    are bitmasks over `problem.var_names`.  The call keeps the supports
-    solved stable and solved strictly semistable, and the witness of every
-    solved non-stable support with the mask of the variables whose rows it
-    satisfies: base rows >= 0, and fiber rows >= 1 for an unstable witness
-    or >= 0 for a strictly semistable one.  A pattern is then decided by
-    the first rule that applies:
+    are bitmasks over `problem.var_names`.  Each base and each fiber subset
+    is built once, as its frozenset and mask, and shared by every row that
+    has it; the rows that inherit stability share one stable verdict.  The
+    call keeps the supports solved stable and solved strictly semistable,
+    and the witness of every solved non-stable support with the mask of the
+    variables whose rows it satisfies: base rows >= 0, and fiber rows >= 1
+    for an unstable witness or >= 0 for a strictly semistable one.  A
+    pattern is then decided by the first rule that applies:
 
       * containing a stable support, it is stable with no solve (its cone
         lies in one that is {0}, and a stable verdict has no witness);
@@ -233,46 +235,55 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
                 mask |= b
         return mask
 
+    def subsets(pool: Sequence[str], smallest: int) -> list[tuple[frozenset[str], int]]:
+        """(names, mask) of every subset of `pool` with at least `smallest`
+        names, in `combinations` order by size."""
+        return [
+            (frozenset(sub), sum(bit[n] for n in sub))
+            for size in range(smallest, len(pool) + 1)
+            for sub in combinations(pool, size)
+        ]
+
+    fiber_subsets = subsets(fiber_names, 1)
+    inherited = Verdict(StabilityStatus.STABLE)
     stable: list[int] = []
     semistable: list[int] = []
     # (mask, lambda) of every solved unstable and strictly semistable support.
     destabilizers: list[tuple[int, OnePS]] = []
     blockers: list[tuple[int, OnePS]] = []
     rows = []
-    for bsize in range(len(base_names) + 1):
-        for bsub in combinations(base_names, bsize):
-            for fsize in range(1, len(fiber_names) + 1):
-                for fsub in combinations(fiber_names, fsize):
-                    pattern = SupportPattern(frozenset(bsub), frozenset(fsub))
-                    mask = sum(bit[n] for n in bsub + fsub)
-                    if any(m & mask == m for m in stable):
-                        rows.append((pattern, Verdict(StabilityStatus.STABLE)))
-                        continue
-                    not_unstable = any(m & mask == m for m in semistable)
-                    certificates = blockers if not_unstable else destabilizers
-                    lam = next((lam for m, lam in certificates if mask & m == mask), None)
-                    if lam is not None:
-                        status = (
-                            StabilityStatus.STRICTLY_SEMISTABLE
-                            if not_unstable
-                            else StabilityStatus.UNSTABLE
-                        )
-                        verdict = Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
-                        rows.append((pattern, verdict))
-                        continue
-                    if not_unstable:
-                        verdict = _pattern_verdict(problem, pattern, not_unstable=True)
-                    else:
-                        verdict = classify_pattern(problem, pattern)
-                    rows.append((pattern, verdict))
-                    lam = verdict.witness
-                    if verdict.status is StabilityStatus.STABLE:
-                        stable.append(mask)
-                    elif verdict.status is StabilityStatus.UNSTABLE:
-                        destabilizers.append((satisfied(lam, 1), lam))
-                    else:
-                        semistable.append(mask)
-                        blockers.append((satisfied(lam, 0), lam))
+    for base_set, base_mask in subsets(base_names, 0):
+        for fiber_set, fiber_mask in fiber_subsets:
+            pattern = SupportPattern(base_set, fiber_set)
+            mask = base_mask | fiber_mask
+            if any(m & mask == m for m in stable):
+                rows.append((pattern, inherited))
+                continue
+            not_unstable = any(m & mask == m for m in semistable)
+            certificates = blockers if not_unstable else destabilizers
+            lam = next((lam for m, lam in certificates if mask & m == mask), None)
+            if lam is not None:
+                status = (
+                    StabilityStatus.STRICTLY_SEMISTABLE
+                    if not_unstable
+                    else StabilityStatus.UNSTABLE
+                )
+                verdict = Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
+                rows.append((pattern, verdict))
+                continue
+            if not_unstable:
+                verdict = _pattern_verdict(problem, pattern, not_unstable=True)
+            else:
+                verdict = classify_pattern(problem, pattern)
+            rows.append((pattern, verdict))
+            lam = verdict.witness
+            if verdict.status is StabilityStatus.STABLE:
+                stable.append(mask)
+            elif verdict.status is StabilityStatus.UNSTABLE:
+                destabilizers.append((satisfied(lam, 1), lam))
+            else:
+                semistable.append(mask)
+                blockers.append((satisfied(lam, 0), lam))
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)

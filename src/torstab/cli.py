@@ -171,17 +171,23 @@ def _cmd_patterns(args):
     problem, digest = _load_problem(args.problem)
     table = classify_patterns(problem, max_vars=args.max_vars)
     position = {name: i for i, name in enumerate(problem.var_names)}.__getitem__
+    # Rows repeat name sets and verdicts, so each distinct one is rendered
+    # once and every row that has it shares the list or dict.
+    names: dict[frozenset[str], list[str]] = {}
+    verdicts: dict[Verdict, dict] = {}
     counts = {status.value: 0 for status in StabilityStatus}
     rows = []
     for pattern, verdict in table.rows:
-        counts[verdict.status.value] += 1
-        rows.append(
-            {
-                "base": sorted(pattern.base, key=position),
-                "fiber": sorted(pattern.fiber, key=position),
-                "verdict": _verdict_dict(verdict),
-            }
-        )
+        base, fiber = pattern
+        if base not in names:
+            names[base] = sorted(base, key=position)
+        if fiber not in names:
+            names[fiber] = sorted(fiber, key=position)
+        shown = verdicts.get(verdict)
+        if shown is None:
+            shown = verdicts[verdict] = _verdict_dict(verdict)
+        counts[shown["status"]] += 1
+        rows.append({"base": names[base], "fiber": names[fiber], "verdict": shown})
     return {"rows": rows, "counts": counts}, digest, list(table.warnings)
 
 

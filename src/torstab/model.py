@@ -175,7 +175,7 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
             raise InputError(f"unknown fiber variable {name!r}") from None
 
     def check_lambda(self, lam: OnePS) -> OnePS:
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(map(int, lam))
         if len(lam) != self.torus_rank:
             raise DimensionMismatchError(
                 f"one-parameter subgroup {lam} has length {len(lam)}, "

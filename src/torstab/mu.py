@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
@@ -62,7 +63,7 @@ class MuValue(namedtuple("MuValue", "value", defaults=(None,))):
 
 
 def _dot(lam: OnePS, weight: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(lam, weight))
+    return sum(map(mul, lam, weight))
 
 
 def mu_from_pattern(problem: GitProblem, pattern: SupportPattern, lam: OnePS) -> MuValue:

@@ -306,6 +306,15 @@ def _patterns_in_order(problem):
     ]
 
 
+def test_row_order_follows_the_nested_subset_loops():
+    # The table builds each subset once, ahead of the rows; its rows must
+    # still come in the order of enumerating every pattern from scratch.
+    problem = parse_problem((TABLES / "rank4_4x4_seed1.problem").read_text())
+    expected = _patterns_in_order(problem)
+    assert len(expected) == 240
+    assert [p for p, _ in classify_patterns(problem).rows] == expected
+
+
 @st.composite
 def pattern_problems(draw):
     """Rank 1-4, up to 7 variables (at most 4 base, 4 fiber), weights in [-3, 3].

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torstab import (
     GitProblem,
     MuValue,
+    classify_pattern,
     classify_patterns,
     limit_point,
     mu,
     mu_from_pattern,
+    parse_problem,
     support,
 )
-from torstab.errors import DimensionMismatchError, ZeroSectionError
+from torstab.errors import DimensionMismatchError, InputError, ZeroSectionError
+from torstab.model import SupportPattern
 
 from conftest import mu_oracle, point, random_point, random_problem, synthetic_point
 
@@ -210,3 +214,54 @@ def test_limit_point_is_fixed_with_same_mu():
             continue
         assert limit_point(problem, limit, lam) == limit
         assert mu(problem, limit, lam) == value
+
+
+# --- mu_from_pattern: the per-row re-check of a pattern table ---------------
+
+SEEDED_TABLE = Path(__file__).parent / "tables" / "rank4_4x4_seed1.problem"
+
+
+def test_mu_from_pattern_rejects_unknown_names():
+    problem = parse_problem(SEEDED_TABLE.read_text())
+    with pytest.raises(InputError, match="unknown base variable 'y'"):
+        mu_from_pattern(problem, SupportPattern(frozenset({"y"}), frozenset({"u0"})), (0,) * 4)
+    with pytest.raises(InputError, match="unknown fiber variable 'v'"):
+        mu_from_pattern(problem, SupportPattern(frozenset(), frozenset({"u0", "v"})), (0,) * 4)
+
+
+@pytest.mark.parametrize("lam", [(), (1, 0, 0), (1, 0, 0, 0, 0)])
+def test_mu_from_pattern_rejects_a_lambda_of_the_wrong_length(lam):
+    problem = parse_problem(SEEDED_TABLE.read_text())
+    pattern = SupportPattern(frozenset({"x0"}), frozenset({"u0"}))
+    with pytest.raises(DimensionMismatchError, match="expected rank 4"):
+        mu_from_pattern(problem, pattern, lam)
+
+
+def test_mu_from_pattern_coerces_entries_with_int():
+    problem = parse_problem(SEEDED_TABLE.read_text())
+    raw = ("2", True, -1, " 0 ")
+    assert problem.check_lambda(raw) == tuple(int(x) for x in raw) == (2, 1, -1, 0)
+    assert all(type(x) is int for x in problem.check_lambda(raw))
+    for pattern, _ in classify_patterns(problem).rows:
+        assert mu_from_pattern(problem, pattern, raw) == mu_from_pattern(
+            problem, pattern, (2, 1, -1, 0)
+        )
+    with pytest.raises(ValueError):
+        problem.check_lambda(("x", 0, 0, 0))
+
+
+def test_mu_from_pattern_equals_the_oracle_on_every_table_row():
+    # Every non-stable row's witness, reused from a smaller support or not,
+    # is re-checked by `mu_from_pattern`; the value must be the oracle's.
+    problem = parse_problem(SEEDED_TABLE.read_text())
+    rows = classify_patterns(problem).rows
+    witnesses = {v.witness for _, v in rows if v.witness is not None}
+    reused = 0
+    for pattern, verdict in rows:
+        p = synthetic_point(problem, pattern)
+        for lam in witnesses:
+            assert mu_from_pattern(problem, pattern, lam) == mu_oracle(problem, p, lam, 2)
+        if verdict.witness is not None:
+            assert verdict.witness_mu == mu_oracle(problem, p, verdict.witness, 2)
+            reused += verdict.witness != classify_pattern(problem, pattern).witness
+    assert reused > 0

@@ -2,13 +2,15 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torstab.cli import _run
 from torstab.model import SupportPattern
 from torstab.mu import MuValue
-from torstab.report import to_json
+from torstab.report import to_json, to_text
 
 
 def stdlib_json(value) -> str:
@@ -88,3 +90,20 @@ def test_explicit_renderings(value, expected):
 def test_other_values_raise_type_error(value, named):
     with pytest.raises(TypeError, match=named):
         to_json(value)
+
+
+def test_shared_row_fragments_render_like_the_stdlib():
+    # A `patterns` report shares one name list per subset and one verdict
+    # dict per distinct verdict across its rows; sharing must not change
+    # either view, and rendering must not change the report.
+    problem = Path(__file__).parent / "tables" / "rank3_5x5_seed1.problem"
+    _, report = _run(["patterns", "--problem", str(problem), "--format", "json"])
+    rows = report["result"]["rows"]
+    assert len(rows) == 992
+    assert len({id(r["verdict"]) for r in rows}) < len(rows)
+    assert len({id(r["base"]) for r in rows}) == 32
+    text = to_json(report)
+    assert text == stdlib_json(report)
+    shown = to_text(report)
+    assert to_json(report) == text
+    assert to_text(report) == shown
