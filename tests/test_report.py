@@ -1,12 +1,14 @@
 """`report.to_json` against the standard library encoder it replaces."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torstab import report as report_module
 from torstab.cli import _run
 from torstab.model import SupportPattern
 from torstab.mu import MuValue
@@ -59,6 +61,47 @@ def test_to_json_equals_the_stdlib_encoder(value):
     assert json.loads(text) == as_lists(value)
 
 
+# Sharing: `trees()` never draws one object twice, but a `patterns` report
+# shares name lists and verdict dicts across its rows.  Rows here take their
+# values from a small pool of subtrees, and the pool's objects also appear at
+# other depths, inside the pool's own list and in rows one level deeper, so
+# a fragment reused across depths or across distinct objects would show.
+containers = st.one_of(
+    st.lists(trees(2), min_size=1, max_size=3),
+    st.dictionaries(strings, trees(2), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def aliased_trees(draw):
+    pool = draw(st.lists(containers, min_size=1, max_size=3))
+    cells = st.one_of(st.sampled_from(pool), scalars)
+    keys = draw(st.lists(strings, min_size=1, max_size=3, unique=True))
+
+    def row_list():
+        rows = draw(
+            st.lists(st.fixed_dictionaries({key: cells for key in keys}), min_size=2, max_size=6)
+        )
+        odd = draw(st.sampled_from(["none", "other keys", "non-dict", "empty dict"]))
+        if odd != "none":
+            at = draw(st.integers(0, len(rows)))
+            row = {
+                "other keys": dict(rows[0], **{keys[0] + "'": draw(cells)}),
+                "non-dict": draw(cells),
+                "empty dict": {},
+            }[odd]
+            rows.insert(at, row)
+        return rows
+
+    return {"pool": pool, "rows": row_list(), "nested": [{"deeper": row_list()}]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(aliased_trees())
+def test_to_json_equals_the_stdlib_encoder_on_shared_subtrees(value):
+    assert to_json(value) == stdlib_json(value)
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [
@@ -74,6 +117,11 @@ def test_explicit_renderings(value, expected):
     assert to_json(value) == expected == stdlib_json(value)
 
 
+SHARED = ["x", "y"]
+SHARED_FRACTION = [0, Fraction(1, 2)]
+PATTERN = SupportPattern(frozenset(), frozenset("u"))
+
+
 @pytest.mark.parametrize(
     "value, named",
     [
@@ -85,6 +133,16 @@ def test_explicit_renderings(value, expected):
         # Records are tuples, which `json.dumps` would write as arrays.
         (MuValue.finite(3), "MuValue"),
         ({"rows": [SupportPattern(frozenset(), frozenset("u"))]}, "SupportPattern"),
+        # Rows that share a value take the row path when every row is a dict
+        # with the first row's keys, and the per-line path otherwise.
+        ([{"a": SHARED_FRACTION}, {"a": SHARED_FRACTION}], "Fraction"),
+        ([{"a": SHARED, 1: 0}, {"a": SHARED, 1: 0}], "int"),
+        ([{1: SHARED}, {1: SHARED}], "int"),
+        ([{"a": SHARED}, {"a": SHARED, 2: 0}], "int"),
+        ([{"a": SHARED}, {2: SHARED}], "int"),
+        ([{"a": SHARED, "p": PATTERN}, {"a": SHARED, "p": PATTERN}], "SupportPattern"),
+        ([{"a": SHARED, "p": 0}, {"a": SHARED, "p": PATTERN}], "SupportPattern"),
+        ([{"a": SHARED}, PATTERN], "SupportPattern"),
     ],
 )
 def test_other_values_raise_type_error(value, named):
@@ -107,3 +165,41 @@ def test_shared_row_fragments_render_like_the_stdlib():
     shown = to_text(report)
     assert to_json(report) == text
     assert to_text(report) == shown
+
+
+def _count_renders(monkeypatch):
+    """Count `_put_value` entries by the id of the value rendered."""
+    counts = Counter()
+    render = report_module._put_value
+
+    def counted(lead, value, indent, put):
+        counts[id(value)] += 1
+        render(lead, value, indent, put)
+
+    monkeypatch.setattr(report_module, "_put_value", counted)
+    return counts
+
+
+def test_patterns_report_renders_each_shared_fragment_once(monkeypatch):
+    problem = Path(__file__).parent / "tables" / "rank3_5x5_seed1.problem"
+    _, report = _run(["patterns", "--problem", str(problem), "--format", "json"])
+    rows = report["result"]["rows"]
+    counts = _count_renders(monkeypatch)
+    to_json(report)
+    shared = {id(row[key]) for row in rows for key in ("base", "fiber", "verdict")}
+    assert {counts[i] for i in shared} == {1}
+    # Each row goes out whole, without a `_put_value` call of its own.
+    assert not any(counts[id(row)] for row in rows)
+
+
+def test_sweep_report_shares_nothing(monkeypatch):
+    _, report = _run(["conic", "--n", "3", "--sweep", "--format", "json"])
+    rows = report["result"]["rows"]
+    counts = _count_renders(monkeypatch)
+
+    def no_row_path(*args):
+        raise AssertionError("a row list was rendered through the fragment cache")
+
+    monkeypatch.setattr(report_module, "_put_rows", no_row_path)
+    assert to_json(report) == stdlib_json(report)
+    assert {counts[id(row)] for row in rows} == {1}
