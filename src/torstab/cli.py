@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Each subcommand handler computes one JSON-ready result dict; `main` wraps it
-in a report and prints it as text or JSON (see `report`).  The argument
-parser is built once per process, on the first call, and holds no handler:
-the handler of subcommand `name` is the function `_cmd_<name>`, looked up by
-that name when the command runs.  Exit codes: 0 success, 1 input error (or
-stdout closed before the report was written), 2 internal invariant violation
-(a witness failed re-verification) or self-test failure.  Reports go to
-stdout and are byte-identical across runs on identical inputs; timing goes
-to stderr.
+`_run` parses a command line, loads its `--problem` and `--point` into
+`args.problem` (a `GitProblem`) and `args.point` (a `PointSample`), and
+hands `args` to the subcommand's handler.  Each handler computes one
+JSON-ready result dict and its warnings; `_run` wraps them in a report with
+the problem's digest, and `main` prints it as text or JSON (see `report`).
+The argument parser is built once per process, on the first call, and holds
+no handler: the handler of subcommand `name` is the function `_cmd_<name>`,
+looked up by that name when the command runs.  Exit codes: 0 success, 1
+input error (or stdout closed before the report was written), 2 internal
+invariant violation (a witness failed re-verification) or self-test
+failure.  Reports go to stdout and are byte-identical across runs on
+identical inputs; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -139,36 +142,31 @@ def _degree_bounded(max_degree: int) -> list[str]:
     ]
 
 
-# --- subcommand handlers: (result, input digest, warnings) --------------------
+# --- subcommand handlers: (result, warnings) ----------------------------------
 
 
-def _cmd_mu(args) -> tuple[dict, str | None, list[str]]:
-    problem, digest = _load_problem(args.problem)
-    point = _load_point(problem, args.point)
+def _cmd_mu(args) -> tuple[dict, list[str]]:
     lam = _parse_ints(args.lam, "lambda")
-    return {"mu": str(mu(problem, point, lam)), "lambda": list(lam)}, digest, []
+    return {"mu": str(mu(args.problem, args.point, lam)), "lambda": list(lam)}, []
 
 
 def _cmd_limit(args):
-    problem, digest = _load_problem(args.problem)
-    point = _load_point(problem, args.point)
-    limit = limit_point(problem, point, _parse_ints(args.lam, "lambda"))
+    limit = limit_point(args.problem, args.point, _parse_ints(args.lam, "lambda"))
     if limit is None:
-        return {"limit": None}, digest, []
+        return {"limit": None}, []
     values = {n: format_rational(v) for n, v in limit.base_values + limit.fiber_values}
-    return {"limit": values}, digest, []
+    return {"limit": values}, []
 
 
 def _cmd_classify(args):
-    problem, digest = _load_problem(args.problem)
-    point = _load_point(problem, args.point)
+    problem, point = args.problem, args.point
     if problem.ideal and not check_on_ideal(problem, point):
         raise InputError("point does not lie on the declared ideal")
-    return _verdict_dict(classify(problem, point)), digest, []
+    return _verdict_dict(classify(problem, point)), []
 
 
 def _cmd_patterns(args):
-    problem, digest = _load_problem(args.problem)
+    problem = args.problem
     table = classify_patterns(problem, max_vars=args.max_vars)
     position = {name: i for i, name in enumerate(problem.var_names)}.__getitem__
     # Rows repeat name sets and verdicts, so each distinct one is rendered
@@ -188,22 +186,20 @@ def _cmd_patterns(args):
             shown = verdicts[verdict] = _verdict_dict(verdict)
         counts[shown["status"]] += 1
         rows.append({"base": names[base], "fiber": names[fiber], "verdict": shown})
-    return {"rows": rows, "counts": counts}, digest, list(table.warnings)
+    return {"rows": rows, "counts": counts}, list(table.warnings)
 
 
 def _cmd_invariants(args):
-    problem, digest = _load_problem(args.problem)
-    monos = invariant_monomials(problem, args.max_degree)
+    monos = invariant_monomials(args.problem, args.max_degree)
     result = {
         "invariant_monomials": [_mono_dict(m) for m in monos],
         "max_degree": args.max_degree,
     }
-    return result, digest, _degree_bounded(args.max_degree)
+    return result, _degree_bounded(args.max_degree)
 
 
 def _cmd_relations(args):
-    problem, digest = _load_problem(args.problem)
-    gens = minimal_generators(invariant_monomials(problem, args.max_degree))
+    gens = minimal_generators(invariant_monomials(args.problem, args.max_degree))
     names = [f"g{i}" for i in range(len(gens))]
     warnings = _degree_bounded(args.max_degree)
     rels = relations(gens, args.syzygy_degree, names, warnings=warnings)
@@ -211,12 +207,11 @@ def _cmd_relations(args):
         "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
         "relations": [_poly_dict(p) for p in rels],
     }
-    return result, digest, warnings
+    return result, warnings
 
 
 def _cmd_quotient(args):
-    problem, digest = _load_problem(args.problem)
-    pres = quotient_presentation(problem, args.max_degree, args.syzygy_degree)
+    pres = quotient_presentation(args.problem, args.max_degree, args.syzygy_degree)
     result = {
         "base_generators": [dict(_mono_dict(m), name=n) for n, m in pres.base_generators],
         "proj_generators": [
@@ -226,25 +221,21 @@ def _cmd_quotient(args):
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
     }
-    return result, digest, _degree_bounded(args.max_degree) + list(pres.warnings)
+    return result, _degree_bounded(args.max_degree) + list(pres.warnings)
 
 
 def _cmd_stabilizer(args):
-    problem, digest = _load_problem(args.problem)
-    point = _load_point(problem, args.point)
-    return {"stabilizer_order": stabilizer_order(problem, point)}, digest, []
+    return {"stabilizer_order": stabilizer_order(args.problem, args.point)}, []
 
 
 def _cmd_sections(args):
-    problem, digest = _load_problem(args.problem)
-    point = _load_point(problem, args.point)
-    section = semistable_via_sections(problem, point, args.max_degree)
+    section = semistable_via_sections(args.problem, args.point, args.max_degree)
     result = {
         "section": None if section is None else _mono_dict(section),
         "max_degree": args.max_degree,
     }
     # A section found certifies semistability whatever the bound.
-    return result, digest, _degree_bounded(args.max_degree) if section is None else []
+    return result, _degree_bounded(args.max_degree) if section is None else []
 
 
 def _parse_stratum(args) -> Stratum:
@@ -336,7 +327,7 @@ def _cmd_conic(args):
         }
         if not report.equivalence_holds:
             raise InternalInvariantError("sweep disagrees with the admissibility criterion")
-        return result, None, []
+        return result, []
 
     stratum = _parse_stratum(args)
     if args.lengths is None:
@@ -353,7 +344,7 @@ def _cmd_conic(args):
     if args.lam:
         lam = _parse_ints(args.lam, "lambda")
         result["lambda"] = list(lam)
-        result["mu"] = format_rational(mu_config(table, config, lam))
+        result["mu"] = str(mu_config(table, config, lam))
     if config.marked_points:
         result["stabilizer_order"] = config_stabilizer(config)
     if args.components:
@@ -372,7 +363,7 @@ def _cmd_conic(args):
             }
             for labels, witnesses in incidence.intersections
         ]
-    return result, None, []
+    return result, []
 
 
 def _parse_twists(args) -> tuple[int, ...] | None:
@@ -407,7 +398,7 @@ def _cmd_selftest(args):
     warnings = [
         "self-test failed: " + " ".join(case["argv"]) for case in cases if not case["passed"]
     ]
-    return {"cases": cases, "all_passed": not warnings}, None, warnings
+    return {"cases": cases, "all_passed": not warnings}, warnings
 
 
 # --- argument wiring --------------------------------------------------------
@@ -484,12 +475,18 @@ def _build_parser() -> _Parser:
 
 
 def _run(argv: list[str]) -> tuple[argparse.Namespace, dict]:
-    """Parse one command line and build its report."""
+    """Parse one command line, load its problem and point, and build its
+    report."""
     args = _build_parser().parse_args(argv)
+    digest = None
+    if "problem" in args:
+        args.problem, digest = _load_problem(args.problem)
+        if "point" in args:
+            args.point = _load_point(args.problem, args.point)
     # Looked up when called, not stored in the cached parser, so that
     # rebinding a `_cmd_*` name takes effect.
     handler = globals()[f"_cmd_{args.subcommand}"]
-    result, digest, warnings = handler(args)
+    result, warnings = handler(args)
     return args, build_report(args.subcommand, digest, result, warnings)
 
 

@@ -213,7 +213,7 @@ def build_weight_table(
     return WeightTable(n=n, multipliers=a + (1,), sign=sign)
 
 
-def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> Fraction:
+def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int:
     """Formal-sum subgroup weight of the configuration.
 
     Piecewise linear in lambda, additive over configuration decomposition,
@@ -230,7 +230,7 @@ def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> Fra
     for k, count in enumerate(config.lengths):
         if count:
             total += count * table.point_weight(intervals, k, lam)
-    return Fraction(-table.sign * total)
+    return -table.sign * total
 
 
 def _limit_rows(stratum: Stratum) -> list[tuple[int, ...]]:
@@ -305,7 +305,7 @@ def classify_config(
             yield weak, [tuple(form)]
 
     def engine_mu(lam: OnePS) -> MuValue:
-        return MuValue.finite(int(table.sign * mu_config(table, config, lam)))
+        return MuValue.finite(table.sign * mu_config(table, config, lam))
 
     return verdict_over_pieces(pieces(), n, engine_mu, memo=memo)
 
@@ -390,19 +390,16 @@ def strata(n: int) -> list[Stratum]:
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: the gaps between `parts - 1` bars placed among
+    `total + parts - 1` slots."""
     if parts == 0:
         return [()] if total == 0 else []
-    out = []
-
-    def descend(remaining: int, prefix: tuple[int, ...]) -> None:
-        if len(prefix) == parts - 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            descend(remaining - v, prefix + (v,))
-
-    descend(total, ())
-    return out
+    slots = total + parts - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in combinations(range(slots), parts - 1)
+    ]
 
 
 def _all_configs(n: int) -> Iterator[ChainConfiguration]:

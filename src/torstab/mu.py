@@ -90,11 +90,10 @@ def limit_point(problem: GitProblem, point: PointSample, lam: OnePS) -> PointSam
     The result is a fixed point of lambda, with the same weight.
     """
     lam = problem.check_lambda(lam)
-    pattern = support(point)
-    for name in pattern.base:
-        if _dot(lam, problem.base_weight(name)) < 0:
-            return None
-    minimal = min(_dot(lam, problem.shifted_fiber_weight(n)) for n in pattern.fiber)
+    weight = mu_from_pattern(problem, support(point), lam)
+    if weight.is_infinite:
+        return None
+    minimal = -weight.value
     base_values = tuple(
         (n, v if v != 0 and _dot(lam, problem.base_weight(n)) == 0 else Fraction(0))
         for n, v in point.base_values

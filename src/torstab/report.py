@@ -8,9 +8,9 @@ newline, and `to_text` as the human-readable text; `to_text` reads nothing
 but the report dict, so the two views cannot disagree.  `to_json` is written
 out by hand because the standard library runs its C encoder only without
 `indent`, and falls back to a generator-based pure-Python encoder with it.
-It renders a row list (dicts sharing one key set) whose rows hold the same
-list or dict more than once, such as the name lists and verdict dicts of a
-`patterns` report, with each shared object rendered once per list.
+It renders a row list, a list of dicts with one non-empty key set, one
+string per row, and a list or dict that several of its rows hold, such as
+the name lists and verdict dicts of a `patterns` report, once per list.
 Nothing time- or environment-dependent goes into a report, so repeated runs
 on identical inputs are byte-identical; timing is printed to stderr by the
 CLI instead.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 SCHEMA = "torstab-report/1"
 
@@ -50,14 +49,12 @@ def to_json(report: dict) -> str:
 
     Under `indent` the standard library encodes through its pure-Python
     generators, one token at a time; this emitter pushes one string per
-    output line and joins them once.  A row list, a list of dicts with one
-    key set in which some list or dict is held by more than one row, goes
-    out one string per row instead: its keys are sorted and encoded once,
-    and each list or dict it holds is rendered once and reused by every row
-    that holds the same object.  Reports hold only dicts with `str` keys,
-    lists, tuples, `str`, `int`, `bool` and `None` (no floats: the
-    arithmetic is exact), and each is matched by its exact type; any other
-    value, or a non-`str` key, raises `TypeError`.
+    output line and joins them once.  A row list, a list whose items are
+    all dicts with the first item's key set, that set not empty, goes out
+    one string per row instead (see `_put_rows`).  Reports hold only dicts
+    with `str` keys, lists, tuples, `str`, `int`, `bool` and `None` (no
+    floats: the arithmetic is exact), and each is matched by its exact
+    type; any other value, or a non-`str` key, raises `TypeError`.
     """
     pieces: list[str] = []
     _put_value("", report, "\n", pieces.append)
@@ -72,7 +69,6 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-_CONTAINERS = {dict, list, tuple}
 
 
 def _put_value(lead: str, value, indent: str, put) -> None:
@@ -107,7 +103,13 @@ def _put_value(lead: str, value, indent: str, put) -> None:
         if not value:
             put(lead + "[]")
             return
-        if type(value[0]) is dict and _shares_cells(value):
+        first = value[0]
+        if (
+            type(first) is dict
+            and first
+            and set(map(type, value)) == {dict}
+            and all(map(first.keys().__eq__, map(dict.keys, value)))
+        ):
             _put_rows(lead, value, indent, put)
             return
         inner = indent + " "
@@ -125,29 +127,12 @@ def _put_value(lead: str, value, indent: str, put) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _shares_cells(rows) -> bool:
-    """Whether `rows`, whose first item is a dict, is a row list: every item
-    a dict with the first one's keys, and some list or dict held by more
-    than one row.  Only the columns whose first value is a list or dict are
-    compared, by identity and at C speed."""
-    count = len(rows)
-    if count < 2 or set(map(type, rows)) != {dict}:
-        return False
-    first = rows[0]
-    try:
-        for key, item in first.items():
-            if type(item) in _CONTAINERS and len(set(map(id, map(itemgetter(key), rows)))) < count:
-                return all(map(first.keys().__eq__, map(dict.keys, rows)))
-    except KeyError:  # a row without one of the first row's keys
-        pass
-    return False
-
-
 def _put_rows(lead: str, rows, indent: str, put) -> None:
-    """Push the row list `rows` (see `_shares_cells`) as `_put_value` would,
-    one string per row.  Each list or dict in a row is rendered once, at
-    the depth of a row's values, and reused wherever the same object recurs
-    in this list."""
+    """Push `rows`, dicts that all have one non-empty key set, as
+    `_put_value` would, one string per row.  The keys are sorted and
+    encoded once.  Each list or dict in a row is rendered once, at the depth
+    of a row's values, and reused wherever the same object recurs in this
+    list, so a caller that wants a fragment rendered once shares it."""
     inner = indent + " "
     cell = inner + " "
     keys = sorted(rows[0])

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -86,6 +87,14 @@ def test_inner_positions_sum_to_n():
             assert admissible(ChainConfiguration(stratum, tuple(counts)))
 
 
+def test_compositions_are_the_lexicographic_tuples_with_that_sum():
+    # Sweep rows come out in this order.
+    for total in range(7):
+        for parts in range(7):
+            expected = [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert compositions(total, parts) == expected, (total, parts)
+
+
 # --- weight table -----------------------------------------------------------
 
 
@@ -162,6 +171,7 @@ def test_mu_config_trivial_subgroup():
     table = build_weight_table(2)
     config = ChainConfiguration(origin(2), (0, 1, 1, 0))
     assert mu_config(table, config, (0, 0)) == 0
+    assert type(mu_config(table, config, (1, 2))) is int
 
 
 def test_mu_config_admissible_origin_positive():

@@ -19,6 +19,23 @@ def stdlib_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def assert_same_text(text: str, expected: str) -> None:
+    """Fail on any difference, naming the first differing offset, without
+    pytest's diff of the two strings, which runs for minutes on a long
+    report."""
+    if text == expected:
+        return
+    at = next(
+        (i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+        min(len(text), len(expected)),
+    )
+    pytest.fail(
+        f"texts of {len(text)} and {len(expected)} characters differ first at offset "
+        f"{at}: {text[at:at + 40]!r} != {expected[at:at + 40]!r}",
+        pytrace=False,
+    )
+
+
 def as_lists(value):
     """`value` as `json.loads` gives it back: tuples become lists."""
     if isinstance(value, dict):
@@ -111,6 +128,10 @@ def test_to_json_equals_the_stdlib_encoder_on_shared_subtrees(value):
         ([True, 1, False, 0], "[\n true,\n 1,\n false,\n 0\n]\n"),
         ({"b": {}, "a": []}, '{\n "a": [],\n "b": {}\n}\n'),
         ({"k": [{"x": "é"}]}, '{\n "k": [\n  {\n   "x": "\\u00e9"\n  }\n ]\n}\n'),
+        # Rows with no keys, or with different keys, are not a row list.
+        ([{}, {}], "[\n {},\n {}\n]\n"),
+        ([{"a": 1}, {"b": 1}], '[\n {\n  "a": 1\n },\n {\n  "b": 1\n }\n]\n'),
+        ([{"a": []}], '[\n {\n  "a": []\n }\n]\n'),
     ],
 )
 def test_explicit_renderings(value, expected):
@@ -133,8 +154,8 @@ PATTERN = SupportPattern(frozenset(), frozenset("u"))
         # Records are tuples, which `json.dumps` would write as arrays.
         (MuValue.finite(3), "MuValue"),
         ({"rows": [SupportPattern(frozenset(), frozenset("u"))]}, "SupportPattern"),
-        # Rows that share a value take the row path when every row is a dict
-        # with the first row's keys, and the per-line path otherwise.
+        # A list takes the row path when every item is a dict with the first
+        # item's non-empty key set, and the per-line path otherwise.
         ([{"a": SHARED_FRACTION}, {"a": SHARED_FRACTION}], "Fraction"),
         ([{"a": SHARED, 1: 0}, {"a": SHARED, 1: 0}], "int"),
         ([{1: SHARED}, {1: SHARED}], "int"),
@@ -161,10 +182,10 @@ def test_shared_row_fragments_render_like_the_stdlib():
     assert len({id(r["verdict"]) for r in rows}) < len(rows)
     assert len({id(r["base"]) for r in rows}) == 32
     text = to_json(report)
-    assert text == stdlib_json(report)
+    assert_same_text(text, stdlib_json(report))
     shown = to_text(report)
-    assert to_json(report) == text
-    assert to_text(report) == shown
+    assert_same_text(to_json(report), text)
+    assert_same_text(to_text(report), shown)
 
 
 def _count_renders(monkeypatch):
@@ -192,14 +213,33 @@ def test_patterns_report_renders_each_shared_fragment_once(monkeypatch):
     assert not any(counts[id(row)] for row in rows)
 
 
-def test_sweep_report_shares_nothing(monkeypatch):
-    _, report = _run(["conic", "--n", "3", "--sweep", "--format", "json"])
-    rows = report["result"]["rows"]
-    counts = _count_renders(monkeypatch)
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (
+            ["conic", "--n", "3", "--sweep"],
+            lambda r: [r["rows"], r["stratum_weights"], r["weight_table"]["intervals"]]
+            + [s["intervals"] for s in r["stratum_weights"]],
+        ),
+        (
+            ["invariants", "--problem", "builtin:conic-bundle", "--max-degree", "3"],
+            lambda r: [r["invariant_monomials"]],
+        ),
+    ],
+)
+def test_row_lists_take_the_row_path_whether_or_not_they_share(monkeypatch, argv, tables):
+    # Neither report shares a list or dict between rows; the shape alone
+    # sends its lists of dicts through `_put_rows`.
+    _, report = _run(argv + ["--format", "json"])
+    rows_rendered = []
+    put_rows = report_module._put_rows
 
-    def no_row_path(*args):
-        raise AssertionError("a row list was rendered through the fragment cache")
+    def recorded(lead, rows, indent, put):
+        rows_rendered.append(rows)
+        put_rows(lead, rows, indent, put)
 
-    monkeypatch.setattr(report_module, "_put_rows", no_row_path)
-    assert to_json(report) == stdlib_json(report)
-    assert {counts[id(row)] for row in rows} == {1}
+    monkeypatch.setattr(report_module, "_put_rows", recorded)
+    assert_same_text(to_json(report), stdlib_json(report))
+    expected = tables(report["result"])
+    assert all(rows for rows in expected)
+    assert {id(rows) for rows in expected} <= {id(rows) for rows in rows_rendered}
