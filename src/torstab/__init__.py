@@ -88,5 +88,5 @@ from .model import (
     serialize_problem,
     support,
 )
-from .mu import MuValue, limit_point, mu, mu_from_pattern
+from .mu import limit_point, mu, mu_from_pattern
 from .snf import IntegerLattice, lattice_rank_and_index

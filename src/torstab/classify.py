@@ -45,7 +45,7 @@ from itertools import combinations
 from .cones import IntVec, cone_has_nonzero, make_cone_problem, solve_cone
 from .errors import InputError, InternalInvariantError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
-from .mu import MuValue, mu_from_pattern
+from .mu import mu_from_pattern
 from .snf import lattice_rank_and_index
 
 
@@ -58,7 +58,7 @@ class StabilityStatus(enum.Enum):
 class Verdict(namedtuple("Verdict", "status witness witness_mu")):
     status: StabilityStatus
     witness: OnePS | None
-    witness_mu: MuValue | None
+    witness_mu: int | None
     __slots__ = ()
 
     def __new__(cls, status, witness=None, witness_mu=None) -> Verdict:
@@ -68,13 +68,7 @@ class Verdict(namedtuple("Verdict", "status witness witness_mu")):
         elif status is StabilityStatus.UNSTABLE:
             ok = witness is not None and witness_mu is not None and witness_mu < 0
         else:
-            ok = (
-                witness is not None
-                and any(witness)
-                and witness_mu is not None
-                and not witness_mu.is_infinite
-                and witness_mu.value == 0
-            )
+            ok = witness is not None and any(witness) and witness_mu == 0
         if not ok:
             raise InternalInvariantError(f"inconsistent verdict {self}")
         return self
@@ -92,7 +86,7 @@ Piece = tuple[Sequence[IntVec], Sequence[IntVec]]
 def verdict_over_pieces(
     pieces: Iterable[Piece],
     dim: int,
-    weight: Callable[[OnePS], MuValue],
+    weight: Callable[[OnePS], int | None],
     *,
     not_unstable: bool = False,
     memo: dict | None = None,
@@ -108,8 +102,8 @@ def verdict_over_pieces(
     pass look for a nonzero point of {weak >= 0, strict >= 0}, walking the
     pieces the first pass already built, so pieces may be generated lazily
     and an unstable point never pays for the pieces after its witness.
-    Each witness's weight is recomputed by `weight`, and the Verdict
-    constructor rejects it unless it is < 0 (unstable) or finite and 0
+    Each witness's weight is recomputed by `weight` (None when infinite),
+    and the Verdict constructor rejects it unless it is < 0 (unstable) or 0
     (strictly semistable).
 
     With ``not_unstable`` the caller already knows that no piece has an

@@ -147,7 +147,8 @@ def _degree_bounded(max_degree: int) -> list[str]:
 
 def _cmd_mu(args) -> tuple[dict, list[str]]:
     lam = _parse_ints(args.lam, "lambda")
-    return {"mu": str(mu(args.problem, args.point, lam)), "lambda": list(lam)}, []
+    weight = mu(args.problem, args.point, lam)
+    return {"mu": "inf" if weight is None else str(weight), "lambda": list(lam)}, []
 
 
 def _cmd_limit(args):
@@ -284,12 +285,15 @@ def _interval_weights(table, stratum) -> list[dict]:
     return out
 
 
-def _weight_table_dict(table, stratum) -> dict:
+def _weight_table_dict(table, stratum, sign: int) -> dict:
+    """The table as printed, with the orientation `sign` of `--sign` and
+    a0 = 1000, the ample twist pulled back from the original surface, which
+    is echoed although it contributes no weight."""
     return {
         "n": table.n,
         "twists": list(table.multipliers[:-1]),
-        "a0": table.a0,
-        "sign": table.sign,
+        "a0": 1000,
+        "sign": sign,
         "shift_applied": None,
         "intervals": _interval_weights(table, stratum),
     }
@@ -297,8 +301,17 @@ def _weight_table_dict(table, stratum) -> dict:
 
 def _cmd_conic(args):
     sign = 1 if args.sign == "engine" else -1
-    table = build_weight_table(args.n, a=_parse_twists(args), sign=sign)
+    table = build_weight_table(args.n, a=_parse_twists(args))
     if args.sweep:
+        for flag, value in (
+            ("--stratum", args.stratum),
+            ("--lengths", args.lengths),
+            ("--marked", args.marked),
+            ("--lambda", args.lam),
+            ("--components", args.components),
+        ):
+            if value not in (None, False):
+                raise InputError(f"{flag} does not apply with --sweep")
         report = sweep_equivalence(table)
         rows = []
         stratum_weights: dict[Stratum, dict] = {}
@@ -319,7 +332,9 @@ def _cmd_conic(args):
                 }
             )
         result = {
-            "weight_table": _weight_table_dict(table, Stratum(args.n, frozenset(range(1, args.n + 2)))),
+            "weight_table": _weight_table_dict(
+                table, Stratum(args.n, frozenset(range(1, args.n + 2))), sign
+            ),
             "stratum_weights": list(stratum_weights.values()),
             "rows": rows,
             "equivalence_holds": report.equivalence_holds,
@@ -335,7 +350,7 @@ def _cmd_conic(args):
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
     result = {
-        "weight_table": _weight_table_dict(table, stratum),
+        "weight_table": _weight_table_dict(table, stratum, sign),
         "intervals": [list(i) for i in chain(stratum).intervals],
         "lengths": list(lengths),
         "admissible": admissible(config),
@@ -344,7 +359,7 @@ def _cmd_conic(args):
     if args.lam:
         lam = _parse_ints(args.lam, "lambda")
         result["lambda"] = list(lam)
-        result["mu"] = str(mu_config(table, config, lam))
+        result["mu"] = str(sign * mu_config(table, config, lam))
     if config.marked_points:
         result["stabilizer_order"] = config_stabilizer(config)
     if args.components:

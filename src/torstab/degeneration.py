@@ -23,19 +23,22 @@ polarization at any torus-limit point is a per-bundle bookkeeping exercise:
 
 `WeightTable.limit_weights` holds this rule once; the printed limit
 vectors and the classifier's linear forms are both read off it.  The
-subgroup weight of a configuration is minus the lambda-pairing of the
-summed limit weights (engine sign +1), which is piecewise linear in lambda
-with one linear piece per sign orthant.  Classification hands one cone per
-orthant to `classify.verdict_over_pieces`, restricted to the subgroups whose
-limit exists on the base: t_i nonzero forces s_i - s_{i-1} >= 0.
+subgroup weight of a configuration, `mu_config`, is minus the
+lambda-pairing of the summed limit weights: a plain int, oriented so that
+admissible configurations get positive weights, and piecewise linear in
+lambda with one linear piece per sign orthant.  Classification hands one
+cone per orthant to `classify.verdict_over_pieces`, restricted to the
+subgroups whose limit exists on the base: t_i nonzero forces
+s_i - s_{i-1} >= 0.
 
 `sweep_equivalence` builds what the configurations of one stratum share (the
 chain, the base-limit rows, and per orthant the sign rows and each
-component's limit weights) once, and remembers every cone answer of the
-sweep under its row set, so a system that recurs across configurations is
-solved once.  Its rows and witnesses are those of `classify_config` run on
-each configuration alone, and every witness's weight is still recomputed
-from the configuration by `mu_config`.
+component's limit weights) once, in a dict of its own keyed by stratum, and
+remembers every cone answer of the sweep under its row set in another, so a
+system that recurs across configurations is solved once.  Both live for one
+sweep.  Its rows and witnesses are those of `classify_config` run on each
+configuration alone, and every witness's weight is still recomputed from the
+configuration by `mu_config`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from itertools import combinations, product
 from .classify import StabilityStatus, Verdict, verdict_over_pieces
 from .errors import InputError
 from .model import OnePS
-from .mu import MuValue
 
 Interval = tuple[int, ...]
 
@@ -133,20 +135,17 @@ def admissible(config: ChainConfiguration) -> bool:
     )
 
 
-class WeightTable(namedtuple("WeightTable", "n multipliers sign a0", defaults=(1, 1000))):
+class WeightTable(namedtuple("WeightTable", "n multipliers")):
     """Per-bundle weight data of the polarization at torus-limit points.
 
     multipliers[i-1] is the twist a_i of the i-th hyperplane factor, with
-    a_n = 1 for the leading untwisted factor.  `sign` +1 keeps the engine
-    orientation in which admissible configurations get positive weights.
-    a0 is echoed for reporting; the ample twist pulled back from the original
-    surface is torus-fixed at every chain point and contributes no weight.
+    a_n = 1 for the leading untwisted factor.  The ample twist pulled back
+    from the original surface is torus-fixed at every chain point and
+    contributes no weight, so it has no field here.
     """
 
     n: int
     multipliers: tuple[int, ...]
-    sign: int
-    a0: int
     __slots__ = ()
 
     def u_weight(self, i: int) -> int:
@@ -190,9 +189,7 @@ class WeightTable(namedtuple("WeightTable", "n multipliers sign a0", defaults=(1
         )
 
 
-def build_weight_table(
-    n: int, a: tuple[int, ...] | list[int] | None = None, sign: int = 1
-) -> WeightTable:
+def build_weight_table(n: int, a: tuple[int, ...] | list[int] | None = None) -> WeightTable:
     """Weight table for the rank-n torus; a = (a_1, ..., a_{n-1}) twists.
 
     Defaults follow a decade ladder (a_1 = 10^(n-1), ..., a_{n-1} = 10) so
@@ -201,8 +198,6 @@ def build_weight_table(
     """
     if not 1 <= n <= 3:
         raise InputError(f"n must be between 1 and 3, got {n}")
-    if sign not in (1, -1):
-        raise InputError(f"sign must be +1 or -1, got {sign}")
     if a is None:
         a = tuple(10 ** (n - i) for i in range(1, n))
     a = tuple(int(x) for x in a)
@@ -210,11 +205,13 @@ def build_weight_table(
         raise InputError(f"expected {n - 1} twist parameters, got {len(a)}")
     if any(x <= 1 for x in a) or any(a[i] <= a[i + 1] for i in range(len(a) - 1)):
         raise InputError(f"twists must be strictly decreasing and > 1, got {a}")
-    return WeightTable(n=n, multipliers=a + (1,), sign=sign)
+    return WeightTable(n=n, multipliers=a + (1,))
 
 
 def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int:
-    """Formal-sum subgroup weight of the configuration.
+    """Formal-sum subgroup weight of the configuration: minus the
+    lambda-pairing of the count-weighted limit weights, oriented so that
+    admissible configurations get positive weights.
 
     Piecewise linear in lambda, additive over configuration decomposition,
     and homogeneous under positive scaling.  Limit existence on the base is
@@ -230,7 +227,7 @@ def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int
     for k, count in enumerate(config.lengths):
         if count:
             total += count * table.point_weight(intervals, k, lam)
-    return -table.sign * total
+    return -total
 
 
 def _limit_rows(stratum: Stratum) -> list[tuple[int, ...]]:
@@ -267,33 +264,27 @@ def _orthant_pieces(table: WeightTable, stratum: Stratum) -> list[tuple[list, li
     return out
 
 
-def classify_config(
-    table: WeightTable, config: ChainConfiguration, *, memo: dict | None = None
-) -> Verdict:
+def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     """Stability verdict by exact cone analysis, one piece per sign orthant.
 
     Only subgroups whose base limit exists are tested; the rest have
-    infinite weight and cannot destabilize.  On an orthant the engine-
-    oriented weight is minus the pairing with the count-weighted sum of the
-    components' limit weights, so that sum is the piece's strict row.
-    Verdicts (and the reported witness weight) always use the engine
-    orientation, so they do not change with the table's printing sign.
-
-    Cone answers are kept in `memo` (see `classify.verdict_over_pieces`),
-    and so is what every configuration over the stratum shares,
-    `_orthant_pieces(table, config.stratum)`, under (table, stratum), a key
-    no row-set key can equal: a caller that passes one memo for many configurations, as
-    `sweep_equivalence` does, builds each stratum's pieces once.  Each
-    witness's weight is recomputed from the configuration itself by
-    `mu_config`.
+    infinite weight and cannot destabilize.  On an orthant the weight is
+    minus the pairing with the count-weighted sum of the components' limit
+    weights, so that sum is the piece's strict row.  Each witness's weight
+    is recomputed from the configuration itself by `mu_config`.
     """
-    if memo is None:
-        memo = {}
+    return _config_verdict(table, config, _orthant_pieces(table, config.stratum), None)
+
+
+def _config_verdict(
+    table: WeightTable,
+    config: ChainConfiguration,
+    orthant_pieces: list[tuple[list, list]],
+    memo: dict | None,
+) -> Verdict:
+    """`classify_config` on the stratum's `_orthant_pieces`, keeping cone
+    answers in `memo` (see `classify.verdict_over_pieces`)."""
     n = table.n
-    key = (table, config.stratum)
-    orthant_pieces = memo.get(key)
-    if orthant_pieces is None:
-        orthant_pieces = memo[key] = _orthant_pieces(table, config.stratum)
     counted = [(k, count) for k, count in enumerate(config.lengths) if count]
 
     def pieces():
@@ -304,10 +295,9 @@ def classify_config(
                     form[i] += count * w
             yield weak, [tuple(form)]
 
-    def engine_mu(lam: OnePS) -> MuValue:
-        return MuValue.finite(table.sign * mu_config(table, config, lam))
-
-    return verdict_over_pieces(pieces(), n, engine_mu, memo=memo)
+    return verdict_over_pieces(
+        pieces(), n, lambda lam: mu_config(table, config, lam), memo=memo
+    )
 
 
 def config_stabilizer(config: ChainConfiguration) -> int | None:
@@ -487,14 +477,19 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
     admissibility criterion.
 
-    One memo serves the whole sweep, so each stratum's orthant pieces are
-    built once for all its configurations and a cone system that recurs
-    across configurations is solved once (see `classify_config`).  Rows and
-    witnesses are those of classifying every configuration on its own.
+    Each stratum's orthant pieces are built once, for all its
+    configurations, and one memo of cone answers serves the whole sweep, so
+    a cone system that recurs across configurations, also under another
+    stratum, is solved once.  Rows and witnesses are those of
+    `classify_config` on every configuration alone.
     """
     memo: dict = {}
-    rows = tuple(
-        SweepRow(config, admissible(config), classify_config(table, config, memo=memo))
-        for config in _all_configs(table.n)
-    )
-    return SweepReport(table, rows)
+    orthant_pieces: dict[Stratum, list[tuple[list, list]]] = {}
+    rows = []
+    for config in _all_configs(table.n):
+        stratum = config.stratum
+        if stratum not in orthant_pieces:
+            orthant_pieces[stratum] = _orthant_pieces(table, stratum)
+        verdict = _config_verdict(table, config, orthant_pieces[stratum], memo)
+        rows.append(SweepRow(config, admissible(config), verdict))
+    return SweepReport(table, tuple(rows))

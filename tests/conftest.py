@@ -29,7 +29,6 @@ import pytest
 from torstab import (
     GitProblem,
     MonomialInvariant,
-    MuValue,
     Polynomial,
     PointSample,
     StabilityStatus,
@@ -85,14 +84,15 @@ def _pairing(lam, weight) -> int:
 
 def mu_oracle(
     problem: GitProblem, point: PointSample, lam: tuple[int, ...], degree_bound: int
-) -> MuValue:
+) -> int | None:
     """Enumeration oracle for `mu`.
 
     Enumerates lifted monomials a*g, with a a base monomial of total degree
     at most degree_bound and g a fiber generator, evaluates each at the lifted
     point, and takes minus the minimal lambda-degree over the nonvanishing
     ones.  A nonzero base coordinate of negative degree makes the degrees
-    unbounded below (a^N * g drops without limit), matching the infinite case.
+    unbounded below (a^N * g drops without limit), matching the infinite case,
+    None.
     """
     if degree_bound < 0:
         raise InputError(f"degree bound must be nonnegative, got {degree_bound}")
@@ -103,7 +103,7 @@ def mu_oracle(
     base = list(problem.base_vars)
     for name, weight in base:
         if values[name] != 0 and _pairing(lam, weight) < 0:
-            return MuValue.infinite()
+            return None
 
     best: int | None = None
     fiber_degrees = [
@@ -127,7 +127,7 @@ def mu_oracle(
                 if best is None or total < best:
                     best = total
     assert best is not None, "support() guarantees a nonvanishing fiber generator"
-    return MuValue.finite(-best)
+    return -best
 
 
 def solve_cone_oracle(problem: ConeProblem) -> FeasibilityResult:
@@ -192,6 +192,8 @@ def brute_force_status(
         if not any(lam):
             continue
         value = mu_from_pattern(problem, pattern, lam)
+        if value is None:
+            continue
         if value < 0:
             return StabilityStatus.UNSTABLE
         if value <= 0:

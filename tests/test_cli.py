@@ -406,6 +406,54 @@ def test_conic_non_integer_flags_exit_1(capture, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [("--stratum", "7"), ("--lengths", "9,9"), ("--marked", "1:1/2"), ("--lambda", "1,1"),
+     ("--components",)],
+    ids=lambda flag: flag[0],
+)
+def test_conic_sweep_refuses_the_flags_it_ignores(capture, flag):
+    code, out, err = capture("conic", "--n", "2", "--sweep", *flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag[0]} does not apply with --sweep\n"
+
+
+def _conic_json(capture, *argv) -> dict:
+    code, out, _ = capture("conic", *argv, "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_sign_opposite_sweep_changes_only_the_printed_sign(capture, n):
+    engine = _conic_json(capture, "--n", n, "--sweep")
+    opposite = _conic_json(capture, "--n", n, "--sweep", "--sign", "opposite")
+    assert engine["result"]["weight_table"]["sign"] == 1
+    assert opposite["result"]["weight_table"]["sign"] == -1
+    opposite["result"]["weight_table"]["sign"] = 1
+    assert opposite == engine
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "2", "--stratum", "1,3", "--lengths", "0,2,0", "--lambda", "1,1"),
+        ("--n", "2", "--stratum", "1,2,3", "--lengths", "0,2,0,0", "--lambda=2,-1"),
+    ],
+    ids=["stable", "unstable"],
+)
+def test_sign_opposite_negates_the_printed_mu_and_keeps_the_verdict(capture, argv):
+    engine = _conic_json(capture, *argv)
+    opposite = _conic_json(capture, *argv, "--sign", "opposite")
+    assert engine["result"]["mu"] != "0"
+    assert opposite["result"]["mu"] == str(-int(engine["result"]["mu"]))
+    assert opposite["result"]["weight_table"]["sign"] == -1
+    opposite["result"]["weight_table"]["sign"] = 1
+    opposite["result"]["mu"] = engine["result"]["mu"]
+    assert opposite == engine
+
+
 def test_input_digest_ignores_path_spelling_and_formatting(capture, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     problem = {"torus_rank": 1, "base_vars": {"x": [1], "y": [-1]},
@@ -496,7 +544,8 @@ def test_closed_pipe_exits_1_without_traceback():
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     child.stdout.close()  # the reader is gone before the report is written
-    err = child.stderr.read().decode()
+    with child.stderr:
+        err = child.stderr.read().decode()
     assert child.wait() == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err

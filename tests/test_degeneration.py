@@ -105,20 +105,14 @@ def test_weight_table_defaults():
 
 
 def test_equal_tables_and_strata_are_equal_and_hash_alike():
-    # classify_config keys the pieces a stratum shares on (table, stratum).
+    # sweep_equivalence keys the pieces a stratum shares on the stratum.
     table, twin = build_weight_table(2), WeightTable(2, (10, 1))
     stratum, twin_stratum = origin(2), Stratum(2, frozenset({3, 2, 1}))
     assert table is not twin and table == twin and hash(table) == hash(twin)
     assert stratum is not twin_stratum and stratum == twin_stratum
     assert hash(stratum) == hash(twin_stratum)
-    assert WeightTable(2, (10, 1), sign=-1) != table
+    assert WeightTable(2, (7, 1)) != table
     assert Stratum(2, frozenset({1})) != stratum
-    memo = {}
-    verdict = classify_config(table, ChainConfiguration(stratum, (0, 1, 1, 0)), memo=memo)
-    size = len(memo)
-    config = ChainConfiguration(twin_stratum, (0, 1, 1, 0))
-    assert classify_config(twin, config, memo=memo) == verdict
-    assert len(memo) == size
 
 
 def test_weight_table_validation():
@@ -239,19 +233,6 @@ def test_classify_admissible_origin_stable():
     assert verdict.status is StabilityStatus.STABLE
 
 
-def test_sign_flag_flips_printing_not_verdicts():
-    config = ChainConfiguration(origin(2), (0, 1, 1, 0))
-    engine = build_weight_table(2, sign=1)
-    flipped = build_weight_table(2, sign=-1)
-    assert mu_config(flipped, config, (1, 2)) == -mu_config(engine, config, (1, 2))
-    for lengths in ((0, 1, 1, 0), (0, 2, 0, 0), (1, 0, 0, 1)):
-        cfg = ChainConfiguration(origin(2), lengths)
-        assert (
-            classify_config(engine, cfg).status
-            is classify_config(flipped, cfg).status
-        )
-
-
 def test_classify_doubled_point_unstable():
     table = build_weight_table(2)
     config = ChainConfiguration(origin(2), (0, 2, 0, 0))
@@ -281,13 +262,12 @@ def test_equivalence_theorem():
 # `build_weight_table` refuses; three of them give strictly semistable rows.
 SWEEP_CASES = [
     (build_weight_table(1), 7, 18, 0),
-    (build_weight_table(1, sign=-1), 7, 18, 0),
     (build_weight_table(2), 54, 114, 0),
     (build_weight_table(2, (7,)), 54, 114, 0),
-    (build_weight_table(2, (2,), sign=-1), 54, 114, 0),
+    (build_weight_table(2, (2,)), 54, 114, 0),
     (build_weight_table(3), 244, 574, 0),
     (build_weight_table(3, (5, 2)), 244, 574, 0),
-    (build_weight_table(3, (1000, 999), sign=-1), 244, 574, 0),
+    (build_weight_table(3, (1000, 999)), 244, 574, 0),
     (WeightTable(2, (0, 1)), 41, 130, 14),
     (WeightTable(3, (0, 2, 1)), 205, 634, 28),
     (WeightTable(3, (2, 0, 1)), 205, 660, 28),
@@ -298,7 +278,7 @@ SWEEP_CASES = [
 @pytest.mark.parametrize(
     "table, swept, alone, semistable",
     SWEEP_CASES,
-    ids=[f"n{t.n}-a{','.join(map(str, t.multipliers[:-1]))}-sign{t.sign}" for t, *_ in SWEEP_CASES],
+    ids=[f"n{t.n}-a{','.join(map(str, t.multipliers[:-1]))}" for t, *_ in SWEEP_CASES],
 )
 def test_sweep_equals_classifying_each_configuration_alone(
     monkeypatch, table, swept, alone, semistable
@@ -342,16 +322,6 @@ def test_sweep_equals_classifying_each_configuration_alone(
     if semistable:
         # Some strictly semistable verdicts came from remembered answers.
         assert reused > 0
-
-
-def test_one_memo_shared_by_two_tables_keeps_their_verdicts_apart():
-    # The memo keeps each stratum's pieces under (table, stratum), so a memo
-    # passed for configurations of different tables never mixes them up.
-    tables = (build_weight_table(2), WeightTable(2, (0, 1)))
-    memo = {}
-    for config in _all_configs(2):
-        for table in tables:
-            assert classify_config(table, config, memo=memo) == classify_config(table, config)
 
 
 def test_classify_matches_box_scan_everywhere():

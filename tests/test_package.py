@@ -51,3 +51,38 @@ def test_cli_start_up_skips_heavy_standard_modules():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.split() == []
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_returns_what_its_comments_say(monkeypatch):
+    block = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines()
+    monkeypatch.chdir(README.parent)  # the block opens problems/ relatively
+    namespace: dict = {}
+    # The value of each expression statement and the comment on its last
+    # line, by the name of the function it calls.
+    returned, said = {}, {}
+    for statement in ast.parse(block).body:
+        source = ast.get_source_segment(block, statement)
+        if isinstance(statement, ast.Expr):
+            name = statement.value.func.attr
+            returned[name] = eval(source, namespace)
+            said[name] = lines[statement.end_lineno - 1].partition("#")[2].strip()
+        else:
+            exec(source, namespace)
+
+    assert said["mu"] == "-1" and returned["mu"] == -1
+    assert said["classify"] == "unstable, witness (1,)"
+    assert returned["classify"].status is torstab.StabilityStatus.UNSTABLE
+    assert returned["classify"].witness == (1,)
+    assert returned["limit_point"] is not None
+    assert said["classify_patterns"] == "all 12 support patterns"
+    assert len(returned["classify_patterns"].rows) == 12
+    quotient = returned["quotient_presentation"]
+    assert quotient.proj_generators and quotient.relations and quotient.ambient
+    assert said["stabilizer_order"] == "2" and returned["stabilizer_order"] == 2
+    assert said["classify_config"] == "stable"
+    assert returned["classify_config"].status is torstab.StabilityStatus.STABLE

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from torstab import report as report_module
 from torstab.cli import _run
+from torstab.degeneration import build_weight_table
 from torstab.model import SupportPattern
-from torstab.mu import MuValue
 from torstab.report import to_json, to_text
 
 
@@ -84,8 +84,8 @@ def test_to_json_equals_the_stdlib_encoder(value):
 # other depths, inside the pool's own list and in rows one level deeper, so
 # a fragment reused across depths or across distinct objects would show.
 containers = st.one_of(
-    st.lists(trees(2), min_size=1, max_size=3),
-    st.dictionaries(strings, trees(2), min_size=1, max_size=3),
+    st.lists(trees(1), min_size=1, max_size=2),
+    st.dictionaries(strings, trees(1), min_size=1, max_size=2),
 )
 
 
@@ -97,7 +97,7 @@ def aliased_trees(draw):
 
     def row_list():
         rows = draw(
-            st.lists(st.fixed_dictionaries({key: cells for key in keys}), min_size=2, max_size=6)
+            st.lists(st.fixed_dictionaries({key: cells for key in keys}), min_size=2, max_size=4)
         )
         odd = draw(st.sampled_from(["none", "other keys", "non-dict", "empty dict"]))
         if odd != "none":
@@ -113,7 +113,7 @@ def aliased_trees(draw):
     return {"pool": pool, "rows": row_list(), "nested": [{"deeper": row_list()}]}
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(aliased_trees())
 def test_to_json_equals_the_stdlib_encoder_on_shared_subtrees(value):
     assert to_json(value) == stdlib_json(value)
@@ -152,7 +152,7 @@ PATTERN = SupportPattern(frozenset(), frozenset("u"))
         ({1: "one"}, "int"),
         ({None: "none"}, "NoneType"),
         # Records are tuples, which `json.dumps` would write as arrays.
-        (MuValue.finite(3), "MuValue"),
+        (build_weight_table(1), "WeightTable"),
         ({"rows": [SupportPattern(frozenset(), frozenset("u"))]}, "SupportPattern"),
         # A list takes the row path when every item is a dict with the first
         # item's non-empty key set, and the per-line path otherwise.

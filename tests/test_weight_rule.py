@@ -25,8 +25,7 @@ def dot(a, b):
 def tables_strata_lambdas(draw):
     n = draw(st.sampled_from((1, 2, 3)))
     twists = draw(st.sets(st.integers(2, 60), min_size=n - 1, max_size=n - 1))
-    sign = draw(st.sampled_from((1, -1)))
-    table = build_weight_table(n, sorted(twists, reverse=True), sign)
+    table = build_weight_table(n, sorted(twists, reverse=True))
     stratum = Stratum(n, frozenset(draw(st.sets(st.integers(1, n + 1)))))
     lam = tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
     return table, stratum, lam
@@ -44,7 +43,7 @@ def test_mu_config_is_the_summed_limit_weights(case):
         for k, count in enumerate(lengths):
             for i, w in enumerate(table.limit_weights(intervals[k], signs)):
                 summed[i] += count * w
-        assert mu_config(table, config, lam) == -table.sign * dot(lam, summed)
+        assert mu_config(table, config, lam) == -dot(lam, summed)
 
 
 @settings(max_examples=200, deadline=None)
