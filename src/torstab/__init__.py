@@ -40,7 +40,6 @@ from .cones import (
 )
 from .degeneration import (
     ChainConfiguration,
-    ChainFibre,
     HilbertComponent,
     HilbertIncidence,
     Stratum,
@@ -49,7 +48,6 @@ from .degeneration import (
     admissible,
     admissible_configs,
     build_weight_table,
-    chain,
     classify_config,
     compositions,
     config_stabilizer,

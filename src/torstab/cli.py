@@ -1,10 +1,11 @@
 """Command-line interface.
 
 `_run` parses a command line, loads its `--problem` and `--point` into
-`args.problem` (a `GitProblem`) and `args.point` (a `PointSample`), and
-hands `args` to the subcommand's handler.  Each handler computes one
-JSON-ready result dict and its warnings; `_run` wraps them in a report with
-the problem's digest, and `main` prints it as text or JSON (see `report`).
+`args.problem` (a `GitProblem`) and `args.point` (a `PointSample`),
+refusing a point off the problem's declared ideal, and hands `args` to the
+subcommand's handler.  Each handler computes one JSON-ready result dict and
+its warnings; `_run` wraps them in a report with the problem's digest, and
+`main` prints it as text or JSON (see `report`).
 The argument parser is built once per process, on the first call, and holds
 no handler: the handler of subcommand `name` is the function `_cmd_<name>`,
 looked up by that name when the command runs.  Exit codes: 0 success, 1
@@ -36,7 +37,6 @@ from .degeneration import (
     ChainConfiguration,
     Stratum,
     build_weight_table,
-    chain,
     classify_config,
     config_stabilizer,
     hilbert_components,
@@ -160,10 +160,7 @@ def _cmd_limit(args):
 
 
 def _cmd_classify(args):
-    problem, point = args.problem, args.point
-    if problem.ideal and not check_on_ideal(problem, point):
-        raise InputError("point does not lie on the declared ideal")
-    return _verdict_dict(classify(problem, point)), []
+    return _verdict_dict(classify(args.problem, args.point)), []
 
 
 def _cmd_patterns(args):
@@ -270,19 +267,18 @@ def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
 
 
 def _interval_weights(table, stratum) -> list[dict]:
-    """The limit weight vectors of every chain component of the stratum."""
-    fibre = chain(stratum)
-    out = []
-    for k, interval in enumerate(fibre.intervals):
-        down, up = table.limit_vectors(fibre, k)
-        out.append(
-            {
-                "interval": list(interval),
-                "weight_toward_start": list(down),
-                "weight_toward_end": list(up),
-            }
-        )
-    return out
+    """The limit weight vectors of every chain component of the stratum:
+    toward the start of the chain (every subgroup coordinate positive) and
+    toward its end (every coordinate negative)."""
+    toward_start, toward_end = (1,) * table.n, (-1,) * table.n
+    return [
+        {
+            "interval": list(interval),
+            "weight_toward_start": list(table.limit_weights(interval, toward_start)),
+            "weight_toward_end": list(table.limit_weights(interval, toward_end)),
+        }
+        for interval in stratum.intervals
+    ]
 
 
 def _weight_table_dict(table, stratum, sign: int) -> dict:
@@ -351,15 +347,16 @@ def _cmd_conic(args):
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
     result = {
         "weight_table": _weight_table_dict(table, stratum, sign),
-        "intervals": [list(i) for i in chain(stratum).intervals],
+        "intervals": [list(i) for i in stratum.intervals],
         "lengths": list(lengths),
         "admissible": admissible(config),
         "verdict": _verdict_dict(classify_config(table, config)),
     }
-    if args.lam:
+    if args.lam is not None:
         lam = _parse_ints(args.lam, "lambda")
+        weight = mu_config(table, config, lam)
         result["lambda"] = list(lam)
-        result["mu"] = str(sign * mu_config(table, config, lam))
+        result["mu"] = "inf" if weight is None else str(sign * weight)
     if config.marked_points:
         result["stabilizer_order"] = config_stabilizer(config)
     if args.components:
@@ -490,14 +487,16 @@ def _build_parser() -> _Parser:
 
 
 def _run(argv: list[str]) -> tuple[argparse.Namespace, dict]:
-    """Parse one command line, load its problem and point, and build its
-    report."""
+    """Parse one command line, load its problem and point (which must lie
+    on the problem's ideal), and build its report."""
     args = _build_parser().parse_args(argv)
     digest = None
     if "problem" in args:
         args.problem, digest = _load_problem(args.problem)
         if "point" in args:
             args.point = _load_point(args.problem, args.point)
+            if not check_on_ideal(args.problem, args.point):
+                raise InputError("point does not lie on the declared ideal")
     # Looked up when called, not stored in the cached parser, so that
     # rebinding a `_cmd_*` name takes effect.
     handler = globals()[f"_cmd_{args.subcommand}"]

@@ -22,23 +22,25 @@ polarization at any torus-limit point is a per-bundle bookkeeping exercise:
     when it pushes up (s_i < 0); s_i = 0 contributes nothing.
 
 `WeightTable.limit_weights` holds this rule once; the printed limit
-vectors and the classifier's linear forms are both read off it.  The
-subgroup weight of a configuration, `mu_config`, is minus the
-lambda-pairing of the summed limit weights: a plain int, oriented so that
-admissible configurations get positive weights, and piecewise linear in
-lambda with one linear piece per sign orthant.  Classification hands one
-cone per orthant to `classify.verdict_over_pieces`, restricted to the
-subgroups whose limit exists on the base: t_i nonzero forces
-s_i - s_{i-1} >= 0.
+vectors, the classifier's linear forms and `mu_config` are all read off it.
+A `Stratum` carries its chain of intervals and its base-limit rows (t_i
+nonzero forces s_i - s_{i-1} >= 0), each computed once per instance.  The
+subgroup weight of a configuration, `mu_config`, is None when lambda breaks
+a base-limit row (the limit leaves the base, so the weight is infinite) and
+otherwise minus the lambda-pairing of the summed limit weights: a plain
+int, oriented so that admissible configurations get positive weights, and
+piecewise linear in lambda with one linear piece per sign orthant.
+Classification hands one cone per orthant to `classify.verdict_over_pieces`,
+restricted to the subgroups whose limit exists on the base.
 
-`sweep_equivalence` builds what the configurations of one stratum share (the
-chain, the base-limit rows, and per orthant the sign rows and each
-component's limit weights) once, in a dict of its own keyed by stratum, and
-remembers every cone answer of the sweep under its row set in another, so a
-system that recurs across configurations is solved once.  Both live for one
-sweep.  Its rows and witnesses are those of `classify_config` run on each
-configuration alone, and every witness's weight is still recomputed from the
-configuration by `mu_config`.
+`sweep_equivalence` builds what the configurations of one stratum share
+(per orthant the weak rows and each component's limit weights) once, in a
+dict of its own keyed by stratum, and remembers every cone answer of the
+sweep under its row set in another, so a system that recurs across
+configurations is solved once.  Both live for one sweep.  Its rows and
+witnesses are those of `classify_config` run on each configuration alone,
+and every witness's weight is still recomputed from the configuration by
+`mu_config`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 
 from .classify import StabilityStatus, Verdict, verdict_over_pieces
 from .errors import InputError
@@ -56,11 +60,14 @@ Interval = tuple[int, ...]
 
 
 class Stratum(namedtuple("Stratum", "n vanishing")):
-    """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`."""
+    """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`.
+
+    No ``__slots__``: the chain and the base-limit rows below are cached in
+    the instance dict, which equality, hashing and repr ignore.
+    """
 
     n: int
     vanishing: frozenset[int]
-    __slots__ = ()
 
     def __new__(cls, n, vanishing) -> Stratum:
         if n < 1:
@@ -72,27 +79,23 @@ class Stratum(namedtuple("Stratum", "n vanishing")):
             )
         return tuple.__new__(cls, (n, vanishing))
 
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The fibre chain: {0, ..., n+1} cut before every vanishing index,
+        one interval per component, in chain order."""
+        cuts = [0, *sorted(self.vanishing), self.n + 2]
+        return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
 
-class ChainFibre(namedtuple("ChainFibre", "intervals")):
-    """Ordered interval partition of {0, ..., n+1} describing the fibre chain."""
-
-    intervals: tuple[Interval, ...]
-    __slots__ = ()
-
-
-def _chain_cuts(stratum: Stratum) -> list[int]:
-    """Where the chain's intervals start, then n+2: {0, ..., n+1} is cut
-    before every vanishing index, so there is one interval per cut."""
-    return [0] + sorted(stratum.vanishing) + [stratum.n + 2]
-
-
-def chain(stratum: Stratum) -> ChainFibre:
-    """Interval partition: cut {0, ..., n+1} before every vanishing index."""
-    cuts = _chain_cuts(stratum)
-    intervals = tuple(
-        tuple(range(cuts[k], cuts[k + 1])) for k in range(len(cuts) - 1)
-    )
-    return ChainFibre(intervals)
+    @cached_property
+    def limit_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Constraints on lambda for the base limit to exist: each nonvanishing
+        t_i has nonnegative weight s_i - s_{i-1}, so its row is e_i - e_{i-1}
+        with e_0 and e_{n+1} dropped."""
+        return tuple(
+            tuple((j == i) - (j == i - 1) for j in range(1, self.n + 1))
+            for i in range(1, self.n + 2)
+            if i not in self.vanishing
+        )
 
 
 class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marked_points")):
@@ -105,7 +108,7 @@ class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marke
     __slots__ = ()
 
     def __new__(cls, stratum, lengths, marked_points=()) -> ChainConfiguration:
-        components = len(_chain_cuts(stratum)) - 1
+        components = len(stratum.intervals)
         if len(lengths) != components:
             raise InputError(
                 f"{len(lengths)} lengths for {components} chain components"
@@ -128,10 +131,9 @@ def admissible(config: ChainConfiguration) -> bool:
     """True iff each component carries length equal to its count of inner
     chain positions."""
     inner = range(1, config.stratum.n + 1)
-    intervals = chain(config.stratum).intervals
     return all(
-        config.lengths[k] == sum(1 for i in intervals[k] if i in inner)
-        for k in range(len(intervals))
+        length == sum(1 for i in interval if i in inner)
+        for interval, length in zip(config.stratum.intervals, config.lengths)
     )
 
 
@@ -141,52 +143,29 @@ class WeightTable(namedtuple("WeightTable", "n multipliers")):
     multipliers[i-1] is the twist a_i of the i-th hyperplane factor, with
     a_n = 1 for the leading untwisted factor.  The ample twist pulled back
     from the original surface is torus-fixed at every chain point and
-    contributes no weight, so it has no field here.
+    contributes no weight, so it has no field here.  The one method,
+    `limit_weights`, is the per-bundle rule of the module docstring.
     """
 
     n: int
     multipliers: tuple[int, ...]
     __slots__ = ()
 
-    def u_weight(self, i: int) -> int:
-        """Fibre weight when v_i = 0 at the limit (u-monomial generates)."""
-        return self.multipliers[i - 1] * i
-
-    def v_weight(self, i: int) -> int:
-        """Fibre weight when u_i = 0 at the limit (v-monomial generates)."""
-        return self.multipliers[i - 1] * (i - self.n - 1)
-
     def limit_weights(self, interval: Interval, signs: tuple[int, ...]) -> tuple[int, ...]:
         """Per-bundle fibre weights at the limit of an interior point of the
         component spanning `interval`, for a subgroup with these coordinate
-        signs: u behind the point, v ahead of it, and on the point's own
-        component v when the sign is > 0 and u otherwise."""
+        signs: bundle i gives its u-monomial weight a_i * i behind the point,
+        its v-monomial weight a_i * (i - n - 1) ahead of it, and on the
+        point's own component the v-weight when the sign is > 0 and the
+        u-weight otherwise."""
         first, last = interval[0], interval[-1]
         weights = []
-        for i in range(1, self.n + 1):
-            if i < first:
-                weights.append(self.u_weight(i))
-            elif i > last or signs[i - 1] > 0:
-                weights.append(self.v_weight(i))
+        for i, a in enumerate(self.multipliers, 1):
+            if i < first or (i <= last and signs[i - 1] <= 0):
+                weights.append(a * i)
             else:
-                weights.append(self.u_weight(i))
+                weights.append(a * (i - self.n - 1))
         return tuple(weights)
-
-    def point_weight(self, intervals: tuple[Interval, ...], k: int, lam: OnePS) -> int:
-        """Lambda-pairing of the fibre weight at the limit of an interior
-        point of component k."""
-        return sum(w * s for w, s in zip(self.limit_weights(intervals[k], lam), lam))
-
-    def limit_vectors(
-        self, fibre: ChainFibre, k: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Weight vectors at the two limit fixed points of component k:
-        flowing down the chain (u coordinates vanish) and up (v vanish)."""
-        interval = fibre.intervals[k]
-        return (
-            self.limit_weights(interval, (1,) * self.n),
-            self.limit_weights(interval, (-1,) * self.n),
-        )
 
 
 def build_weight_table(n: int, a: tuple[int, ...] | list[int] | None = None) -> WeightTable:
@@ -208,43 +187,29 @@ def build_weight_table(n: int, a: tuple[int, ...] | list[int] | None = None) -> 
     return WeightTable(n=n, multipliers=a + (1,))
 
 
-def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int:
-    """Formal-sum subgroup weight of the configuration: minus the
-    lambda-pairing of the count-weighted limit weights, oriented so that
-    admissible configurations get positive weights.
+def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int | None:
+    """Formal-sum subgroup weight of the configuration: None when lambda
+    breaks a base-limit row of the stratum (the limit leaves the base, so
+    the weight is infinite), and otherwise minus the lambda-pairing of the
+    count-weighted limit weights, oriented so that admissible
+    configurations get positive weights.
 
-    Piecewise linear in lambda, additive over configuration decomposition,
-    and homogeneous under positive scaling.  Limit existence on the base is
-    not checked here; the classifier restricts lambda accordingly.
+    Where finite, piecewise linear in lambda, additive over configuration
+    decomposition, and homogeneous under positive scaling.
     """
     if config.stratum.n != table.n:
         raise InputError("configuration and weight table have different n")
     lam = tuple(int(x) for x in lam)
     if len(lam) != table.n:
         raise InputError(f"lambda {lam} has length {len(lam)}, expected {table.n}")
-    intervals = chain(config.stratum).intervals
+    stratum = config.stratum
+    if any(sum(map(mul, row, lam)) < 0 for row in stratum.limit_rows):
+        return None
     total = 0
-    for k, count in enumerate(config.lengths):
+    for interval, count in zip(stratum.intervals, config.lengths):
         if count:
-            total += count * table.point_weight(intervals, k, lam)
+            total += count * sum(map(mul, table.limit_weights(interval, lam), lam))
     return -total
-
-
-def _limit_rows(stratum: Stratum) -> list[tuple[int, ...]]:
-    """Constraints on lambda for the base limit to exist: each nonvanishing
-    t_i has nonnegative weight s_i - s_{i-1}."""
-    n = stratum.n
-    rows = []
-    for i in range(1, n + 2):
-        if i in stratum.vanishing:
-            continue
-        row = [0] * n
-        if i <= n:
-            row[i - 1] += 1
-        if i - 1 >= 1:
-            row[i - 2] -= 1
-        rows.append(tuple(row))
-    return rows
 
 
 def _orthant_pieces(table: WeightTable, stratum: Stratum) -> list[tuple[list, list]]:
@@ -252,15 +217,13 @@ def _orthant_pieces(table: WeightTable, stratum: Stratum) -> list[tuple[list, li
     the piece's weak rows (base-limit rows, then the orthant's sign rows)
     and the limit weights of each chain component."""
     n = table.n
-    limit_rows = _limit_rows(stratum)
-    intervals = chain(stratum).intervals
     out = []
     for orthant in product((1, -1), repeat=n):
         orthant_rows = [
             tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        weights = [table.limit_weights(interval, orthant) for interval in intervals]
-        out.append((limit_rows + orthant_rows, weights))
+        weights = [table.limit_weights(interval, orthant) for interval in stratum.intervals]
+        out.append(([*stratum.limit_rows, *orthant_rows], weights))
     return out
 
 
@@ -310,8 +273,7 @@ def config_stabilizer(config: ChainConfiguration) -> int | None:
     component carrying points; a middle component without points leaves a
     free one-parameter subgroup, so the stabilizer is infinite.
     """
-    intervals = chain(config.stratum).intervals
-    count = len(intervals)
+    count = len(config.stratum.intervals)
     marked: dict[int, list[Fraction]] = {}
     for idx, coord in config.marked_points:
         marked.setdefault(idx, []).append(coord)
@@ -396,7 +358,7 @@ def _all_configs(n: int) -> Iterator[ChainConfiguration]:
     """Every configuration over every stratum, strata in `strata` order and
     lengths in `compositions` order."""
     for stratum in strata(n):
-        for lengths in compositions(n, len(chain(stratum).intervals)):
+        for lengths in compositions(n, len(stratum.intervals)):
             yield ChainConfiguration(stratum, lengths)
 
 
@@ -410,8 +372,8 @@ def in_component_closure(config: ChainConfiguration, component: HilbertComponent
     lengths across the refined intervals."""
     if not component.stratum.vanishing <= config.stratum.vanishing:
         return False
-    coarse = chain(component.stratum).intervals
-    fine = chain(config.stratum).intervals
+    coarse = component.stratum.intervals
+    fine = config.stratum.intervals
     sums = [0] * len(coarse)
     for k, interval in enumerate(fine):
         owner = next(c for c, ci in enumerate(coarse) if interval[0] in ci)

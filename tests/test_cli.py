@@ -97,16 +97,20 @@ def test_bad_flag_exit_code(capture):
     assert code == 1
 
 
-def test_point_off_ideal_rejected(capture):
-    code, _, err = capture(
-        "classify",
-        "--problem",
-        "builtin:degenerating-conic",
-        "--point",
-        "t=1,x=2,y=1,z=1",
+@pytest.mark.parametrize(
+    "argv",
+    [("mu", "--lambda", "1"), ("limit", "--lambda", "1"), ("classify",), ("stabilizer",),
+     ("sections",)],
+    ids=lambda argv: argv[0],
+)
+def test_point_off_ideal_rejected(capture, argv):
+    # t*z^2 - x*y is 1 - 2 at this point; every point command refuses it.
+    code, out, err = capture(
+        *argv, "--problem", "builtin:degenerating-conic", "--point", "t=1,x=2,y=1,z=1"
     )
     assert code == 1
-    assert "ideal" in err
+    assert out == ""
+    assert err == "error: point does not lie on the declared ideal\n"
 
 
 def test_patterns_warns_about_ideal(capture):
@@ -417,6 +421,33 @@ def test_conic_sweep_refuses_the_flags_it_ignores(capture, flag):
     assert code == 1
     assert out == ""
     assert err == f"error: {flag[0]} does not apply with --sweep\n"
+
+
+def test_conic_refuses_an_empty_lambda(capture):
+    code, out, err = capture(
+        "conic", "--n", "1", "--stratum", "smooth", "--lengths", "1", "--lambda", ""
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: lambda must be comma-separated integers, got ''\n"
+
+
+@pytest.mark.parametrize("sign", ["engine", "opposite"])
+def test_conic_mu_is_inf_where_the_base_limit_fails(capture, sign):
+    # On the smooth n = 2 stratum t_1 = 1 has weight s_1 = -1 < 0.
+    code, out, _ = capture(
+        "conic", "--n", "2", "--stratum", "smooth", "--lengths", "2", "--lambda=-1,0",
+        "--sign", sign,
+    )
+    assert code == 0
+    assert "mu(lambda=(-1,0)) = inf" in out
+    # With t_3 = 0 the subgroup (1, 2) keeps its limit and its finite weight.
+    finite = _conic_json(
+        capture, "--n", "2", "--stratum", "3", "--lengths", "2,0", "--lambda", "1,2",
+        "--sign", sign,
+    )
+    mu = int(finite["result"]["mu"])
+    assert mu != 0 and (mu > 0) == (sign == "engine")
 
 
 def _conic_json(capture, *argv) -> dict:

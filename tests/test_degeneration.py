@@ -13,7 +13,6 @@ from torstab.degeneration import (
     _all_configs,
     admissible,
     build_weight_table,
-    chain,
     classify_config,
     compositions,
     config_stabilizer,
@@ -32,24 +31,58 @@ def origin(n):
     return Stratum(n, frozenset(range(1, n + 2)))
 
 
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def extreme_limit_weights(table, interval):
+    """The printed limit vectors of a component: toward the start of the
+    chain (every sign +1) and toward its end (every sign -1)."""
+    return (
+        table.limit_weights(interval, (1,) * table.n),
+        table.limit_weights(interval, (-1,) * table.n),
+    )
+
+
 def test_chain_origin():
-    fibre = chain(Stratum(2, frozenset({1, 2, 3})))
-    assert fibre.intervals == ((0,), (1,), (2,), (3,))
+    assert Stratum(2, frozenset({1, 2, 3})).intervals == ((0,), (1,), (2,), (3,))
 
 
 def test_chain_partial_smoothing():
-    fibre = chain(Stratum(2, frozenset({1, 3})))
-    assert fibre.intervals == ((0,), (1, 2), (3,))
+    assert Stratum(2, frozenset({1, 3})).intervals == ((0,), (1, 2), (3,))
 
 
 def test_chain_single_cut():
-    fibre = chain(Stratum(2, frozenset({3})))
-    assert fibre.intervals == ((0, 1, 2), (3,))
+    assert Stratum(2, frozenset({3})).intervals == ((0, 1, 2), (3,))
 
 
 def test_chain_smooth_fibre():
-    fibre = chain(Stratum(2, frozenset()))
-    assert fibre.intervals == ((0, 1, 2, 3),)
+    assert Stratum(2, frozenset()).intervals == ((0, 1, 2, 3),)
+
+
+def test_stratum_chain_and_limit_rows_match_their_definitions():
+    for n in (1, 2, 3):
+        for stratum in strata(n):
+            # Consecutive runs covering 0..n+1, each starting at 0 or at a
+            # vanishing index, with every vanishing index starting one.
+            intervals = stratum.intervals
+            assert [i for interval in intervals for i in interval] == list(range(n + 2))
+            assert all(list(iv) == list(range(iv[0], iv[-1] + 1)) for iv in intervals)
+            assert [iv[0] for iv in intervals] == [0] + sorted(stratum.vanishing)
+            # One row per nonvanishing t_i: e_i - e_{i-1} over e_0..e_{n+1},
+            # keeping the coordinates 1..n.
+            expected = []
+            for i in range(1, n + 2):
+                if i not in stratum.vanishing:
+                    full = [0] * (n + 2)
+                    full[i] += 1
+                    full[i - 1] -= 1
+                    expected.append(tuple(full[1 : n + 1]))
+            assert stratum.limit_rows == tuple(expected)
+            # Computed once and kept by the instance, outside its value.
+            assert stratum.intervals is intervals
+            assert stratum == Stratum(n, frozenset(stratum.vanishing))
+            assert repr(stratum) == f"Stratum(n={n}, vanishing={stratum.vanishing!r})"
 
 
 def test_stratum_validation():
@@ -79,7 +112,7 @@ def test_lengths_validated():
 def test_inner_positions_sum_to_n():
     for n in (1, 2, 3):
         for stratum in strata(n):
-            intervals = chain(stratum).intervals
+            intervals = stratum.intervals
             counts = [
                 sum(1 for i in interval if 1 <= i <= n) for interval in intervals
             ]
@@ -128,20 +161,20 @@ def test_weight_table_n1_symmetric():
     # Single inserted component: the two limit directions carry opposite
     # unit weights; the end components carry no own dependence.
     table = build_weight_table(1)
-    fibre = chain(origin(1))
-    down, up = table.limit_vectors(fibre, 1)
+    intervals = origin(1).intervals
+    down, up = extreme_limit_weights(table, intervals[1])
     assert down == (-1,) and up == (1,)
     for k in (0, 2):
-        down, up = table.limit_vectors(fibre, k)
+        down, up = extreme_limit_weights(table, intervals[k])
         assert down == up
 
 
 def test_weight_table_end_components_have_no_own_dependence_at_origin():
     for n in (1, 2, 3):
         table = build_weight_table(n)
-        fibre = chain(origin(n))
-        first_down, first_up = table.limit_vectors(fibre, 0)
-        last_down, last_up = table.limit_vectors(fibre, len(fibre.intervals) - 1)
+        intervals = origin(n).intervals
+        first_down, first_up = extreme_limit_weights(table, intervals[0])
+        last_down, last_up = extreme_limit_weights(table, intervals[-1])
         assert first_down == first_up
         assert last_down == last_up
 
@@ -151,10 +184,10 @@ def test_weight_table_matches_generating_monomial():
     # generated by v_1^(3*a_1) * v_2^3, of weight (-2*a_1, -1) per cube.
     table = build_weight_table(2)
     a1 = table.multipliers[0]
-    fibre = chain(origin(2))
-    down, _ = table.limit_vectors(fibre, 1)
+    intervals = origin(2).intervals
+    down, _ = extreme_limit_weights(table, intervals[1])
     assert down == (-2 * a1, -1)
-    _, up = table.limit_vectors(fibre, 2)
+    _, up = extreme_limit_weights(table, intervals[2])
     assert up == (a1, 2)
 
 
@@ -166,6 +199,20 @@ def test_mu_config_trivial_subgroup():
     config = ChainConfiguration(origin(2), (0, 1, 1, 0))
     assert mu_config(table, config, (0, 0)) == 0
     assert type(mu_config(table, config, (1, 2))) is int
+
+
+def test_mu_config_is_infinite_exactly_when_the_base_limit_fails():
+    table = build_weight_table(2)
+    smooth = ChainConfiguration(Stratum(2, frozenset()), (2,))
+    # On the smooth stratum t_1, t_2, t_3 all stay nonzero: s_1 >= 0,
+    # s_2 - s_1 >= 0 and -s_2 >= 0 leave only the trivial subgroup.
+    assert mu_config(table, smooth, (0, 0)) == 0
+    for lam in ((-1, 0), (1, 2), (0, -1), (1, 1)):
+        assert mu_config(table, smooth, lam) is None
+    # With t_3 = 0 only s_1 >= 0 and s_2 >= s_1 remain.
+    generic = ChainConfiguration(Stratum(2, frozenset({3})), (2, 0))
+    assert mu_config(table, generic, (1, 2)) > 0
+    assert mu_config(table, generic, (2, 1)) is None
 
 
 def test_mu_config_admissible_origin_positive():
@@ -199,11 +246,12 @@ def test_mu_config_additive_over_decomposition():
     right = (0, 0, 1, 0)
     for lam in ((1, 0), (0, -2), (3, 2), (-1, 4)):
         total = mu_config(table, whole, lam)
+        intervals = origin(2).intervals
         parts = sum(
-            table.point_weight(chain(origin(2)).intervals, k, lam) * count
+            dot(table.limit_weights(intervals[k], lam), lam) * count
             for k, count in enumerate(left)
         ) + sum(
-            table.point_weight(chain(origin(2)).intervals, k, lam) * count
+            dot(table.limit_weights(intervals[k], lam), lam) * count
             for k, count in enumerate(right)
         )
         assert total == -parts
@@ -328,7 +376,7 @@ def test_classify_matches_box_scan_everywhere():
     for n in (1, 2):
         table = build_weight_table(n)
         for stratum in strata(n):
-            parts = len(chain(stratum).intervals)
+            parts = len(stratum.intervals)
             for lengths in compositions(n, parts):
                 config = ChainConfiguration(stratum, lengths)
                 exact = classify_config(table, config).status
@@ -339,7 +387,7 @@ def test_classify_matches_box_scan_everywhere():
 def test_unstable_witness_respects_base_limit():
     table = build_weight_table(2)
     for stratum in strata(2):
-        parts = len(chain(stratum).intervals)
+        parts = len(stratum.intervals)
         for lengths in compositions(2, parts):
             config = ChainConfiguration(stratum, lengths)
             verdict = classify_config(table, config)

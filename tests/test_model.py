@@ -146,10 +146,9 @@ def test_record_fields_are_read_only(conic):
         conic, point(conic, x=1, y=0, u=1, v=0), pattern, verdict, table,
         quotient, quotient.base_generators[0][1],
         quotient.relations[0], cone, ts.solve_cone(cone), sweep, sweep.rows[0],
-        sweep.table, config, config.stratum, ts.chain(config.stratum), incidence,
-        incidence.components[0],
+        sweep.table, config, config.stratum, incidence, incidence.components[0],
     ]
-    assert len({type(record) for record in records}) == 18
+    assert len({type(record) for record in records}) == 17
     conic.base_weight("x")  # fills a cached property of the instance dict
     for record in records:
         for field in record._fields:
