@@ -88,7 +88,6 @@ def verdict_over_pieces(
     dim: int,
     weight: Callable[[OnePS], int | None],
     *,
-    not_unstable: bool = False,
     memo: dict | None = None,
 ) -> Verdict:
     """Verdict for a weight that is linear on each piece (weak, strict).
@@ -106,9 +105,6 @@ def verdict_over_pieces(
     and the Verdict constructor rejects it unless it is < 0 (unstable) or 0
     (strictly semistable).
 
-    With ``not_unstable`` the caller already knows that no piece has an
-    integral point, so the first pass is skipped and only the second runs.
-
     Every answer is kept in ``memo`` under its row set: a first-pass result
     under (frozenset(weak), frozenset(strict)) and a second-pass one under
     frozenset(weak + strict).  `solve_cone` and `cone_has_nonzero` answer as
@@ -123,8 +119,6 @@ def verdict_over_pieces(
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
-        if not_unstable:
-            continue
         key = (frozenset(map(tuple, weak)), frozenset(map(tuple, strict)))
         destab = memo.get(key)
         if destab is None:
@@ -144,20 +138,14 @@ def verdict_over_pieces(
 
 
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
-    """Verdict for every point realizing the given support pattern."""
-    return _pattern_verdict(problem, pattern)
-
-
-def _pattern_verdict(
-    problem: GitProblem, pattern: SupportPattern, not_unstable: bool = False
-) -> Verdict:
+    """Verdict for every point realizing the given support pattern: one
+    piece, rows {B >= 0, F >= 1}, through `verdict_over_pieces`."""
     base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
     fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
     return verdict_over_pieces(
         [(base_rows, fiber_rows)],
         problem.torus_rank,
         lambda lam: mu_from_pattern(problem, pattern, lam),
-        not_unstable=not_unstable,
     )
 
 
@@ -197,9 +185,10 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         nonzero lambda of weight 0 on it;
       * otherwise the first unstable witness whose mask contains it
         destabilizes it;
-      * a pattern no witness covers is solved on its own: by
-        `classify_pattern`, or by the second pass alone if it is known not
-        to be unstable.
+      * a pattern no witness covers is solved on its own by
+        `classify_pattern`.  One containing a strictly semistable support
+        has all of that support's rows {B >= 0, F >= 1}, which have no
+        integral point, so only the second pass can find its witness.
 
     A reused witness still goes through `mu_from_pattern` and the `Verdict`
     checks.  The statuses are those of classifying every pattern on its
@@ -253,22 +242,19 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             if any(m & mask == m for m in stable):
                 rows.append((pattern, inherited))
                 continue
-            not_unstable = any(m & mask == m for m in semistable)
-            certificates = blockers if not_unstable else destabilizers
+            contains_semistable = any(m & mask == m for m in semistable)
+            certificates = blockers if contains_semistable else destabilizers
             lam = next((lam for m, lam in certificates if mask & m == mask), None)
             if lam is not None:
                 status = (
                     StabilityStatus.STRICTLY_SEMISTABLE
-                    if not_unstable
+                    if contains_semistable
                     else StabilityStatus.UNSTABLE
                 )
                 verdict = Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
                 rows.append((pattern, verdict))
                 continue
-            if not_unstable:
-                verdict = _pattern_verdict(problem, pattern, not_unstable=True)
-            else:
-                verdict = classify_pattern(problem, pattern)
+            verdict = classify_pattern(problem, pattern)
             rows.append((pattern, verdict))
             lam = verdict.witness
             if verdict.status is StabilityStatus.STABLE:

@@ -124,13 +124,6 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _poly_dict(poly) -> list[dict]:
-    return [
-        {"coeff": format_rational(c), "monomial": {n: e for n, e in mono}}
-        for c, mono in poly.terms
-    ]
-
-
 def _mono_dict(mono) -> dict:
     return {"monomial": {n: e for n, e in mono.exponents}, "l_degree": mono.l_degree}
 
@@ -203,7 +196,7 @@ def _cmd_relations(args):
     rels = relations(gens, args.syzygy_degree, names, warnings=warnings)
     result = {
         "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
-        "relations": [_poly_dict(p) for p in rels],
+        "relations": [p.term_dicts() for p in rels],
     }
     return result, warnings
 
@@ -215,7 +208,7 @@ def _cmd_quotient(args):
         "proj_generators": [
             dict(_mono_dict(m), name=n) for n, m, _ in pres.proj_generators
         ],
-        "relations": [_poly_dict(p) for p in pres.relations],
+        "relations": [p.term_dicts() for p in pres.relations],
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
     }
@@ -251,7 +244,7 @@ def _parse_stratum(args) -> Stratum:
 
 
 def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
-    if not text:
+    if text is None:
         return ()
     out = []
     for chunk in text.split(","):

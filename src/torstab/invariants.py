@@ -59,19 +59,8 @@ class MonomialInvariant(namedtuple("MonomialInvariant", "exponents l_degree")):
     def total_degree(self) -> int:
         return sum(e for _, e in self.exponents)
 
-    def exponent(self, name: str) -> int:
-        for n, e in self.exponents:
-            if n == name:
-                return e
-        return 0
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.exponents)
-
-    def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.exponents)
 
 
 def _variable_weights(problem: GitProblem) -> list[tuple[str, WeightVector, bool]]:
@@ -245,7 +234,8 @@ def relations(
         return []
     count = len(generators)
     variables = sorted({name for gen in generators for name, _ in gen.exponents})
-    rows = [tuple(gen.exponent(name) for name in variables) for gen in generators]
+    exponents = [gen.as_dict() for gen in generators]
+    rows = [tuple(e.get(name, 0) for name in variables) for e in exponents]
     kernel = left_kernel(rows, len(variables))
     if not kernel:
         return []

@@ -86,6 +86,13 @@ class Polynomial(namedtuple("Polynomial", "terms")):
         )
         return cls(kept)
 
+    def term_dicts(self) -> list[dict]:
+        """The terms as JSON-ready dicts, coefficient first: the form of a
+        polynomial in problem files and in reports."""
+        return [
+            {"coeff": format_rational(c), "monomial": dict(mono)} for c, mono in self.terms
+        ]
+
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
         for coeff, mono in self.terms:
@@ -330,13 +337,7 @@ def serialize_problem(problem: GitProblem) -> str:
         "linearization_shift": list(problem.shift),
     }
     if problem.ideal:
-        data["ideal"] = [
-            [
-                {"coeff": format_rational(c), "monomial": {n: e for n, e in mono}}
-                for c, mono in poly.terms
-            ]
-            for poly in problem.ideal
-        ]
+        data["ideal"] = [poly.term_dicts() for poly in problem.ideal]
     return json.dumps(data, indent=2) + "\n"
 
 

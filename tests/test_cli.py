@@ -432,6 +432,15 @@ def test_conic_refuses_an_empty_lambda(capture):
     assert err == "error: lambda must be comma-separated integers, got ''\n"
 
 
+def test_conic_refuses_an_empty_marked(capture):
+    code, out, err = capture(
+        "conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0", "--marked="
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: marked points use component:coordinate, got ''\n"
+
+
 @pytest.mark.parametrize("sign", ["engine", "opposite"])
 def test_conic_mu_is_inf_where_the_base_limit_fails(capture, sign):
     # On the smooth n = 2 stratum t_1 = 1 has weight s_1 = -1 < 0.
