@@ -14,8 +14,8 @@ each of finitely many polyhedral pieces of lambda-space, so
 
 A support pattern is one piece: with B the weights of the nonzero base
 coordinates and F the shifted weights of the nonzero fiber coordinates, the
-rows are {B >= 0, F >= 1}.  A chain configuration has one piece per sign
-orthant (see `degeneration.classify_config`).
+rows are {B >= 0, F >= 1}.  Chain configurations need no cone at all (see
+`degeneration`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
 stability: it witnesses a positive-dimensional stabilizer.
@@ -87,8 +87,6 @@ def verdict_over_pieces(
     pieces: Iterable[Piece],
     dim: int,
     weight: Callable[[OnePS], int | None],
-    *,
-    memo: dict | None = None,
 ) -> Verdict:
     """Verdict for a weight that is linear on each piece (weak, strict).
 
@@ -104,34 +102,15 @@ def verdict_over_pieces(
     Each witness's weight is recomputed by `weight` (None when infinite),
     and the Verdict constructor rejects it unless it is < 0 (unstable) or 0
     (strictly semistable).
-
-    Every answer is kept in ``memo`` under its row set: a first-pass result
-    under (frozenset(weak), frozenset(strict)) and a second-pass one under
-    frozenset(weak + strict).  `solve_cone` and `cone_has_nonzero` answer as
-    functions of the row set alone, so a remembered answer, witness
-    included, is the one a fresh solve would give, and a caller may share
-    one dict across calls (`degeneration.sweep_equivalence` shares one per
-    sweep); without one, each call keeps its own.  `weight` still re-checks
-    every witness.
     """
-    if memo is None:
-        memo = {}
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
-        key = (frozenset(map(tuple, weak)), frozenset(map(tuple, strict)))
-        destab = memo.get(key)
-        if destab is None:
-            destab = memo[key] = solve_cone(make_cone_problem(weak, strict, dim))
+        destab = solve_cone(make_cone_problem(weak, strict, dim))
         if destab.feasible:
             return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
     for weak, strict in seen:
-        rows = list(weak) + list(strict)
-        key = frozenset(map(tuple, rows))
-        if key in memo:
-            blocker = memo[key]
-        else:
-            blocker = memo[key] = cone_has_nonzero(rows, dim)
+        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
         if blocker is not None:
             return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
     return Verdict(StabilityStatus.STABLE)

@@ -26,8 +26,9 @@ infeasible at an earlier stage never reaches it.
 Every answer, witness and refusal included, is a function of the row set
 alone: each stage, the input included, drops repeated rows, a contradiction
 is found by membership, and back-substitution takes bounds by value.  So the
-order and repetition of the input rows never matter, which lets a caller
-remember answers under row sets (see `classify.verdict_over_pieces`).
+order and repetition of the input rows never matter: a support's witness
+does not depend on how its rows are listed, which the witness reuse of
+`classify.classify_patterns` relies on.
 `cone_has_nonzero` needs no solve: each stage of one elimination of the
 homogeneous rows is a projection of the cone, and the first stage over
 x_0..x_j whose rows all have s*c_j >= 0 starts a witness (0, ..., 0, s);

@@ -22,25 +22,37 @@ polarization at any torus-limit point is a per-bundle bookkeeping exercise:
     when it pushes up (s_i < 0); s_i = 0 contributes nothing.
 
 `WeightTable.limit_weights` holds this rule once; the printed limit
-vectors, the classifier's linear forms and `mu_config` are all read off it.
-A `Stratum` carries its chain of intervals and its base-limit rows (t_i
-nonzero forces s_i - s_{i-1} >= 0), each computed once per instance.  The
-subgroup weight of a configuration, `mu_config`, is None when lambda breaks
-a base-limit row (the limit leaves the base, so the weight is infinite) and
-otherwise minus the lambda-pairing of the summed limit weights: a plain
-int, oriented so that admissible configurations get positive weights, and
-piecewise linear in lambda with one linear piece per sign orthant.
-Classification hands one cone per orthant to `classify.verdict_over_pieces`,
-restricted to the subgroups whose limit exists on the base.
+vectors, the classifier's pairings and `mu_config` are all read off it.
+A `Stratum` carries its chain of intervals, its base-limit rows (t_i
+nonzero forces s_i - s_{i-1} >= 0) and its cube points (below), each
+computed once per instance.  The subgroup weight of a configuration,
+`mu_config`, is None when lambda breaks a base-limit row (the limit leaves
+the base, so the weight is infinite) and otherwise minus the
+lambda-pairing of the summed limit weights: a plain int, oriented so that
+admissible configurations get positive weights, and linear on each sign
+orthant.
 
-`sweep_equivalence` builds what the configurations of one stratum share
-(per orthant the weak rows and each component's limit weights) once, in a
-dict of its own keyed by stratum, and remembers every cone answer of the
-sweep under its row set in another, so a system that recurs across
-configurations is solved once.  Both live for one sweep.  Its rows and
-witnesses are those of `classify_config` run on each configuration alone,
-and every witness's weight is still recomputed from the configuration by
-`mu_config`.
+Classification solves no cone.  On a sign orthant the subgroups with a
+base limit form the cone of the base-limit rows and one sign row per
+coordinate.  Each row has at most one +1 and one -1, so the matrix is
+totally unimodular (Schrijver, Theory of Linear and Integer Programming,
+1986, ch. 19): the cone is pointed, and each extreme ray, cut out by n - 1
+independent rows, is spanned by a vector of signed minors, entries in
+{-1, 0, 1}.  A weight linear on the cone is < 0 (or <= 0) at a nonzero
+point of it iff it is so on one of those rays.  So a stratum's cube
+points, every nonzero lambda in {-1, 0, 1}^n that satisfies its base-limit
+rows, decide each configuration over it: the first of weight < 0 is an
+unstable witness, else one of weight 0 a strictly semistable one (see
+`_verdict_at_points` for which), else it is stable.  The points run by
+sign orthant, in product((1, -1)) order with a zero counting as +, then
+lexicographically.
+
+A point's pairing with each component's limit weights depends only on the
+table and the stratum, so a configuration's weight there is one dot
+product with its lengths.  `sweep_equivalence` keeps these pairings per
+stratum for the sweep; its rows and witnesses are those of
+`classify_config` on each configuration alone, and every witness's weight
+is still recomputed by `mu_config`.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ from functools import cached_property
 from itertools import combinations, product
 from operator import mul
 
-from .classify import StabilityStatus, Verdict, verdict_over_pieces
+from .classify import StabilityStatus, Verdict
 from .errors import InputError
 from .model import OnePS
 
@@ -62,8 +74,9 @@ Interval = tuple[int, ...]
 class Stratum(namedtuple("Stratum", "n vanishing")):
     """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`.
 
-    No ``__slots__``: the chain and the base-limit rows below are cached in
-    the instance dict, which equality, hashing and repr ignore.
+    No ``__slots__``: the chain, the base-limit rows and the cube points
+    below are cached in the instance dict, which equality, hashing and repr
+    ignore.
     """
 
     n: int
@@ -96,6 +109,17 @@ class Stratum(namedtuple("Stratum", "n vanishing")):
             for i in range(1, self.n + 2)
             if i not in self.vanishing
         )
+
+    @cached_property
+    def cube_points(self) -> tuple[tuple[int, ...], ...]:
+        """Every nonzero lambda in {-1, 0, 1}^n on the base-limit rows, by
+        sign orthant (a zero counting as +), then lexicographically."""
+        points = (
+            v
+            for v in product((-1, 0, 1), repeat=self.n)
+            if any(v) and all(sum(map(mul, row, v)) >= 0 for row in self.limit_rows)
+        )
+        return tuple(sorted(points, key=lambda v: (tuple(x < 0 for x in v), v)))
 
 
 class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marked_points")):
@@ -212,55 +236,44 @@ def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int
     return -total
 
 
-def _orthant_pieces(table: WeightTable, stratum: Stratum) -> list[tuple[list, list]]:
-    """What every configuration over the stratum shares, per sign orthant:
-    the piece's weak rows (base-limit rows, then the orthant's sign rows)
-    and the limit weights of each chain component."""
-    n = table.n
-    out = []
-    for orthant in product((1, -1), repeat=n):
-        orthant_rows = [
-            tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)
-        ]
-        weights = [table.limit_weights(interval, orthant) for interval in stratum.intervals]
-        out.append(([*stratum.limit_rows, *orthant_rows], weights))
-    return out
+def _point_pairings(table: WeightTable, stratum: Stratum) -> list[tuple[int, ...]]:
+    """Per cube point of the stratum, its pairing with each component's
+    limit weights there: minus the weight of one point on that component."""
+    return [
+        tuple(sum(map(mul, table.limit_weights(interval, v), v)) for interval in stratum.intervals)
+        for v in stratum.cube_points
+    ]
 
 
 def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
-    """Stability verdict by exact cone analysis, one piece per sign orthant.
-
-    Only subgroups whose base limit exists are tested; the rest have
-    infinite weight and cannot destabilize.  On an orthant the weight is
-    minus the pairing with the count-weighted sum of the components' limit
-    weights, so that sum is the piece's strict row.  Each witness's weight
-    is recomputed from the configuration itself by `mu_config`.
-    """
-    return _config_verdict(table, config, _orthant_pieces(table, config.stratum), None)
+    """Stability verdict read off the stratum's cube points (see the module
+    docstring); each witness's weight is recomputed by `mu_config`."""
+    if config.stratum.n != table.n:
+        raise InputError("configuration and weight table have different n")
+    return _verdict_at_points(table, config, _point_pairings(table, config.stratum))
 
 
-def _config_verdict(
-    table: WeightTable,
-    config: ChainConfiguration,
-    orthant_pieces: list[tuple[list, list]],
-    memo: dict | None,
+def _verdict_at_points(
+    table: WeightTable, config: ChainConfiguration, pairings: list[tuple[int, ...]]
 ) -> Verdict:
-    """`classify_config` on the stratum's `_orthant_pieces`, keeping cone
-    answers in `memo` (see `classify.verdict_over_pieces`)."""
-    n = table.n
-    counted = [(k, count) for k, count in enumerate(config.lengths) if count]
-
-    def pieces():
-        for weak, weights in orthant_pieces:
-            form = [0] * n
-            for k, count in counted:
-                for i, w in enumerate(weights[k]):
-                    form[i] += count * w
-            yield weak, [tuple(form)]
-
-    return verdict_over_pieces(
-        pieces(), n, lambda lam: mu_config(table, config, lam), memo=memo
+    """The first cube point of weight < 0 destabilizes.  Otherwise a point of
+    weight 0 blocks stability: of those in the first sign orthant holding
+    one, the one whose first nonzero coordinate comes first, then the first
+    in list order; that is the point `cones.cone_has_nonzero` returns on the
+    orthant's cone of weight <= 0."""
+    zeros = []
+    for v, row in zip(config.stratum.cube_points, pairings):
+        negated = sum(map(mul, config.lengths, row))
+        if negated > 0:
+            return Verdict(StabilityStatus.UNSTABLE, v, mu_config(table, config, v))
+        if negated == 0:
+            zeros.append(v)
+    if not zeros:
+        return Verdict(StabilityStatus.STABLE)
+    blocker = min(
+        zeros, key=lambda v: (tuple(x < 0 for x in v), next(i for i, x in enumerate(v) if x))
     )
+    return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, mu_config(table, config, blocker))
 
 
 def config_stabilizer(config: ChainConfiguration) -> int | None:
@@ -439,19 +452,16 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
     admissibility criterion.
 
-    Each stratum's orthant pieces are built once, for all its
-    configurations, and one memo of cone answers serves the whole sweep, so
-    a cone system that recurs across configurations, also under another
-    stratum, is solved once.  Rows and witnesses are those of
-    `classify_config` on every configuration alone.
+    Each stratum's point pairings are built once, for all its
+    configurations, in a dict that lives for the sweep.  Rows and witnesses
+    are those of `classify_config` on every configuration alone.
     """
-    memo: dict = {}
-    orthant_pieces: dict[Stratum, list[tuple[list, list]]] = {}
+    pairings: dict[Stratum, list[tuple[int, ...]]] = {}
     rows = []
     for config in _all_configs(table.n):
         stratum = config.stratum
-        if stratum not in orthant_pieces:
-            orthant_pieces[stratum] = _orthant_pieces(table, stratum)
-        verdict = _config_verdict(table, config, orthant_pieces[stratum], memo)
+        if stratum not in pairings:
+            pairings[stratum] = _point_pairings(table, stratum)
+        verdict = _verdict_at_points(table, config, pairings[stratum])
         rows.append(SweepRow(config, admissible(config), verdict))
     return SweepReport(table, tuple(rows))

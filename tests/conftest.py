@@ -8,6 +8,9 @@ degree bound instead of trusting the pure-generator argument of `torstab.mu`.
 `solve_cone_oracle` and `cone_has_nonzero_oracle` are the Fourier-Motzkin
 solver as it was before its integer-only back-substitution: every stage is
 eliminated, and the witness is back-substituted with `Fraction`s.
+`config_verdict_oracle` is the chain classifier as it was before it read
+weights at the cube points of a stratum: one cone per sign orthant, solved
+by `verdict_over_pieces`.
 `invariant_monomials_oracle`, `minimal_generators_oracle` and
 `relations_oracle` are the invariant-ring kernels as they were before the
 meet-in-the-middle enumeration, without their shortcuts: every exponent
@@ -39,6 +42,7 @@ from torstab import (
     mu_from_pattern,
     support,
 )
+from torstab.classify import Verdict, verdict_over_pieces
 from torstab.cones import ConeProblem, FeasibilityResult, _eliminate, make_cone_problem
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
@@ -255,6 +259,26 @@ def brute_force_config_status(
         if value <= 0:
             stable = False
     return StabilityStatus.STABLE if stable else StabilityStatus.STRICTLY_SEMISTABLE
+
+
+def config_verdict_oracle(table: WeightTable, config: ChainConfiguration) -> Verdict:
+    """`torstab.classify_config` by exact cone analysis, one piece per sign
+    orthant in `product((1, -1))` order: the weak rows are the base-limit
+    rows and the orthant's sign rows, and the one strict row is the
+    count-weighted sum of the components' limit weights on that orthant."""
+    n = table.n
+    stratum = config.stratum
+
+    def pieces():
+        for orthant in product((1, -1), repeat=n):
+            signs = [tuple(orthant[i] if j == i else 0 for j in range(n)) for i in range(n)]
+            form = [0] * n
+            for interval, count in zip(stratum.intervals, config.lengths):
+                for i, w in enumerate(table.limit_weights(interval, orthant)):
+                    form[i] += count * w
+            yield [*stratum.limit_rows, *signs], [tuple(form)]
+
+    return verdict_over_pieces(pieces(), n, lambda lam: mu_config(table, config, lam))
 
 
 def decay_profile(magnitude: Fraction, degree: int, steps: int = 20) -> list[Fraction]:

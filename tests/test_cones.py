@@ -286,8 +286,9 @@ def scrambled_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(scrambled_systems())
 def test_answers_depend_only_on_the_row_set(systems):
-    # The sweep memo of `classify.verdict_over_pieces` keys answers by row
-    # sets, so order and repetition must not change a verdict or a witness.
+    # `classify.classify_patterns` reuses a support's witness across
+    # supports, so order and repetition must not change a verdict or a
+    # witness.
     problem, scrambled = systems
     assert solve_cone(scrambled) == solve_cone(problem)
     rows = problem.nonneg_rows + problem.strict_rows

@@ -1,8 +1,10 @@
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torstab import StabilityStatus, cones
 from torstab.degeneration import (
@@ -24,7 +26,7 @@ from torstab.degeneration import (
 )
 from torstab.errors import InputError
 
-from conftest import brute_force_config_status
+from conftest import brute_force_config_status, config_verdict_oracle
 
 
 def origin(n):
@@ -304,72 +306,96 @@ def test_equivalence_theorem():
         assert report.strictly_semistable_count == 0
 
 
-# (table, cone questions of the sweep, of classifying each configuration
-# alone, strictly semistable rows); a cone question is a `solve_cone` or a
-# `cone_has_nonzero` call.  The last four tables carry twists that
-# `build_weight_table` refuses; three of them give strictly semistable rows.
+# (table, strictly semistable rows).  The last four tables carry twists
+# that `build_weight_table` refuses; three of them give strictly semistable
+# rows.
 SWEEP_CASES = [
-    (build_weight_table(1), 7, 18, 0),
-    (build_weight_table(2), 54, 114, 0),
-    (build_weight_table(2, (7,)), 54, 114, 0),
-    (build_weight_table(2, (2,)), 54, 114, 0),
-    (build_weight_table(3), 244, 574, 0),
-    (build_weight_table(3, (5, 2)), 244, 574, 0),
-    (build_weight_table(3, (1000, 999)), 244, 574, 0),
-    (WeightTable(2, (0, 1)), 41, 130, 14),
-    (WeightTable(3, (0, 2, 1)), 205, 634, 28),
-    (WeightTable(3, (2, 0, 1)), 205, 660, 28),
-    (WeightTable(3, (1, 1, 1)), 244, 574, 0),
+    (build_weight_table(1), 0),
+    (build_weight_table(2), 0),
+    (build_weight_table(2, (7,)), 0),
+    (build_weight_table(2, (2,)), 0),
+    (build_weight_table(3), 0),
+    (build_weight_table(3, (5, 2)), 0),
+    (build_weight_table(3, (1000, 999)), 0),
+    (WeightTable(2, (0, 1)), 14),
+    (WeightTable(3, (0, 2, 1)), 28),
+    (WeightTable(3, (2, 0, 1)), 28),
+    (WeightTable(3, (1, 1, 1)), 0),
 ]
 
 
+def oracle_rows(table):
+    return tuple(
+        SweepRow(config, admissible(config), config_verdict_oracle(table, config))
+        for config in _all_configs(table.n)
+    )
+
+
 @pytest.mark.parametrize(
-    "table, swept, alone, semistable",
+    "table, semistable",
     SWEEP_CASES,
-    ids=[f"n{t.n}-a{','.join(map(str, t.multipliers[:-1]))}" for t, *_ in SWEEP_CASES],
+    ids=[f"n{t.n}-a{','.join(map(str, t.multipliers[:-1]))}" for t, _ in SWEEP_CASES],
 )
-def test_sweep_equals_classifying_each_configuration_alone(
-    monkeypatch, table, swept, alone, semistable
-):
-    # The sweep shares one memo and each stratum's orthant pieces across its
-    # configurations; rows and witnesses must be those of classifying every
-    # configuration on its own, with no memo.
+def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, semistable):
+    # The sweep and `classify_config` read weights at the cube points and ask
+    # no cone question (a `solve_cone` or a `cone_has_nonzero` call); their
+    # rows, witnesses included, must be those of the orthant-cone oracle.
+    expected = oracle_rows(table)
     # The package attribute `torstab.classify` is the function of that name.
     classify_module = sys.modules["torstab.classify"]
-    # Each cone question is a `solve_cone` or a `cone_has_nonzero` call.
     questions = []
-    feasible_second_pass = []
-    solve_cone, cone_has_nonzero = cones.solve_cone, cones.cone_has_nonzero
-
-    def counted_solve(problem):
-        questions.append(problem)
-        return solve_cone(problem)
-
-    def counted_nonzero(rows, dim):
-        questions.append(rows)
-        point = cone_has_nonzero(rows, dim)
-        if point is not None:
-            feasible_second_pass.append(point)
-        return point
-
-    monkeypatch.setattr(cones, "solve_cone", counted_solve)
-    monkeypatch.setattr(classify_module, "solve_cone", counted_solve)
-    monkeypatch.setattr(classify_module, "cone_has_nonzero", counted_nonzero)
+    for module in (cones, classify_module):
+        for name in ("solve_cone", "cone_has_nonzero"):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real: questions.append(args) or real(*args)
+            )
 
     report = sweep_equivalence(table)
-    assert len(questions) == swept
-    reused = report.strictly_semistable_count - len(feasible_second_pass)
-    del questions[:]
-    rows = [
+    assert len(questions) == 0
+    alone = tuple(
         SweepRow(config, admissible(config), classify_config(table, config))
         for config in _all_configs(table.n)
-    ]
-    assert len(questions) == alone
-    assert report.rows == tuple(rows)
+    )
+    assert len(questions) == 0
+    assert report.rows == expected
+    assert alone == expected
     assert report.strictly_semistable_count == semistable
-    if semistable:
-        # Some strictly semistable verdicts came from remembered answers.
-        assert reused > 0
+
+
+@settings(max_examples=25, deadline=None)
+@example(WeightTable(3, (0, 0, 1)))
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*[st.integers(-6, 6)] * (n - 1)).map(
+            lambda twists: WeightTable(n, twists + (1,))
+        )
+    )
+)
+def test_sweep_equals_the_orthant_cone_oracle_on_random_twists(table):
+    # At a = (0, 0) a strictly semistable row has the zero-weight points
+    # (0, 1, 0) and (1, 1, 0) on one orthant; the witness is the second.
+    assert sweep_equivalence(table).rows == oracle_rows(table)
+
+
+@pytest.mark.parametrize("twists", [(), (10,), (2,), (7,), (0,), (-1,), (-3,), (6,)])
+def test_sweep_statuses_equal_the_box_scan(twists):
+    # Every cube point lies in the box [-3, 3]^n, so the scan is exact here.
+    table = WeightTable(len(twists) + 1, twists + (1,))
+    for row in sweep_equivalence(table).rows:
+        assert row.verdict.status is brute_force_config_status(table, row.config, bound=3)
+
+
+def test_sweep_beyond_the_table_cap():
+    # `build_weight_table` refuses n > 3; a table built directly is swept.
+    table = WeightTable(4, (1000, 100, 10, 1))
+    assert sweep_equivalence(table).rows == oracle_rows(table)
+    start = time.process_time()
+    report = sweep_equivalence(WeightTable(5, (10000, 1000, 100, 10, 1)))
+    assert time.process_time() - start < 2.0
+    assert len(report.rows) == 5336
+    assert report.equivalence_holds
+    assert report.strictly_semistable_count == 0
 
 
 def test_classify_matches_box_scan_everywhere():
