@@ -1,21 +1,20 @@
 """Stability verdicts, pattern tables, and stabilizer orders.
 
-Both settings the package covers ask the relative Hilbert-Mumford question:
-a point is unstable iff some subgroup lambda has weight < 0, and not stable
-iff some nonzero lambda has weight <= 0.  In both, the weight is linear on
-each of finitely many polyhedral pieces of lambda-space, so
-`verdict_over_pieces` answers the question once for any list of pieces
-(weak rows >= 0, strict rows >= 1):
+A point is unstable iff some subgroup lambda has weight < 0, and not stable
+iff some nonzero lambda has weight <= 0 (the relative Hilbert-Mumford
+criterion).  The weight depends on the point only through its support
+pattern.  With B the weights of the nonzero base coordinates and F the
+shifted weights of the nonzero fiber coordinates, it is finite exactly where
+B >= 0, and there it is minus the least row of F, so each support is
+answered by one system of rows and its relaxation:
 
-  * unstable    iff  some piece has an integral point
+  * unstable    iff  {B >= 0, F >= 1} has an integral point
                      (that point is a destabilizing subgroup, weight < 0);
-  * not stable  iff  some piece, with its strict rows relaxed to >= 0, is a
-                     cone containing a nonzero integral point (weight <= 0).
+  * not stable  iff  {B >= 0, F >= 0} is a cone containing a nonzero
+                     integral point (weight <= 0, and 0 when the first
+                     system has no point).
 
-A support pattern is one piece: with B the weights of the nonzero base
-coordinates and F the shifted weights of the nonzero fiber coordinates, the
-rows are {B >= 0, F >= 1}.  Chain configurations need no cone at all (see
-`degeneration`).
+Chain configurations need no cone at all (see `degeneration`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
 stability: it witnesses a positive-dimensional stabilizer.
@@ -39,13 +38,12 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations
 
-from .cones import IntVec, cone_has_nonzero, make_cone_problem, solve_cone
+from .cones import cone_has_nonzero, make_cone_problem, solve_cone
 from .errors import InputError, InternalInvariantError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
-from .mu import mu_from_pattern
+from .mu import mu_from_pattern, pairings, weight_of_pairings
 from .snf import lattice_rank_and_index
 
 
@@ -80,52 +78,21 @@ class PatternTable(namedtuple("PatternTable", "rows warnings", defaults=((),))):
     __slots__ = ()
 
 
-Piece = tuple[Sequence[IntVec], Sequence[IntVec]]
-
-
-def verdict_over_pieces(
-    pieces: Iterable[Piece],
-    dim: int,
-    weight: Callable[[OnePS], int | None],
-) -> Verdict:
-    """Verdict for a weight that is linear on each piece (weak, strict).
-
-    A piece is the cone where its weak rows are >= 0; on it the weight is
-    < 0 exactly where every strict row is >= 1 and <= 0 exactly where every
-    strict row is >= 0, so every piece has at least one strict row.
-
-    The first pass solves {weak >= 0, strict >= 1} on each piece in order;
-    the first integral point found destabilizes.  Only then does a second
-    pass look for a nonzero point of {weak >= 0, strict >= 0}, walking the
-    pieces the first pass already built, so pieces may be generated lazily
-    and an unstable point never pays for the pieces after its witness.
-    Each witness's weight is recomputed by `weight` (None when infinite),
-    and the Verdict constructor rejects it unless it is < 0 (unstable) or 0
-    (strictly semistable).
-    """
-    seen = []
-    for weak, strict in pieces:
-        seen.append((weak, strict))
-        destab = solve_cone(make_cone_problem(weak, strict, dim))
-        if destab.feasible:
-            return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
-    for weak, strict in seen:
-        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
-        if blocker is not None:
-            return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
-    return Verdict(StabilityStatus.STABLE)
-
-
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
-    """Verdict for every point realizing the given support pattern: one
-    piece, rows {B >= 0, F >= 1}, through `verdict_over_pieces`."""
+    """Verdict for every point realizing the given support pattern: first
+    {B >= 0, F >= 1}, whose integral point destabilizes, then, if it has
+    none, a nonzero point of {B >= 0, F >= 0}, which has weight 0."""
     base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
     fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
-    return verdict_over_pieces(
-        [(base_rows, fiber_rows)],
-        problem.torus_rank,
-        lambda lam: mu_from_pattern(problem, pattern, lam),
-    )
+    dim = problem.torus_rank
+    status = StabilityStatus.UNSTABLE
+    lam = solve_cone(make_cone_problem(base_rows, fiber_rows, dim)).witness
+    if lam is None:
+        status = StabilityStatus.STRICTLY_SEMISTABLE
+        lam = cone_has_nonzero(base_rows + fiber_rows, dim)
+        if lam is None:
+            return Verdict(StabilityStatus.STABLE)
+    return Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
 
 
 def classify(problem: GitProblem, point: PointSample) -> Verdict:
@@ -147,15 +114,15 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     is not checked.
 
     The loops run base size outer, fiber size inner, so every proper
-    subpattern is classified before the patterns containing it.  Supports
-    are bitmasks over `problem.var_names`.  Each base and each fiber subset
-    is built once, as its frozenset and mask, and shared by every row that
-    has it; the rows that inherit stability share one stable verdict.  The
-    call keeps the supports solved stable and solved strictly semistable,
-    and the witness of every solved non-stable support with the mask of the
-    variables whose rows it satisfies: base rows >= 0, and fiber rows >= 1
-    for an unstable witness or >= 0 for a strictly semistable one.  A
-    pattern is then decided by the first rule that applies:
+    subpattern is classified before the patterns containing it.  Each base
+    and fiber subset is built once, as its frozenset, its bitmask over
+    `problem.var_names` and its variable indices.  The call keeps the
+    supports solved stable and solved strictly semistable, and a certificate
+    for every solved non-stable support: the witness's `pairings` with every
+    declared variable, computed once, and the mask of the variables whose
+    rows they satisfy (base rows >= 0; fiber rows >= 1 for an unstable
+    witness, >= 0 for a strictly semistable one).  A pattern is then
+    decided by the first rule that applies:
 
       * containing a stable support, it is stable with no solve (its cone
         lies in one that is {0}, and a stable verdict has no witness);
@@ -167,82 +134,83 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
       * a pattern no witness covers is solved on its own by
         `classify_pattern`.  One containing a strictly semistable support
         has all of that support's rows {B >= 0, F >= 1}, which have no
-        integral point, so only the second pass can find its witness.
+        integral point, so only the second solve can find its witness.
 
-    A reused witness still goes through `mu_from_pattern` and the `Verdict`
-    checks.  The statuses are those of classifying every pattern on its
-    own; a witness may be another checked lambda than `classify_pattern`
-    gives for that pattern.  Nothing is kept past the call.
+    A reused witness is re-checked on the row's own support: its weight is
+    `weight_of_pairings` over the row's entries of its pairings, and the
+    `Verdict` constructor rejects it unless it is < 0 (unstable) or 0
+    (strictly semistable).  Stable rows share one `Verdict`, and each
+    witness one per distinct weight, so the table holds one `Verdict` object
+    per distinct verdict.  The statuses are those of classifying every
+    pattern on its own; a witness may be another checked lambda than
+    `classify_pattern` gives.  Nothing is kept past the call.
     """
     names = problem.var_names
     if len(names) > max_vars:
         raise InputError(
             f"{len(names)} variables exceed the pattern enumeration cap {max_vars}"
         )
-    bit = {name: 1 << i for i, name in enumerate(names)}
-    base_names = problem.base_names
-    fiber_names = problem.fiber_names
-    base_rows = [(bit[n], problem.base_weight(n)) for n in base_names]
-    fiber_rows = [(bit[n], problem.shifted_fiber_weight(n)) for n in fiber_names]
+    base_count = len(problem.base_names)
 
-    def satisfied(lam: OnePS, fiber_floor: int) -> int:
-        """Mask of the variables whose row lam satisfies: base rows >= 0,
-        fiber rows >= fiber_floor."""
-        mask = 0
-        for b, w in base_rows:
-            if sum(x * y for x, y in zip(w, lam)) >= 0:
-                mask |= b
-        for b, w in fiber_rows:
-            if sum(x * y for x, y in zip(w, lam)) >= fiber_floor:
-                mask |= b
-        return mask
+    def satisfied(pairs: list[int], fiber_floor: int) -> int:
+        """Mask of the variables whose row the pairings satisfy: base rows
+        >= 0, fiber rows >= fiber_floor."""
+        floors = [0] * base_count + [fiber_floor] * (len(names) - base_count)
+        return sum(1 << i for i, (p, f) in enumerate(zip(pairs, floors)) if p >= f)
 
-    def subsets(pool: Sequence[str], smallest: int) -> list[tuple[frozenset[str], int]]:
-        """(names, mask) of every subset of `pool` with at least `smallest`
-        names, in `combinations` order by size."""
+    def subsets(pool: range, smallest: int) -> list[tuple[frozenset[str], int, tuple[int, ...]]]:
+        """(names, mask, indices) of every subset of the variable indices
+        `pool` with at least `smallest` members, in `combinations` order."""
         return [
-            (frozenset(sub), sum(bit[n] for n in sub))
+            (frozenset(names[i] for i in sub), sum(1 << i for i in sub), sub)
             for size in range(smallest, len(pool) + 1)
             for sub in combinations(pool, size)
         ]
 
-    fiber_subsets = subsets(fiber_names, 1)
+    fiber_subsets = subsets(range(base_count, len(names)), 1)
     inherited = Verdict(StabilityStatus.STABLE)
     stable: list[int] = []
     semistable: list[int] = []
-    # (mask, lambda) of every solved unstable and strictly semistable support.
-    destabilizers: list[tuple[int, OnePS]] = []
-    blockers: list[tuple[int, OnePS]] = []
+    # (mask, solved verdict, pairings, Verdict by weight) of every solved
+    # unstable and strictly semistable support.  One weight dict per witness,
+    # since supports solved apart may return the same strictly semistable one.
+    destabilizers: list[tuple[int, Verdict, list[int], dict[int, Verdict]]] = []
+    blockers: list[tuple[int, Verdict, list[int], dict[int, Verdict]]] = []
+    by_witness: dict[tuple[StabilityStatus, OnePS], dict[int, Verdict]] = {}
     rows = []
-    for base_set, base_mask in subsets(base_names, 0):
-        for fiber_set, fiber_mask in fiber_subsets:
+    for base_set, base_mask, base_indices in subsets(range(base_count), 0):
+        for fiber_set, fiber_mask, fiber_indices in fiber_subsets:
             pattern = SupportPattern(base_set, fiber_set)
             mask = base_mask | fiber_mask
             if any(m & mask == m for m in stable):
                 rows.append((pattern, inherited))
                 continue
-            contains_semistable = any(m & mask == m for m in semistable)
-            certificates = blockers if contains_semistable else destabilizers
-            lam = next((lam for m, lam in certificates if mask & m == mask), None)
-            if lam is not None:
-                status = (
-                    StabilityStatus.STRICTLY_SEMISTABLE
-                    if contains_semistable
-                    else StabilityStatus.UNSTABLE
+            certificates = blockers if any(m & mask == m for m in semistable) else destabilizers
+            cert = next((c for c in certificates if mask & c[0] == mask), None)
+            if cert is not None:
+                _, solved, pairs, by_weight = cert
+                weight = weight_of_pairings(
+                    map(pairs.__getitem__, base_indices), map(pairs.__getitem__, fiber_indices)
                 )
-                verdict = Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
+                verdict = by_weight.get(weight)
+                if verdict is None:
+                    verdict = by_weight[weight] = Verdict(solved.status, solved.witness, weight)
                 rows.append((pattern, verdict))
                 continue
             verdict = classify_pattern(problem, pattern)
-            rows.append((pattern, verdict))
-            lam = verdict.witness
             if verdict.status is StabilityStatus.STABLE:
+                rows.append((pattern, inherited))
                 stable.append(mask)
-            elif verdict.status is StabilityStatus.UNSTABLE:
-                destabilizers.append((satisfied(lam, 1), lam))
+                continue
+            by_weight = by_witness.setdefault(verdict[:2], {})
+            verdict = by_weight.setdefault(verdict.witness_mu, verdict)
+            rows.append((pattern, verdict))
+            pairs = pairings(problem, verdict.witness)
+            if verdict.status is StabilityStatus.UNSTABLE:
+                destabilizers.append((satisfied(pairs, 1), verdict, pairs, by_weight))
             else:
                 semistable.append(mask)
-                blockers.append((satisfied(lam, 0), lam))
+                blockers.append((satisfied(pairs, 0), verdict, pairs, by_weight))
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)

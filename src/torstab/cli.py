@@ -303,20 +303,28 @@ def _cmd_conic(args):
                 raise InputError(f"{flag} does not apply with --sweep")
         report = sweep_equivalence(table)
         rows = []
+        # As in `_cmd_patterns`, each distinct stratum list, lengths list and
+        # verdict dict is built once and shared by the rows that have it.
         stratum_weights: dict[Stratum, dict] = {}
+        lengths: dict[tuple[int, ...], list[int]] = {}
+        verdicts: dict[Verdict, dict] = {}
         for row in report.rows:
-            stratum = row.config.stratum
+            stratum, key = row.config.stratum, row.config.lengths
             if stratum not in stratum_weights:
                 stratum_weights[stratum] = {
                     "stratum": sorted(stratum.vanishing),
                     "intervals": _interval_weights(table, stratum),
                 }
+            if row.verdict not in verdicts:
+                verdicts[row.verdict] = _verdict_dict(row.verdict)
+            if key not in lengths:
+                lengths[key] = list(key)
             rows.append(
                 {
-                    "stratum": sorted(stratum.vanishing),
-                    "lengths": list(row.config.lengths),
+                    "stratum": stratum_weights[stratum]["stratum"],
+                    "lengths": lengths[key],
                     "admissible": row.admissible,
-                    "verdict": _verdict_dict(row.verdict),
+                    "verdict": verdicts[row.verdict],
                     "agreement": (row.verdict.status is StabilityStatus.STABLE) == row.admissible,
                 }
             )

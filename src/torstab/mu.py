@@ -8,11 +8,14 @@ coordinate has negative lambda-degree, so the flow leaves the affine base as
 t -> 0.
 
 Because the action is diagonal, the weight depends on the point only through
-its support pattern; `mu_from_pattern` is the shared core.
+the pairings <lambda, w_v> of its support variables; `weight_of_pairings` is
+the one rule, used by `mu_from_pattern` and, over `pairings` computed once
+per witness, by every row of a pattern table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
 
@@ -23,15 +26,31 @@ def _dot(lam: OnePS, weight: tuple[int, ...]) -> int:
     return sum(map(mul, lam, weight))
 
 
+def pairings(problem: GitProblem, lam: OnePS) -> list[int]:
+    """<lambda, w_v> for every declared variable, indexed like
+    `problem.var_names`: base weights, then shifted fiber weights."""
+    lam = problem.check_lambda(lam)
+    return [_dot(lam, w) for _, w in problem.base_vars] + [
+        _dot(lam, problem.shifted_fiber_weight(n)) for n in problem.fiber_names
+    ]
+
+
+def weight_of_pairings(base: Iterable[int], fiber: Iterable[int]) -> int | None:
+    """Weight from lambda's pairings with a support's base and fiber
+    variables: None when some base pairing is < 0, else -min(fiber)."""
+    if min(base, default=0) < 0:
+        return None
+    return -min(fiber)
+
+
 def mu_from_pattern(problem: GitProblem, pattern: SupportPattern, lam: OnePS) -> int | None:
     """Weight of lambda against any point realizing the given support
     pattern, or None when it is infinite (the base limit fails)."""
     lam = problem.check_lambda(lam)
-    for name in pattern.base:
-        if _dot(lam, problem.base_weight(name)) < 0:
-            return None
-    degrees = [_dot(lam, problem.shifted_fiber_weight(name)) for name in pattern.fiber]
-    return -min(degrees)
+    return weight_of_pairings(
+        (_dot(lam, problem.base_weight(n)) for n in pattern.base),
+        (_dot(lam, problem.shifted_fiber_weight(n)) for n in pattern.fiber),
+    )
 
 
 def mu(problem: GitProblem, point: PointSample, lam: OnePS) -> int | None:

@@ -252,9 +252,14 @@ def _text_classify(r: dict) -> list[str]:
 
 
 def _text_patterns(r: dict) -> list[str]:
+    # Rows share their name lists and verdict dicts (see `cli._cmd_patterns`),
+    # so each distinct object is formatted once, keyed by its id.
+    rows = r["rows"]
+    pieces = {id(v): v for row in rows for v in (row["base"], row["fiber"], row["verdict"])}
+    text = {i: _verdict(v) if type(v) is dict else _braced(v) for i, v in pieces.items()}
     lines = [
-        f"base={_braced(row['base'])} fiber={_braced(row['fiber'])}: {_verdict(row['verdict'])}"
-        for row in r["rows"]
+        f"base={text[id(row['base'])]} fiber={text[id(row['fiber'])]}: {text[id(row['verdict'])]}"
+        for row in rows
     ]
     lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in r["counts"].items()))
     return lines

@@ -10,7 +10,8 @@ solver as it was before its integer-only back-substitution: every stage is
 eliminated, and the witness is back-substituted with `Fraction`s.
 `config_verdict_oracle` is the chain classifier as it was before it read
 weights at the cube points of a stratum: one cone per sign orthant, solved
-by `verdict_over_pieces`.
+by `verdict_over_pieces`, the multi-piece verdict walk that the package's
+pattern core used before it became one system per support.
 `invariant_monomials_oracle`, `minimal_generators_oracle` and
 `relations_oracle` are the invariant-ring kernels as they were before the
 meet-in-the-middle enumeration, without their shortcuts: every exponent
@@ -42,8 +43,15 @@ from torstab import (
     mu_from_pattern,
     support,
 )
-from torstab.classify import Verdict, verdict_over_pieces
-from torstab.cones import ConeProblem, FeasibilityResult, _eliminate, make_cone_problem
+from torstab.classify import Verdict
+from torstab.cones import (
+    ConeProblem,
+    FeasibilityResult,
+    _eliminate,
+    cone_has_nonzero,
+    make_cone_problem,
+    solve_cone,
+)
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
 from torstab.invariants import _variable_weights
@@ -259,6 +267,35 @@ def brute_force_config_status(
         if value <= 0:
             stable = False
     return StabilityStatus.STABLE if stable else StabilityStatus.STRICTLY_SEMISTABLE
+
+
+def verdict_over_pieces(pieces, dim: int, weight) -> Verdict:
+    """Verdict for a weight that is linear on each piece (weak, strict).
+
+    A piece is the cone where its weak rows are >= 0; on it the weight is
+    < 0 exactly where every strict row is >= 1 and <= 0 exactly where every
+    strict row is >= 0, so every piece has at least one strict row.
+
+    The first pass solves {weak >= 0, strict >= 1} on each piece in order;
+    the first integral point found destabilizes.  Only then does a second
+    pass look for a nonzero point of {weak >= 0, strict >= 0}, walking the
+    pieces the first pass already built, so pieces may be generated lazily
+    and an unstable point never pays for the pieces after its witness.
+    Each witness's weight is recomputed by `weight` (None when infinite),
+    and the Verdict constructor rejects it unless it is < 0 (unstable) or 0
+    (strictly semistable).
+    """
+    seen = []
+    for weak, strict in pieces:
+        seen.append((weak, strict))
+        destab = solve_cone(make_cone_problem(weak, strict, dim))
+        if destab.feasible:
+            return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
+    for weak, strict in seen:
+        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
+        if blocker is not None:
+            return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
+    return Verdict(StabilityStatus.STABLE)
 
 
 def config_verdict_oracle(table: WeightTable, config: ChainConfiguration) -> Verdict:

@@ -24,7 +24,7 @@ from torstab import (
     support,
 )
 from torstab import cones
-from torstab.classify import Verdict, verdict_over_pieces
+from torstab.classify import Verdict
 from torstab.errors import InputError, InternalInvariantError, ZeroSectionError
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     random_point,
     random_problem,
     synthetic_point,
+    verdict_over_pieces,
 )
 
 GOLDEN_CONIC = {
@@ -220,7 +221,7 @@ def test_classify_pattern_direct(conic):
     assert classify(conic, realized).status is verdict.status
 
 
-# --- shared verdict core ----------------------------------------------------
+# --- the multi-piece verdict walk of the tests' chain oracle ---------------
 
 
 def _dot_weight(form):
@@ -431,6 +432,31 @@ def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
     # a witness already found for a smaller support satisfies.
     assert Counter(questions) == {"solve_cone": 33, "cone_has_nonzero": 20}
     assert Counter(one_by_one) == {"solve_cone": 992, "cone_has_nonzero": 372}
+
+
+# Its supports {u2}, {x0, u0} and {x0, u3} are each solved strictly
+# semistable, all three with the witness (1, 0).
+REPEATED_WITNESS = GitProblem(
+    torus_rank=2,
+    base_vars=(("x0", (0, 1)), ("x1", (-1, 1)), ("x2", (-2, 1))),
+    fiber_vars=(("u0", (0, -1)), ("u1", (-1, -2)), ("u2", (0, 0)), ("u3", (0, -1))),
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3_5x5_seed1", "rank4_4x4_seed1", "rank4_4x4_seed2", "repeated-witness"]
+)
+def test_a_table_holds_one_verdict_object_per_distinct_verdict(name):
+    if name == "repeated-witness":
+        problem = REPEATED_WITNESS
+    else:
+        problem = parse_problem((TABLES / f"{name}.problem").read_text())
+    verdicts = [v for _, v in classify_patterns(problem).rows]
+    objects: dict[Verdict, set[int]] = {}
+    for verdict in verdicts:
+        objects.setdefault(verdict, set()).add(id(verdict))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) < len(verdicts) // 5
 
 
 def test_one_solved_witness_covers_the_larger_supports_it_satisfies(monkeypatch):

@@ -3,11 +3,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torstab import (
     GitProblem,
     classify_pattern,
     classify_patterns,
+    conic_bundle_problem,
     limit_point,
     mu,
     mu_from_pattern,
@@ -16,6 +18,7 @@ from torstab import (
 )
 from torstab.errors import DimensionMismatchError, InputError, ZeroSectionError
 from torstab.model import SupportPattern
+from torstab.mu import pairings, weight_of_pairings
 
 from conftest import mu_oracle, point, random_point, random_problem, synthetic_point
 
@@ -264,3 +267,44 @@ def test_mu_from_pattern_equals_the_oracle_on_every_table_row():
             assert verdict.witness_mu == mu_oracle(problem, p, verdict.witness, 2)
             reused += verdict.witness != classify_pattern(problem, pattern).witness
     assert reused > 0
+
+
+# --- the weight rule over a witness's pairings ------------------------------
+
+
+@st.composite
+def supports_and_lambdas(draw):
+    """A problem of rank 1-3 with 0-3 base and 1-3 fiber variables (weights
+    and shift in [-3, 3]), one of its support patterns, and a lambda."""
+    rank = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    nb = draw(st.integers(0, 3))
+    nf = draw(st.integers(1, 3))
+    problem = GitProblem(
+        torus_rank=rank,
+        base_vars=tuple((f"x{i}", draw(vector)) for i in range(nb)),
+        fiber_vars=tuple((f"u{j}", draw(vector)) for j in range(nf)),
+        shift=draw(st.one_of(st.just(()), vector)),
+    )
+    base = draw(st.frozensets(st.sampled_from(problem.base_names))) if nb else frozenset()
+    fiber = draw(st.frozensets(st.sampled_from(problem.fiber_names), min_size=1))
+    return problem, SupportPattern(base, fiber), draw(vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports_and_lambdas())
+@example((conic_bundle_problem(), SupportPattern(frozenset({"x"}), frozenset({"u"})), (-1,)))
+@example((conic_bundle_problem(), SupportPattern(frozenset({"x"}), frozenset({"u"})), (1,)))
+def test_weight_of_a_rows_pairings_equals_mu_from_pattern_and_the_oracle(case):
+    # A pattern table re-checks a reused witness from its pairings with
+    # every declared variable, read at the row's own support; that must be
+    # `mu_from_pattern`'s weight and the enumeration oracle's, None included.
+    problem, pattern, lam = case
+    pairs = pairings(problem, lam)
+    assert len(pairs) == len(problem.var_names)
+    position = {name: i for i, name in enumerate(problem.var_names)}
+    base = [pairs[position[n]] for n in pattern.base]
+    weight = weight_of_pairings(base, [pairs[position[n]] for n in pattern.fiber])
+    assert (weight is None) == any(p < 0 for p in base)
+    assert weight == mu_from_pattern(problem, pattern, lam)
+    assert weight == mu_oracle(problem, synthetic_point(problem, pattern), lam, 2)

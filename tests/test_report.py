@@ -213,6 +213,60 @@ def test_patterns_report_renders_each_shared_fragment_once(monkeypatch):
     assert not any(counts[id(row)] for row in rows)
 
 
+def _unshared(value):
+    """A copy of a report in which no list or dict object occurs twice."""
+    if type(value) is dict:
+        return {k: _unshared(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_unshared(v) for v in value]
+    return value
+
+
+def test_sweep_report_shares_and_renders_each_fragment_once(monkeypatch):
+    # `conic --sweep` builds one stratum list per stratum (the one in
+    # `stratum_weights`), one lengths list per lengths tuple and one verdict
+    # dict per distinct verdict; both views equal those of an unshared copy.
+    _, report = _run(["conic", "--n", "3", "--sweep", "--format", "json"])
+    result = report["result"]
+    rows = result["rows"]
+    strata = {tuple(s["stratum"]): s["stratum"] for s in result["stratum_weights"]}
+    assert all(row["stratum"] is strata[tuple(row["stratum"])] for row in rows)
+    for key in ("lengths", "verdict"):
+        values = [row[key] for row in rows]
+        assert len({id(v) for v in values}) == len({json.dumps(v) for v in values}) < len(rows)
+    plain = _unshared(report)
+    assert to_json(report) == to_json(plain) == stdlib_json(report)
+    assert to_text(report) == to_text(plain)
+    counts = _count_renders(monkeypatch)
+    to_json(report)
+    shared = {id(row[key]) for row in rows for key in ("lengths", "verdict")}
+    assert {counts[i] for i in shared} == {1}
+    # A stratum list goes out once in `stratum_weights` and once in `rows`.
+    assert {counts[id(row["stratum"])] for row in rows} == {2}
+
+
+def test_text_view_formats_each_shared_pattern_piece_once(monkeypatch):
+    problem = Path(__file__).parent / "tables" / "rank3_5x5_seed1.problem"
+    _, report = _run(["patterns", "--problem", str(problem), "--format", "json"])
+    rows = report["result"]["rows"]
+    calls = Counter()
+    for name in ("_braced", "_verdict"):
+
+        def counted(value, _name=name, _original=getattr(report_module, name)):
+            calls[_name] += 1
+            return _original(value)
+
+        monkeypatch.setattr(report_module, name, counted)
+    shown = to_text(report)
+    names = {id(row[key]) for row in rows for key in ("base", "fiber")}
+    verdicts = {id(row["verdict"]) for row in rows}
+    assert calls == {"_braced": len(names), "_verdict": len(verdicts)}
+    # An unshared copy formats every piece anew and prints the same text.
+    calls.clear()
+    assert to_text(_unshared(report)) == shown
+    assert calls == {"_braced": 2 * len(rows), "_verdict": len(rows)}
+
+
 @pytest.mark.parametrize(
     "argv, tables",
     [
