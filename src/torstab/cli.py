@@ -237,9 +237,13 @@ def _parse_stratum(args) -> Stratum:
         vanishing: frozenset[int] = frozenset()
     else:
         try:
-            vanishing = frozenset(int(x) for x in text.split(","))
+            indices = [int(x) for x in text.split(",")]
         except ValueError as exc:
             raise InputError(f"bad stratum {args.stratum!r}: {exc}") from exc
+        vanishing = frozenset(indices)
+        if len(vanishing) != len(indices):
+            repeated = next(i for k, i in enumerate(indices) if i in indices[:k])
+            raise InputError(f"duplicate vanishing index {repeated} in --stratum")
     return Stratum(args.n, vanishing)
 
 

@@ -47,12 +47,17 @@ unstable witness, else one of weight 0 a strictly semistable one (see
 sign orthant, in product((1, -1)) order with a zero counting as +, then
 lexicographically.
 
-A point's pairing with each component's limit weights depends only on the
-table and the stratum, so a configuration's weight there is one dot
-product with its lengths.  `sweep_equivalence` keeps these pairings per
-stratum for the sweep; its rows and witnesses are those of
-`classify_config` on each configuration alone, and every witness's weight
-is still recomputed by `mu_config`.
+Which strata keep a point is read off one walk of the cube: each point is
+tagged with the smooth stratum's base-limit rows it breaks, and a stratum
+keeps the points whose broken rows all vanish on it.
+
+A point's pairing with a component's limit weights depends only on the
+table, the point and the component's interval, so a configuration's weight
+there is one dot product with its lengths.  `sweep_equivalence` walks the
+cube once and computes each (interval, point) pairing once for all strata;
+its rows and witnesses are those of `classify_config` on each
+configuration alone, and every witness's weight is still recomputed by
+`mu_config`.
 """
 
 from __future__ import annotations
@@ -74,9 +79,9 @@ Interval = tuple[int, ...]
 class Stratum(namedtuple("Stratum", "n vanishing")):
     """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`.
 
-    No ``__slots__``: the chain, the base-limit rows and the cube points
-    below are cached in the instance dict, which equality, hashing and repr
-    ignore.
+    No ``__slots__``: the chain, the base-limit rows, the inner counts and
+    the cube points below are cached in the instance dict, which equality,
+    hashing and repr ignore.
     """
 
     n: int
@@ -111,15 +116,44 @@ class Stratum(namedtuple("Stratum", "n vanishing")):
         )
 
     @cached_property
+    def inner_counts(self) -> tuple[int, ...]:
+        """Per component, its count of inner chain positions 1..n: the ends 0
+        and n+1 lie on the first and the last component."""
+        counts = [len(interval) for interval in self.intervals]
+        counts[0] -= 1
+        counts[-1] -= 1
+        return tuple(counts)
+
+    @cached_property
     def cube_points(self) -> tuple[tuple[int, ...], ...]:
         """Every nonzero lambda in {-1, 0, 1}^n on the base-limit rows, by
         sign orthant (a zero counting as +), then lexicographically."""
-        points = (
-            v
-            for v in product((-1, 0, 1), repeat=self.n)
-            if any(v) and all(sum(map(mul, row, v)) >= 0 for row in self.limit_rows)
-        )
-        return tuple(sorted(points, key=lambda v: (tuple(x < 0 for x in v), v)))
+        return _points_on(_tagged_cube(self.n), self.vanishing)
+
+
+def _tagged_cube(n: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Every nonzero lambda in {-1, 0, 1}^n, in cube-point order (by sign
+    orthant, a zero counting as +, then lexicographically), each with the
+    indices i of the smooth stratum's base-limit rows it breaks: the t_i it
+    gives negative weight."""
+    rows = Stratum(n, frozenset()).limit_rows
+    tagged = []
+    for negative in product((False, True), repeat=n):
+        for v in product(*[(-1,) if neg else (0, 1) for neg in negative]):
+            if any(v):
+                broken = frozenset(
+                    i for i, row in enumerate(rows, 1) if sum(map(mul, row, v)) < 0
+                )
+                tagged.append((v, broken))
+    return tagged
+
+
+def _points_on(
+    tagged: list[tuple[tuple[int, ...], frozenset[int]]], vanishing: frozenset[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The tagged points on a stratum's base-limit rows: those whose broken
+    rows all belong to vanishing t_i, which impose no row there."""
+    return tuple(v for v, broken in tagged if broken <= vanishing)
 
 
 class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marked_points")):
@@ -154,11 +188,7 @@ class ChainConfiguration(namedtuple("ChainConfiguration", "stratum lengths marke
 def admissible(config: ChainConfiguration) -> bool:
     """True iff each component carries length equal to its count of inner
     chain positions."""
-    inner = range(1, config.stratum.n + 1)
-    return all(
-        length == sum(1 for i in interval if i in inner)
-        for interval, length in zip(config.stratum.intervals, config.lengths)
-    )
+    return tuple(config.lengths) == config.stratum.inner_counts
 
 
 class WeightTable(namedtuple("WeightTable", "n multipliers")):
@@ -236,13 +266,25 @@ def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int
     return -total
 
 
-def _point_pairings(table: WeightTable, stratum: Stratum) -> list[tuple[int, ...]]:
-    """Per cube point of the stratum, its pairing with each component's
-    limit weights there: minus the weight of one point on that component."""
-    return [
-        tuple(sum(map(mul, table.limit_weights(interval, v), v)) for interval in stratum.intervals)
-        for v in stratum.cube_points
-    ]
+def _point_pairings(
+    table: WeightTable,
+    stratum: Stratum,
+    points: tuple[tuple[int, ...], ...],
+    known: dict[tuple[Interval, tuple[int, ...]], int],
+) -> list[tuple[int, ...]]:
+    """Per point, its pairing with each component's limit weights there:
+    minus the weight of one point on that component.  `known` holds the
+    pairings already computed, by (interval, point), and gains the rest."""
+    pairings = []
+    for v in points:
+        row = []
+        for interval in stratum.intervals:
+            key = (interval, v)
+            if key not in known:
+                known[key] = sum(map(mul, table.limit_weights(interval, v), v))
+            row.append(known[key])
+        pairings.append(tuple(row))
+    return pairings
 
 
 def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
@@ -250,19 +292,26 @@ def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     docstring); each witness's weight is recomputed by `mu_config`."""
     if config.stratum.n != table.n:
         raise InputError("configuration and weight table have different n")
-    return _verdict_at_points(table, config, _point_pairings(table, config.stratum))
+    points = config.stratum.cube_points
+    return _verdict_at_points(
+        table, config, points, _point_pairings(table, config.stratum, points, {})
+    )
 
 
 def _verdict_at_points(
-    table: WeightTable, config: ChainConfiguration, pairings: list[tuple[int, ...]]
+    table: WeightTable,
+    config: ChainConfiguration,
+    points: tuple[tuple[int, ...], ...],
+    pairings: list[tuple[int, ...]],
 ) -> Verdict:
-    """The first cube point of weight < 0 destabilizes.  Otherwise a point of
-    weight 0 blocks stability: of those in the first sign orthant holding
-    one, the one whose first nonzero coordinate comes first, then the first
-    in list order; that is the point `cones.cone_has_nonzero` returns on the
-    orthant's cone of weight <= 0."""
+    """Read the verdict off the stratum's cube points `points`, with their
+    `_point_pairings`.  The first point of weight < 0 destabilizes.
+    Otherwise a point of weight 0 blocks stability: of those in the first
+    sign orthant holding one, the one whose first nonzero coordinate comes
+    first, then the first in list order; that is the point
+    `cones.cone_has_nonzero` returns on the orthant's cone of weight <= 0."""
     zeros = []
-    for v, row in zip(config.stratum.cube_points, pairings):
+    for v, row in zip(points, pairings):
         negated = sum(map(mul, config.lengths, row))
         if negated > 0:
             return Verdict(StabilityStatus.UNSTABLE, v, mu_config(table, config, v))
@@ -452,16 +501,24 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
     admissibility criterion.
 
-    Each stratum's point pairings are built once, for all its
-    configurations, in a dict that lives for the sweep.  Rows and witnesses
-    are those of `classify_config` on every configuration alone.
+    The sweep walks the cube once, computes each (interval, point) pairing
+    once for every stratum holding both, and lists the compositions once
+    per component count.  Rows come in `_all_configs` order, and rows and
+    witnesses are those of `classify_config` on every configuration alone.
     """
-    pairings: dict[Stratum, list[tuple[int, ...]]] = {}
+    n = table.n
+    tagged = _tagged_cube(n)
+    known: dict[tuple[Interval, tuple[int, ...]], int] = {}
+    splits: dict[int, list[tuple[int, ...]]] = {}
     rows = []
-    for config in _all_configs(table.n):
-        stratum = config.stratum
-        if stratum not in pairings:
-            pairings[stratum] = _point_pairings(table, stratum)
-        verdict = _verdict_at_points(table, config, pairings[stratum])
-        rows.append(SweepRow(config, admissible(config), verdict))
+    for stratum in strata(n):
+        points = _points_on(tagged, stratum.vanishing)
+        pairings = _point_pairings(table, stratum, points, known)
+        parts = len(stratum.intervals)
+        if parts not in splits:
+            splits[parts] = compositions(n, parts)
+        for lengths in splits[parts]:
+            config = ChainConfiguration(stratum, lengths)
+            verdict = _verdict_at_points(table, config, points, pairings)
+            rows.append(SweepRow(config, admissible(config), verdict))
     return SweepReport(table, tuple(rows))

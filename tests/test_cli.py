@@ -441,6 +441,15 @@ def test_conic_refuses_an_empty_marked(capture):
     assert err == "error: marked points use component:coordinate, got ''\n"
 
 
+@pytest.mark.parametrize("stratum", ["1,1", "3,1,3"])
+def test_conic_refuses_a_repeated_vanishing_index(capture, stratum):
+    # A repeated index would name the stratum of the set without it.
+    code, out, err = capture("conic", "--n", "2", "--stratum", stratum, "--lengths", "1,1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: duplicate vanishing index {stratum[0]} in --stratum\n"
+
+
 @pytest.mark.parametrize("sign", ["engine", "opposite"])
 def test_conic_mu_is_inf_where_the_base_limit_fails(capture, sign):
     # On the smooth n = 2 stratum t_1 = 1 has weight s_1 = -1 < 0.

@@ -1,12 +1,13 @@
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torstab import StabilityStatus, cones
+from torstab import StabilityStatus, cones, degeneration
 from torstab.degeneration import (
     ChainConfiguration,
     Stratum,
@@ -120,6 +121,21 @@ def test_inner_positions_sum_to_n():
             ]
             assert sum(counts) == n
             assert admissible(ChainConfiguration(stratum, tuple(counts)))
+
+
+def test_cube_points_and_admissibility_match_their_definitions():
+    # The sweep and `classify_config` share one cube filter; pin it, and the
+    # inner counts `admissible` compares with, against the definitions.
+    for n in range(1, 6):
+        cube = [v for v in product((-1, 0, 1), repeat=n) if any(v)]
+        for stratum in strata(n):
+            on_rows = [v for v in cube if all(dot(row, v) >= 0 for row in stratum.limit_rows)]
+            expected = sorted(on_rows, key=lambda v: (tuple(x < 0 for x in v), v))
+            assert stratum.cube_points == tuple(expected), stratum
+            inner = [sum(1 for i in interval if 1 <= i <= n) for interval in stratum.intervals]
+            for lengths in compositions(n, len(stratum.intervals)):
+                config = ChainConfiguration(stratum, lengths)
+                assert admissible(config) is (list(lengths) == inner), config
 
 
 def test_compositions_are_the_lexicographic_tuples_with_that_sum():
@@ -396,6 +412,45 @@ def test_sweep_beyond_the_table_cap():
     assert len(report.rows) == 5336
     assert report.equivalence_holds
     assert report.strictly_semistable_count == 0
+
+
+def test_a_sweep_pairs_each_interval_and_cube_point_once(monkeypatch):
+    # A pairing depends on the interval and the point alone, so a sweep
+    # computes each once for all strata; `mu_config` still recomputes every
+    # witness's weight from `limit_weights` on its own.
+    table = build_weight_table(3, (500, 20))
+    distinct = {
+        (interval, v)
+        for stratum in strata(3)
+        for interval in stratum.intervals
+        for v in stratum.cube_points
+    }
+    pairings = Counter()
+    inside, rechecked = [], []
+    real_limit_weights, real_mu_config = WeightTable.limit_weights, degeneration.mu_config
+
+    def limit_weights(self, interval, signs):
+        if not inside:
+            pairings[interval, signs] += 1
+        return real_limit_weights(self, interval, signs)
+
+    def mu_config(*args):
+        inside.append(True)
+        try:
+            rechecked.append(real_mu_config(*args))
+        finally:
+            inside.pop()
+        return rechecked[-1]
+
+    monkeypatch.setattr(WeightTable, "limit_weights", limit_weights)
+    monkeypatch.setattr(degeneration, "mu_config", mu_config)
+    report = sweep_equivalence(table)
+    assert len(distinct) == 229
+    assert set(pairings) == distinct
+    assert set(pairings.values()) == {1}
+    witnessed = [row.verdict for row in report.rows if row.verdict.witness is not None]
+    assert len(witnessed) == 176
+    assert rechecked == [verdict.witness_mu for verdict in witnessed]
 
 
 def test_classify_matches_box_scan_everywhere():
