@@ -124,8 +124,11 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _mono_dict(mono) -> dict:
-    return {"monomial": {n: e for n, e in mono.exponents}, "l_degree": mono.l_degree}
+def _mono_dict(mono, names) -> dict:
+    """An invariant monomial as its report dict; `names` are the problem's
+    `var_names`, the variables its exponent vector is over."""
+    monomial = {n: e for n, e in zip(names, mono.exponents) if e}
+    return {"monomial": monomial, "l_degree": mono.l_degree}
 
 
 def _degree_bounded(max_degree: int) -> list[str]:
@@ -182,8 +185,9 @@ def _cmd_patterns(args):
 
 def _cmd_invariants(args):
     monos = invariant_monomials(args.problem, args.max_degree)
+    variables = args.problem.var_names
     result = {
-        "invariant_monomials": [_mono_dict(m) for m in monos],
+        "invariant_monomials": [_mono_dict(m, variables) for m in monos],
         "max_degree": args.max_degree,
     }
     return result, _degree_bounded(args.max_degree)
@@ -194,8 +198,9 @@ def _cmd_relations(args):
     names = [f"g{i}" for i in range(len(gens))]
     warnings = _degree_bounded(args.max_degree)
     rels = relations(gens, args.syzygy_degree, names, warnings=warnings)
+    variables = args.problem.var_names
     result = {
-        "generators": [dict(_mono_dict(m), name=n) for n, m in zip(names, gens)],
+        "generators": [dict(_mono_dict(m, variables), name=n) for n, m in zip(names, gens)],
         "relations": [p.term_dicts() for p in rels],
     }
     return result, warnings
@@ -203,10 +208,13 @@ def _cmd_relations(args):
 
 def _cmd_quotient(args):
     pres = quotient_presentation(args.problem, args.max_degree, args.syzygy_degree)
+    variables = args.problem.var_names
     result = {
-        "base_generators": [dict(_mono_dict(m), name=n) for n, m in pres.base_generators],
+        "base_generators": [
+            dict(_mono_dict(m, variables), name=n) for n, m in pres.base_generators
+        ],
         "proj_generators": [
-            dict(_mono_dict(m), name=n) for n, m, _ in pres.proj_generators
+            dict(_mono_dict(m, variables), name=n) for n, m, _ in pres.proj_generators
         ],
         "relations": [p.term_dicts() for p in pres.relations],
         "ambient": pres.ambient,
@@ -222,7 +230,7 @@ def _cmd_stabilizer(args):
 def _cmd_sections(args):
     section = semistable_via_sections(args.problem, args.point, args.max_degree)
     result = {
-        "section": None if section is None else _mono_dict(section),
+        "section": None if section is None else _mono_dict(section, args.problem.var_names),
         "max_degree": args.max_degree,
     }
     # A section found certifies semistability whatever the bound.

@@ -21,22 +21,27 @@ monomials iff a generator of smaller degree divides it, so
 `minimal_generators` tests each monomial against the generators found so
 far only.
 
+A monomial is its exponent vector over the problem's `var_names`, zeros
+included: base variables first, then fiber variables, each in declaration
+order.  Every function here works on these vectors, and the generator
+exponent matrix of `relations` is their list; variable names are attached
+only when a report is built.
+
 Canonical monomial order everywhere: ascending total degree, then descending
-lexicographic exponent vector in declaration order, i.e. ascending
-(total degree, negated exponent vector), the key each monomial gets once,
-when it is found.  All outputs are deterministic.
+lexicographic exponent vector, i.e. ascending (total degree, negated
+exponent vector), the key each monomial gets once, when it is found.  All
+outputs are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import gcd
 from operator import add, itemgetter, le, neg, sub
 
 from .errors import InputError
-from .model import GitProblem, Monomial, PointSample, Polynomial, support
+from .model import GitProblem, PointSample, Polynomial, support
 from .snf import IntegerLattice, left_kernel
 
 WeightVector = tuple[int, ...]
@@ -45,31 +50,17 @@ MAX_RELATION_CANDIDATES = 100_000  # distinct generator products tried
 
 
 class MonomialInvariant(namedtuple("MonomialInvariant", "exponents l_degree")):
-    """A weight-zero monomial; l_degree is its total degree in fiber variables.
+    """A weight-zero monomial: its exponent vector over the problem's
+    `var_names`, zeros included, and l_degree, its total degree in fiber
+    variables."""
 
-    No ``__slots__``: `total_degree` is kept in the instance dict.
-    """
-
-    exponents: Monomial
+    exponents: tuple[int, ...]
     l_degree: int
+    __slots__ = ()
 
-    # Summed on first use and kept.  A cached property, not a field, so
-    # equality, hashing and repr see only the exponents and l_degree.
-    @cached_property
+    @property
     def total_degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exponents)
-
-
-def _variable_weights(problem: GitProblem) -> list[tuple[str, WeightVector, bool]]:
-    rows: list[tuple[str, WeightVector, bool]] = []
-    for name, weight in problem.base_vars:
-        rows.append((name, weight, False))
-    for name, _ in problem.fiber_vars:
-        rows.append((name, problem.shifted_fiber_weight(name), True))
-    return rows
+        return sum(self.exponents)
 
 
 Window = list[tuple[int, int]]  # per weight coordinate: least and greatest change
@@ -108,14 +99,10 @@ def _placements(
 
 
 def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[MonomialInvariant]:
-    """All weight-zero monomials of total degree <= the bound, except 1.
-
-    Exponent tuples keep the variable declaration order.
-    """
+    """All weight-zero monomials of total degree <= the bound, except 1."""
     if max_total_degree < 1:
         raise InputError(f"degree bound must be >= 1, got {max_total_degree}")
-    variables = _variable_weights(problem)
-    weights = [wvec for _, wvec, _ in variables]
+    weights = problem.weights
     n, rank, bound = len(weights), problem.torus_rank, max_total_degree
     split = n // 2
     before = _windows(weights, rank)
@@ -138,13 +125,10 @@ def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[Mono
                 break
             keys.append((degree + tail_degree, head + tail))
     keys.sort()
-    names = [name for name, _, _ in variables]
     nbase = len(problem.base_vars)
     # keys[0] is (0, all zeros), the monomial 1.
     return [
-        MonomialInvariant(
-            tuple((name, -e) for name, e in zip(names, negated) if e), -sum(negated[nbase:])
-        )
+        MonomialInvariant(tuple(map(neg, negated)), -sum(negated[nbase:]))
         for _, negated in keys[1:]
     ]
 
@@ -160,17 +144,10 @@ def minimal_generators(monomials: list[MonomialInvariant]) -> list[MonomialInvar
     generators of smaller degree are those found so far, and one of equal
     degree divides only itself, so each monomial is tested against them.
     """
-    names = dict.fromkeys(name for mono in monomials for name, _ in mono.exponents)
-    index = {name: i for i, name in enumerate(names)}
-    generators = []
-    rows: list[list[int]] = []
+    generators: list[MonomialInvariant] = []
     for mono in monomials:
-        vector = [0] * len(index)
-        for name, e in mono.exponents:
-            vector[index[name]] = e
-        if not any(all(map(le, row, vector)) for row in rows):
+        if not any(all(map(le, g.exponents, mono.exponents)) for g in generators):
             generators.append(mono)
-            rows.append(vector)
     return generators
 
 
@@ -233,10 +210,8 @@ def relations(
     if not generators:
         return []
     count = len(generators)
-    variables = sorted({name for gen in generators for name, _ in gen.exponents})
-    exponents = [gen.as_dict() for gen in generators]
-    rows = [tuple(e.get(name, 0) for name in variables) for e in exponents]
-    kernel = left_kernel(rows, len(variables))
+    rows = [g.exponents for g in generators]
+    kernel = left_kernel(rows, len(rows[0]))
     if not kernel:
         return []
 
@@ -357,11 +332,10 @@ def semistable_via_sections(
     bound proves nothing.
     """
     support(point)  # zero-section validation
-    values = point.as_dict()
-    nonzero = {name for name, v in values.items() if v != 0}
+    vanishing = [point.value(name) == 0 for name in problem.var_names]
     for mono in invariant_monomials(problem, max_degree):
         if mono.l_degree < 1:
             continue
-        if all(name in nonzero for name, _ in mono.exponents):
+        if not any(e and zero for e, zero in zip(mono.exponents, vanishing)):
             return mono
     return None

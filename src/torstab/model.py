@@ -110,7 +110,7 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
     """A linearized split-torus action on a projective-over-affine model.
 
     An empty shift stands for the zero shift.  No ``__slots__``: the cached
-    name -> weight lookups below live in the instance dict.
+    weight lookups below live in the instance dict.
     """
 
     torus_rank: int
@@ -125,12 +125,9 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
             raise InputError(f"torus rank must be positive, got {r}")
         if not fiber_vars:
             raise InputError("at least one fiber variable is required")
-        if not shift:
-            shift = (0,) * r
-        if len(shift) != r:
-            raise DimensionMismatchError(
-                f"linearization shift has length {len(shift)}, expected rank {r}"
-            )
+        # Weights first: every variable's weight has length r, so a rank
+        # that no weight matches is refused before the default shift of
+        # length r is built.
         seen: set[str] = set()
         for name, weight in base_vars + fiber_vars:
             if name in seen:
@@ -140,6 +137,12 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
                 raise DimensionMismatchError(
                     f"weight of {name!r} has length {len(weight)}, expected rank {r}"
                 )
+        if not shift:
+            shift = (0,) * r
+        if len(shift) != r:
+            raise DimensionMismatchError(
+                f"linearization shift has length {len(shift)}, expected rank {r}"
+            )
         for poly in ideal:
             undeclared = poly.variables() - seen
             if undeclared:
@@ -158,16 +161,24 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
     def var_names(self) -> tuple[str, ...]:
         return self.base_names + self.fiber_names
 
-    # Name -> weight lookups, built on first use.  They are cached properties,
-    # not fields, so equality, hashing, repr and serialization see only the
+    # Weight lookups, built on first use.  They are cached properties, not
+    # fields, so equality, hashing, repr and serialization see only the
     # declared data.
+    @cached_property
+    def weights(self) -> tuple[WeightVector, ...]:
+        """Every variable's weight, indexed like `var_names`: the base
+        weights, then the fiber weights plus the linearization shift."""
+        return tuple(w for _, w in self.base_vars) + tuple(
+            tuple(a + b for a, b in zip(w, self.shift)) for _, w in self.fiber_vars
+        )
+
     @cached_property
     def _base_weights(self) -> dict[str, WeightVector]:
         return dict(self.base_vars)
 
     @cached_property
     def _shifted_fiber_weights(self) -> dict[str, WeightVector]:
-        return {n: tuple(a + b for a, b in zip(w, self.shift)) for n, w in self.fiber_vars}
+        return dict(zip(self.fiber_names, self.weights[len(self.base_vars) :]))
 
     def base_weight(self, name: str) -> WeightVector:
         try:
@@ -318,7 +329,10 @@ def parse_problem(text: str) -> GitProblem:
         raise InputError("torus_rank must be an integer")
     shift_raw = data.get("linearization_shift")
     shift = _parse_weight(shift_raw, "linearization_shift") if shift_raw is not None else ()
-    ideal = tuple(_parse_polynomial(p) for p in data.get("ideal", []))
+    ideal_raw = data.get("ideal", [])
+    if not isinstance(ideal_raw, list):
+        raise InputError(f"ideal must be a list of generators, got {ideal_raw!r}")
+    ideal = tuple(_parse_polynomial(p) for p in ideal_raw)
     return GitProblem(
         torus_rank=rank,
         base_vars=_parse_vars(data.get("base_vars"), "base_vars"),

@@ -30,9 +30,7 @@ def pairings(problem: GitProblem, lam: OnePS) -> list[int]:
     """<lambda, w_v> for every declared variable, indexed like
     `problem.var_names`: base weights, then shifted fiber weights."""
     lam = problem.check_lambda(lam)
-    return [_dot(lam, w) for _, w in problem.base_vars] + [
-        _dot(lam, problem.shifted_fiber_weight(n)) for n in problem.fiber_names
-    ]
+    return [_dot(lam, w) for w in problem.weights]
 
 
 def weight_of_pairings(base: Iterable[int], fiber: Iterable[int]) -> int | None:

@@ -54,7 +54,6 @@ from torstab.cones import (
 )
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
-from torstab.invariants import _variable_weights
 from torstab.snf import IntegerLattice
 
 
@@ -323,36 +322,35 @@ def decay_profile(magnitude: Fraction, degree: int, steps: int = 20) -> list[Fra
     return [abs(magnitude) * Fraction(1, 2**k) ** degree for k in range(1, steps + 1)]
 
 
-def _order_key(problem: GitProblem, mono: MonomialInvariant) -> tuple[int, tuple[int, ...]]:
-    exps = mono.as_dict()
-    vector = tuple(exps.get(name, 0) for name in problem.var_names)
-    return mono.total_degree, tuple(-e for e in vector)
+def _order_key(mono: MonomialInvariant) -> tuple[int, tuple[int, ...]]:
+    return sum(mono.exponents), tuple(-e for e in mono.exponents)
 
 
 def invariant_monomials_oracle(problem: GitProblem, bound: int) -> list[MonomialInvariant]:
     """`torstab.invariant_monomials` descending into every exponent vector of
-    total degree <= bound and keeping those of weight zero."""
-    variables = _variable_weights(problem)
+    total degree <= bound and keeping those of weight zero.  The weights are
+    read from the declared data: base weights, then fiber weights plus the
+    shift."""
+    weights = [w for _, w in problem.base_vars] + [
+        [a + b for a, b in zip(w, problem.shift)] for _, w in problem.fiber_vars
+    ]
+    nbase = len(problem.base_vars)
     rank = problem.torus_rank
-    fiber_names = set(problem.fiber_names)
     found: list[MonomialInvariant] = []
 
     def descend(idx, budget, weight, exps):
-        if idx == len(variables):
-            if exps and not any(weight):
-                l_degree = sum(e for n, e in exps if n in fiber_names)
-                found.append(MonomialInvariant(tuple(exps), l_degree))
+        if idx == len(weights):
+            if any(exps) and not any(weight):
+                found.append(MonomialInvariant(tuple(exps), sum(exps[nbase:])))
             return
-        name, wvec, _ = variables[idx]
+        wvec = weights[idx]
         for e in range(budget + 1):
-            if e:
-                exps.append((name, e))
+            exps.append(e)
             descend(idx + 1, budget - e, [weight[k] + e * wvec[k] for k in range(rank)], exps)
-            if e:
-                exps.pop()
+            exps.pop()
 
     descend(0, bound, [0] * rank, [])
-    found.sort(key=lambda m: _order_key(problem, m))
+    found.sort(key=_order_key)
     return found
 
 
@@ -365,22 +363,12 @@ def minimal_generators_oracle(monomials: list[MonomialInvariant]) -> list[Monomi
     for mono in monomials:
         reducible = False
         for factor in monomials:
-            if factor.total_degree >= mono.total_degree:
+            if sum(factor.exponents) >= sum(mono.exponents):
                 break  # canonical order is ascending in total degree
-            taken = factor.as_dict()
-            remainder = []
-            divides = True
-            for name, e in mono.exponents:
-                left = e - taken.pop(name, 0)
-                if left < 0:
-                    divides = False
-                    break
-                if left:
-                    remainder.append((name, left))
-            if not divides or taken:
+            rem = tuple(a - b for a, b in zip(mono.exponents, factor.exponents))
+            if min(rem) < 0:
                 continue
-            rem = tuple(remainder)
-            if rem and rem in listed:
+            if any(rem) and rem in listed:
                 reducible = True
                 break
         if not reducible:
@@ -388,14 +376,12 @@ def minimal_generators_oracle(monomials: list[MonomialInvariant]) -> list[Monomi
     return generators
 
 
-def _expand(generators: list[MonomialInvariant], powers: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
-    total: dict[str, int] = {}
+def _expand(generators: list[MonomialInvariant], powers: tuple[int, ...]) -> tuple[int, ...]:
+    total: dict[int, int] = {}
     for gen, power in zip(generators, powers):
-        if not power:
-            continue
-        for name, e in gen.exponents:
-            total[name] = total.get(name, 0) + power * e
-    return tuple(sorted(total.items()))
+        for i, e in enumerate(gen.exponents):
+            total[i] = total.get(i, 0) + power * e
+    return tuple(total.values())
 
 
 def _generator_monomials(count: int, bound: int):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,10 +9,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torstab
 from torstab.cli import main
+from torstab.errors import InputError
 from torstab.golden import GOLDEN_REPORTS
+from torstab.model import parse_problem
 from torstab.report import build_report, to_text
 
 
@@ -90,6 +95,70 @@ def test_non_utf8_file_is_an_input_error(capture, tmp_path, argv):
     assert err.startswith("error: cannot read")
     assert "utf-8" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("ideal", ["null", "5", "true", "{}", '"x"'])
+def test_an_ideal_that_is_not_a_list_exits_1(capture, tmp_path, ideal):
+    path = tmp_path / "p.problem"
+    path.write_text(
+        '{"torus_rank": 1, "base_vars": {"x": [1]}, "fiber_vars": {"u": [1]}, '
+        f'"ideal": {ideal}}}'
+    )
+    code, out, err = capture("classify", "--problem", str(path), "--point", "x=1,u=1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ideal must be a list of generators, got ")
+    assert len(err.splitlines()) == 1
+
+
+SMALL_PROBLEM = {
+    "group": "split-torus",
+    "torus_rank": 1,
+    "base_vars": {"x": [1], "y": [-1]},
+    "fiber_vars": {"u": [1], "v": [-1]},
+    "linearization_shift": [0],
+    "ideal": [
+        [
+            {"coeff": "1", "monomial": {"x": 1, "u": 1}},
+            {"coeff": "-1", "monomial": {"y": 1, "v": 1}},
+        ]
+    ],
+}
+
+# Integers stay within 10**6, so that no drawn rank or exponent asks for a
+# huge allocation or power.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL_PROBLEM)), JSON_VALUES, st.data())
+def test_any_value_of_one_problem_key_is_classified_or_refused(tmp_path_factory, key, value, data):
+    text = json.dumps(dict(SMALL_PROBLEM, **{key: value}))
+    try:
+        names = parse_problem(text).var_names
+    except InputError:
+        names = ("x", "y", "u", "v")
+    values = data.draw(st.lists(st.integers(0, 1), min_size=len(names), max_size=len(names)))
+    path = tmp_path_factory.getbasetemp() / "one-key.problem"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            ["classify", "--problem", str(path), "--point", json.dumps(dict(zip(names, values)))]
+        )
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bad_flag_exit_code(capture):

@@ -128,8 +128,11 @@ def _statuses(problem):
 
 
 def _monomials(problem):
+    """The invariant monomials as name -> exponent maps, with their fiber
+    degrees, independent of the order the variables are declared in."""
     return sorted(
-        (sorted(m.exponents), m.l_degree) for m in invariant_monomials(problem, 4)
+        (sorted(zip(problem.var_names, m.exponents)), m.l_degree)
+        for m in invariant_monomials(problem, 4)
     )
 
 

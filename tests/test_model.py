@@ -40,6 +40,14 @@ def test_parse_rank_mismatch():
         parse_problem(bad)
 
 
+def test_a_rank_no_weight_has_is_refused_before_the_shift_is_built():
+    # A default shift of length 10**19 cannot be built; the weight [1]
+    # refuses the rank first.
+    text = '{"torus_rank": 10000000000000000000, "fiber_vars": {"u": [1]}}'
+    with pytest.raises(DimensionMismatchError, match="weight of 'u' has length 1"):
+        parse_problem(text)
+
+
 def test_parse_king(king):
     text = """
     {
@@ -125,6 +133,7 @@ def test_weight_lookup_is_not_part_of_the_problem():
     )
     assert problem.base_weight("x") == (1, 0)
     assert problem.shifted_fiber_weight("v") == (3, 0)
+    assert problem.weights == ((1, 0), (1, 2), (3, 0))
     for lookup, name in ((problem.base_weight, "u"), (problem.shifted_fiber_weight, "x")):
         with pytest.raises(InputError, match="unknown"):
             lookup(name)
