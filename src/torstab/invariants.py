@@ -15,7 +15,9 @@ Invariant monomials are found meet-in-the-middle.  The variables are split
 at n // 2; every exponent vector of the second half within the degree bound
 is tabled by its weight, and each vector of the first half takes the tabled
 vectors of opposite weight that fit its remaining degree.  Both halves cut a
-vector whose weight the variables not yet placed cannot bring back to zero.
+vector whose weight the variables not yet placed cannot bring back to zero;
+the exponents of a variable that survive the cut form one interval, which
+`_placements` computes by floor divisions instead of testing each exponent.
 On a degree-closed list, a monomial is a product of two smaller listed
 monomials iff a generator of smaller degree divides it, so
 `minimal_generators` tests each monomial against the generators found so
@@ -28,7 +30,7 @@ exponent matrix of `relations` is their list; variable names are attached
 only when a report is built.
 
 Canonical monomial order everywhere: ascending total degree, then descending
-lexicographic exponent vector, i.e. ascending (total degree, negated
+lexicographic exponent vector, i.e. descending (negated total degree,
 exponent vector), the key each monomial gets once, when it is found.  All
 outputs are deterministic.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations_with_replacement
 from math import gcd
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, sub
 
 from .errors import InputError
 from .model import GitProblem, PointSample, Polynomial, support
@@ -79,20 +81,39 @@ def _placements(
     weights: list[WeightVector], windows: list[Window], rank: int, bound: int
 ) -> list[tuple[int, WeightVector, tuple[int, ...]]]:
     """Exponent vectors over `weights`, in the order given, of total degree
-    <= bound, as (degree, weight, negated exponents) triples.
+    <= bound, as (degree, weight, exponents) triples.
 
     windows[k] is the window of the variables still unplaced once variable k
     is placed; a vector whose weight the remaining budget cannot bring back
-    to zero within that window is cut.
+    to zero within that window is cut.  Placing e more units of a variable
+    of weight v on a vector of weight w with spare = bound - degree keeps
+    room*low <= -(w + e*v) <= room*high, room = spare - e, in each weight
+    coordinate, that is e*a <= b for (a, b) = (v - low, -w - spare*low) and
+    (high - v, spare*high + w).  So the kept exponents form one interval,
+    found by floor divisions, and no exponent is tested on its own.
     """
     level = [(0, (0,) * rank, ())]
     for wvec, window in zip(weights, windows):
         grown = []
         for degree, weight, exps in level:
-            for e in range(bound - degree + 1):
-                room = bound - degree - e
-                if all(room * low <= -w <= room * high for (low, high), w in zip(window, weight)):
-                    grown.append((degree + e, weight, exps + (-e,)))
+            spare = bound - degree
+            first, last = 0, spare
+            for (low, high), w, v in zip(window, weight, wvec):
+                for a, b in ((v - low, -w - spare * low), (high - v, spare * high + w)):
+                    if a > 0:
+                        if b // a < last:
+                            last = b // a
+                    elif a < 0:
+                        if -(b // -a) > first:
+                            first = -(b // -a)
+                    elif b < 0:
+                        last = -1
+            if first > last:
+                continue
+            if first:
+                weight = tuple([w + first * v for w, v in zip(weight, wvec)])
+            for e in range(first, last + 1):
+                grown.append((degree + e, weight, exps + (e,)))
                 weight = tuple(map(add, weight, wvec))
         level = grown
     return level
@@ -105,32 +126,32 @@ def invariant_monomials(problem: GitProblem, max_total_degree: int) -> list[Mono
     weights = problem.weights
     n, rank, bound = len(weights), problem.torus_rank, max_total_degree
     split = n // 2
-    before = _windows(weights, rank)
     after = _windows(weights[::-1], rank)[::-1]  # after[k]: variables k..n-1
     heads = _placements(weights[:split], after[1 : split + 1], rank, bound)
-    # The tails are placed last variable first, so the variables still
-    # unplaced once variable j is placed are 0..j-1.
+    # The tails are placed last variable first, with their weights negated,
+    # so that a tail's weight is the head weight it completes, and the
+    # variables still unplaced once variable j is placed are 0..j-1.
+    negated = [tuple([-c for c in wvec]) for wvec in weights]
+    before = _windows(negated, rank)
     backwards = range(n - 1, split - 1, -1)
     tails = _placements(
-        [weights[j] for j in backwards], [before[j] for j in backwards], rank, bound
+        [negated[j] for j in backwards], [before[j] for j in backwards], rank, bound
     )
     table: dict[WeightVector, list[tuple[int, tuple[int, ...]]]] = {}
     for degree, weight, exps in sorted(tails, key=itemgetter(0)):
-        table.setdefault(tuple(map(neg, weight)), []).append((degree, exps[::-1]))
+        table.setdefault(weight, []).append((degree, exps[::-1]))
     keys = []
     for degree, weight, head in heads:
         room = bound - degree
         for tail_degree, tail in table.get(weight, ()):
             if tail_degree > room:
                 break
-            keys.append((degree + tail_degree, head + tail))
-    keys.sort()
+            keys.append((-degree - tail_degree, head + tail))
+    # Descending (-degree, exponents): ascending degree, then descending
+    # exponent vector.  keys[0] is (0, all zeros), the monomial 1.
+    keys.sort(reverse=True)
     nbase = len(problem.base_vars)
-    # keys[0] is (0, all zeros), the monomial 1.
-    return [
-        MonomialInvariant(tuple(map(neg, negated)), -sum(negated[nbase:]))
-        for _, negated in keys[1:]
-    ]
+    return [MonomialInvariant(exps, sum(exps[nbase:])) for _, exps in keys[1:]]
 
 
 def minimal_generators(monomials: list[MonomialInvariant]) -> list[MonomialInvariant]:

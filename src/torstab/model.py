@@ -109,8 +109,9 @@ class Polynomial(namedtuple("Polynomial", "terms")):
 class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift ideal")):
     """A linearized split-torus action on a projective-over-affine model.
 
-    An empty shift stands for the zero shift.  No ``__slots__``: the cached
-    weight lookups below live in the instance dict.
+    A shift of None stands for the zero shift; any other shift must have
+    one entry per torus coordinate.  No ``__slots__``: the cached weight
+    lookups below live in the instance dict.
     """
 
     torus_rank: int
@@ -119,7 +120,7 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
     shift: WeightVector
     ideal: tuple[Polynomial, ...]
 
-    def __new__(cls, torus_rank, base_vars, fiber_vars, shift=(), ideal=()) -> GitProblem:
+    def __new__(cls, torus_rank, base_vars, fiber_vars, shift=None, ideal=()) -> GitProblem:
         r = torus_rank
         if r < 1:
             raise InputError(f"torus rank must be positive, got {r}")
@@ -137,7 +138,7 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
                 raise DimensionMismatchError(
                     f"weight of {name!r} has length {len(weight)}, expected rank {r}"
                 )
-        if not shift:
+        if shift is None:
             shift = (0,) * r
         if len(shift) != r:
             raise DimensionMismatchError(
@@ -284,7 +285,7 @@ def _loads_strict(text: str) -> object:
 
 def _parse_weight(raw: object, what: str) -> WeightVector:
     if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
-        raise InputError(f"{what} must be a list of integers, got {raw!r}")
+        raise InputError(f"{what} must be a list of integers, got {json.dumps(raw)}")
     return tuple(raw)
 
 
@@ -302,10 +303,12 @@ def _parse_polynomial(raw: object) -> Polynomial:
     terms = []
     for term in raw:
         if not isinstance(term, dict) or set(term) != {"coeff", "monomial"}:
-            raise InputError(f"term must be an object with 'coeff' and 'monomial', got {term!r}")
+            raise InputError(
+                f"term must be an object with 'coeff' and 'monomial', got {json.dumps(term)}"
+            )
         mono = term["monomial"]
         if not isinstance(mono, dict) or not all(_is_int(e) for e in mono.values()):
-            raise InputError(f"monomial must map variable names to integers, got {mono!r}")
+            raise InputError(f"monomial must map variable names to integers, got {json.dumps(mono)}")
         terms.append((term["coeff"], mono))
     return Polynomial.make(terms)
 
@@ -328,10 +331,10 @@ def parse_problem(text: str) -> GitProblem:
     if not _is_int(rank):
         raise InputError("torus_rank must be an integer")
     shift_raw = data.get("linearization_shift")
-    shift = _parse_weight(shift_raw, "linearization_shift") if shift_raw is not None else ()
+    shift = _parse_weight(shift_raw, "linearization_shift") if shift_raw is not None else None
     ideal_raw = data.get("ideal", [])
     if not isinstance(ideal_raw, list):
-        raise InputError(f"ideal must be a list of generators, got {ideal_raw!r}")
+        raise InputError(f"ideal must be a list of generators, got {json.dumps(ideal_raw)}")
     ideal = tuple(_parse_polynomial(p) for p in ideal_raw)
     return GitProblem(
         torus_rank=rank,

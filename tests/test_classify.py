@@ -320,7 +320,7 @@ def pattern_problems(draw):
     nf = draw(st.integers(1, min(4, 7 - nb)))
     weight = st.one_of(st.sampled_from(pool), vector)
     weights = draw(st.lists(weight, min_size=nb + nf, max_size=nb + nf))
-    shift = draw(st.one_of(st.just(()), vector))
+    shift = draw(st.one_of(st.just(None), vector))
     return GitProblem(
         torus_rank=rank,
         base_vars=tuple((f"x{i}", w) for i, w in enumerate(weights[:nb])),

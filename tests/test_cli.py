@@ -107,8 +107,65 @@ def test_an_ideal_that_is_not_a_list_exits_1(capture, tmp_path, ideal):
     code, out, err = capture("classify", "--problem", str(path), "--point", "x=1,u=1")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ideal must be a list of generators, got ")
-    assert len(err.splitlines()) == 1
+    assert err == f"error: ideal must be a list of generators, got {ideal}\n"
+
+
+@pytest.mark.parametrize(
+    "fiber, ideal, message",
+    [
+        ('{"u": true}', "[]", "weight of 'u' must be a list of integers, got true"),
+        ('{"u": null}', "[]", "weight of 'u' must be a list of integers, got null"),
+        ('{"u": [1, "x"]}', "[]", 'weight of \'u\' must be a list of integers, got [1, "x"]'),
+        (
+            '{"u": [1]}',
+            "[[null]]",
+            "term must be an object with 'coeff' and 'monomial', got null",
+        ),
+        (
+            '{"u": [1]}',
+            '[[{"coeff": "1", "monomial": {"x": true}}]]',
+            'monomial must map variable names to integers, got {"x": true}',
+        ),
+    ],
+    ids=["weight-true", "weight-null", "weight-string", "term-null", "monomial-true"],
+)
+def test_problem_errors_quote_json_values_as_json(capture, tmp_path, fiber, ideal, message):
+    path = tmp_path / "p.problem"
+    path.write_text(
+        f'{{"torus_rank": 1, "base_vars": {{"x": [1]}}, "fiber_vars": {fiber}, '
+        f'"ideal": {ideal}}}'
+    )
+    code, out, err = capture("patterns", "--problem", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("shift", ["[]", "[0]", "[0, 0, 0]"])
+def test_an_explicit_shift_of_the_wrong_length_exits_1(capture, tmp_path, shift):
+    path = tmp_path / "p.problem"
+    path.write_text(
+        '{"torus_rank": 2, "base_vars": {"x": [1, 0]}, "fiber_vars": {"u": [0, 1]}, '
+        f'"linearization_shift": {shift}}}'
+    )
+    code, out, err = capture("classify", "--problem", str(path), "--point", "x=1,u=1")
+    assert code == 1
+    assert out == ""
+    length = len(json.loads(shift))
+    assert err == f"error: linearization shift has length {length}, expected rank 2\n"
+
+
+@pytest.mark.parametrize(
+    "shift", ["", ', "linearization_shift": null', ', "linearization_shift": [0, 0]']
+)
+def test_a_missing_shift_is_the_zero_shift(capture, tmp_path, shift):
+    path = tmp_path / "p.problem"
+    path.write_text(
+        '{"torus_rank": 2, "base_vars": {"x": [1, 0]}, "fiber_vars": {"u": [0, 1]}'
+        f"{shift}}}"
+    )
+    code, out, _ = capture("classify", "--problem", str(path), "--point", "x=1,u=1")
+    assert (code, out) == (0, "unstable witness=(0,1) mu=-1\n")
 
 
 SMALL_PROBLEM = {

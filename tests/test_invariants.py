@@ -291,14 +291,14 @@ def test_invariant_monomials_equal_the_full_descent(problem, degree):
 
 
 @st.composite
-def ring_problems(draw):
+def ring_problems(draw, span=3):
     """Rank 1-3, 1-6 variables of which any number up to all are fiber
-    variables, weights in [-3, 3] with zero and repeated weights often, and
-    a linearization shift half of the time."""
+    variables, weights in [-span, span] with zero and repeated weights
+    often, and a linearization shift half of the time."""
     rank = draw(st.integers(1, 3))
     nvars = draw(st.integers(1, 6))
     nfiber = draw(st.integers(1, nvars))
-    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    vector = st.tuples(*[st.integers(-span, span)] * rank)
     pool = draw(st.lists(vector, min_size=1, max_size=3))
     weight = st.one_of(vector, st.sampled_from(pool + [(0,) * rank]))
     weights = [draw(weight) for _ in range(nvars)]
@@ -306,7 +306,7 @@ def ring_problems(draw):
         torus_rank=rank,
         base_vars=tuple((f"x{i}", w) for i, w in enumerate(weights[: nvars - nfiber])),
         fiber_vars=tuple((f"u{i}", w) for i, w in enumerate(weights[nvars - nfiber :])),
-        shift=draw(st.one_of(st.just(()), vector)),
+        shift=draw(st.one_of(st.just(None), vector)),
     )
 
 
@@ -328,6 +328,44 @@ def test_minimal_generators_equal_the_quadratic_scan(problem, degree):
     monos = invariant_monomials(problem, degree)
     assert monos == invariant_monomials_oracle(problem, degree)
     assert minimal_generators(monos) == minimal_generators_oracle(monos)
+
+
+def fiber_problem(*weights):
+    return GitProblem(
+        torus_rank=len(weights[0]),
+        base_vars=(),
+        fiber_vars=tuple((f"u{i}", w) for i, w in enumerate(weights)),
+    )
+
+
+# The exponents each partial vector keeps form one interval per variable,
+# bounded by e*a <= b in every weight coordinate.  The first two examples
+# have a = 0: a weight equal to the edge of the window of the variables
+# after it, and zero weights.  In the third, once the tail u2 is placed at
+# exponent 1, no exponent of u1 leaves a weight that u0 can cancel within
+# degree 2, so u1's interval there is empty.
+@example(
+    GitProblem(
+        torus_rank=1,
+        base_vars=(("x0", (-1,)), ("x1", (-1,))),
+        fiber_vars=(("u0", (1,)), ("u1", (1,))),
+    ),
+    6,
+)
+@example(fiber_problem((0, 0), (0, 0), (0, -1), (0, 1)), 5)
+@example(fiber_problem((3,), (-3,), (1,)), 2)
+@settings(max_examples=150, deadline=None)
+@given(ring_problems(span=7), st.integers(1, 10))
+def test_invariant_monomials_equal_the_full_descent_on_wide_weights(problem, degree):
+    assert invariant_monomials(problem, degree) == invariant_monomials_oracle(problem, degree)
+
+
+def test_p40_ring_to_degree_eighty_has_its_counts():
+    # No time bound: CI runs the same enumeration through the CLI with a
+    # timeout of its own.
+    monos = invariant_monomials(parse_problem(P40.read_text()), 80)
+    assert len(monos) == 30_748
+    assert len(minimal_generators(monos)) == 32
 
 
 def test_p40_ring_to_degree_thirty_is_enumerated_within_its_budget():

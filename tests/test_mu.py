@@ -284,7 +284,7 @@ def supports_and_lambdas(draw):
         torus_rank=rank,
         base_vars=tuple((f"x{i}", draw(vector)) for i in range(nb)),
         fiber_vars=tuple((f"u{j}", draw(vector)) for j in range(nf)),
-        shift=draw(st.one_of(st.just(()), vector)),
+        shift=draw(st.one_of(st.just(None), vector)),
     )
     base = draw(st.frozensets(st.sampled_from(problem.base_names))) if nb else frozenset()
     fiber = draw(st.frozensets(st.sampled_from(problem.fiber_names), min_size=1))
