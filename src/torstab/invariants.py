@@ -17,7 +17,7 @@ is tabled by its weight, and each vector of the first half takes the tabled
 vectors of opposite weight that fit its remaining degree.  Both halves cut a
 vector whose weight the variables not yet placed cannot bring back to zero;
 the exponents of a variable that survive the cut form one interval, which
-`_placements` computes by floor divisions instead of testing each exponent.
+`_placements` computes by floor divisions.
 On a degree-closed list, a monomial is a product of two smaller listed
 monomials iff a generator of smaller degree divides it, so
 `minimal_generators` tests each monomial against the generators found so
