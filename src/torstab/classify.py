@@ -28,7 +28,12 @@ Beyond that, one subgroup certifies every support whose rows it satisfies.
 `classify_patterns` uses all three facts to skip solves whose outcome a
 smaller support already fixed, so a row's witness may be a checked lambda
 found for a smaller support: it can differ from the one `classify_pattern`,
-and so `classify` on a point of that support, returns.
+and so `classify` on a point of that support, returns.  It holds sets of
+rows as the bits of one int, so each solve settles every row it decides
+(the rows containing a stable support, or inside a witness's covered
+variables) with a few AND operations.  The next solve is the lowest row
+still undecided: covered sets are down-closed and every subpattern comes
+first, so it is the row a row-by-row walk would solve next.
 
 Every verdict's witness is re-verified by an independent weight computation
 before it is returned; a mismatch raises InternalInvariantError.
@@ -72,6 +77,20 @@ class Verdict(namedtuple("Verdict", "status witness witness_mu")):
         return self
 
 
+class _Certificate(
+    namedtuple("_Certificate", "inside verdict base_pairs pairs by_weight by_fiber")
+):
+    """A non-stable support's solved witness, as `classify_patterns` reuses it."""
+
+    inside: int  # the rows inside its covered set
+    verdict: Verdict  # the solved row's verdict
+    base_pairs: list[int]  # its pairings with the covered base variables
+    pairs: list[int]  # its pairings with every variable, from `pairings`
+    by_weight: dict[int, Verdict]  # shared by every certificate of one witness
+    by_fiber: dict[int, Verdict]  # the verdict of each fiber subset's rows
+    __slots__ = ()
+
+
 class PatternTable(namedtuple("PatternTable", "rows warnings", defaults=((),))):
     rows: tuple[tuple[SupportPattern, Verdict], ...]
     warnings: tuple[str, ...]
@@ -113,104 +132,168 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     pattern-level only; whether a pattern is realized on the vanishing locus
     is not checked.
 
-    The loops run base size outer, fiber size inner, so every proper
-    subpattern is classified before the patterns containing it.  Each base
-    and fiber subset is built once, as its frozenset, its bitmask over
-    `problem.var_names` and its variable indices.  The call keeps the
-    supports solved stable and solved strictly semistable, and a certificate
-    for every solved non-stable support: the witness's `pairings` with every
-    declared variable, computed once, and the mask of the variables whose
-    rows they satisfy (base rows >= 0; fiber rows >= 1 for an unstable
-    witness, >= 0 for a strictly semistable one).  A pattern is then
-    decided by the first rule that applies:
+    The rows run base size outer, fiber size inner, each in `combinations`
+    order, so every proper subpattern comes before the patterns containing
+    it.  A set of rows is one int, with row `b * F + f` (base subset `b`,
+    fiber subset `f`, F fiber subsets) as its bit; the rows holding a
+    variable are one such set, built once per call, so "the rows containing
+    a support" and "the rows inside a witness's covered variables" are each
+    an AND of those sets and their complements.
 
-      * containing a stable support, it is stable with no solve (its cone
-        lies in one that is {0}, and a stable verdict has no witness);
-      * containing a strictly semistable support, it is not unstable, and
-        the first strictly semistable witness whose mask contains it is a
-        nonzero lambda of weight 0 on it;
-      * otherwise the first unstable witness whose mask contains it
-        destabilizes it;
-      * a pattern no witness covers is solved on its own by
-        `classify_pattern`.  One containing a strictly semistable support
-        has all of that support's rows {B >= 0, F >= 1}, which have no
-        integral point, so only the second solve can find its witness.
+    The next solve is the lowest undecided row, by `classify_pattern`, and
+    each solve settles every undecided row it decides at once:
 
-    A reused witness is re-checked on the row's own support: its weight is
-    `weight_of_pairings` over the row's entries of its pairings, and the
-    `Verdict` constructor rejects it unless it is < 0 (unstable) or 0
-    (strictly semistable).  Stable rows share one `Verdict`, and each
-    witness one per distinct weight, so the table holds one `Verdict` object
-    per distinct verdict.  The statuses are those of classifying every
-    pattern on its own; a witness may be another checked lambda than
-    `classify_pattern` gives.  Nothing is kept past the call.
+      * solved stable, it makes every row containing it stable (their cones
+        lie in its cone, which is {0}; stable verdicts have no witness);
+      * solved unstable, its witness destabilizes every row inside its
+        covered set: the variables whose rows the witness satisfies, base
+        pairings >= 0 and fiber pairings >= 1;
+      * solved strictly semistable, it marks every row containing it as not
+        unstable, and its witness joins the blockers, whose covered sets
+        take fiber pairings >= 0.  Each blocker, in solve order, then takes
+        the marked undecided rows inside its covered set, where its weight
+        is 0.  A marked row no blocker covers is solved; it has all of a
+        semistable support's rows {B >= 0, F >= 1}, so only the second
+        solve can find its witness.
+
+    Covered sets are down-closed and subpatterns come first, so the lowest
+    undecided row is the one a row-by-row walk would solve next, and every
+    row gets the verdict that walk gives it: stable if it contains a
+    support solved stable, else the first covering blocker's if it contains
+    a strictly semistable support, else the first covering destabilizer's.
+    The rules cannot collide, since each premise is true of the row: a row
+    inside a destabilizer's covered set is unstable, so it contains no
+    support solved stable or strictly semistable.  A support solved stable
+    must lie in no covered set, since every covering witness shows it is not
+    stable; otherwise the call raises InternalInvariantError.
+
+    A reused witness is re-checked with `weight_of_pairings` once per fiber
+    subset it takes rows of, over its covered base pairings, all >= 0, and
+    that fiber subset's pairings; a row's base pairings are a subset of
+    the covered ones, so this is each row's own weight.  The `Verdict`
+    constructor rejects it unless it is < 0 (unstable) or 0 (strictly
+    semistable).  Stable rows share one `Verdict`, and each witness one per
+    distinct weight, so the table holds one `Verdict` object per distinct
+    verdict.  The statuses are those of classifying every pattern on its
+    own; a witness may be another checked lambda than `classify_pattern`
+    gives.  Nothing is kept past the call.
     """
     names = problem.var_names
+    if max_vars < 1:
+        raise InputError(f"pattern enumeration cap must be >= 1, got {max_vars}")
     if len(names) > max_vars:
         raise InputError(
             f"{len(names)} variables exceed the pattern enumeration cap {max_vars}"
         )
     base_count = len(problem.base_names)
 
-    def satisfied(pairs: list[int], fiber_floor: int) -> int:
-        """Mask of the variables whose row the pairings satisfy: base rows
-        >= 0, fiber rows >= fiber_floor."""
-        floors = [0] * base_count + [fiber_floor] * (len(names) - base_count)
-        return sum(1 << i for i, (p, f) in enumerate(zip(pairs, floors)) if p >= f)
-
-    def subsets(pool: range, smallest: int) -> list[tuple[frozenset[str], int, tuple[int, ...]]]:
-        """(names, mask, indices) of every subset of the variable indices
-        `pool` with at least `smallest` members, in `combinations` order."""
+    def subsets(pool: range, smallest: int) -> list[tuple[frozenset[str], tuple[int, ...]]]:
+        """(names, indices) of every subset of the variable indices `pool`
+        with at least `smallest` members, in `combinations` order."""
         return [
-            (frozenset(names[i] for i in sub), sum(1 << i for i in sub), sub)
+            (frozenset(names[i] for i in sub), sub)
             for size in range(smallest, len(pool) + 1)
             for sub in combinations(pool, size)
         ]
 
+    base_subsets = subsets(range(base_count), 0)
     fiber_subsets = subsets(range(base_count, len(names)), 1)
+    width = len(fiber_subsets)
     inherited = Verdict(StabilityStatus.STABLE)
-    stable: list[int] = []
-    semistable: list[int] = []
-    # (mask, solved verdict, pairings, Verdict by weight) of every solved
-    # unstable and strictly semistable support.  One weight dict per witness,
-    # since supports solved apart may return the same strictly semistable one.
-    destabilizers: list[tuple[int, Verdict, list[int], dict[int, Verdict]]] = []
-    blockers: list[tuple[int, Verdict, list[int], dict[int, Verdict]]] = []
-    by_witness: dict[tuple[StabilityStatus, OnePS], dict[int, Verdict]] = {}
-    rows = []
-    for base_set, base_mask, base_indices in subsets(range(base_count), 0):
-        for fiber_set, fiber_mask, fiber_indices in fiber_subsets:
-            pattern = SupportPattern(base_set, fiber_set)
-            mask = base_mask | fiber_mask
-            if any(m & mask == m for m in stable):
-                rows.append((pattern, inherited))
-                continue
-            certificates = blockers if any(m & mask == m for m in semistable) else destabilizers
-            cert = next((c for c in certificates if mask & c[0] == mask), None)
-            if cert is not None:
-                _, solved, pairs, by_weight = cert
+    rows = [(SupportPattern(b, f), inherited) for b, _ in base_subsets for f, _ in fiber_subsets]
+    # holding[i]: the rows whose support has variable i, as a spread set of
+    # base subsets (bit b * width for subset b) times a set of fiber subsets
+    # (bits below width), so the product has no carries.
+    every_base = sum(1 << b * width for b in range(len(base_subsets)))
+    every_fiber = (1 << width) - 1
+    spread = [0] * len(names)
+    for b, (_, sub) in enumerate(base_subsets):
+        for i in sub:
+            spread[i] |= 1 << b * width
+    for f, (_, sub) in enumerate(fiber_subsets):
+        for i in sub:
+            spread[i] |= 1 << f
+    holding = [s * every_fiber for s in spread[:base_count]]
+    holding += [every_base * s for s in spread[base_count:]]
+    everything = (1 << len(rows)) - 1
+
+    def rows_with(present: tuple[int, ...], absent: list[int]) -> int:
+        """Rows whose support holds every variable of `present` and none of
+        `absent`."""
+        found = everything
+        for i in present:
+            found &= holding[i]
+        for i in absent:
+            found &= ~holding[i]
+        return found
+
+    def settle(taken: int, cert: _Certificate) -> None:
+        """Give each row of `taken` the certificate's witness, with the
+        weight of the row's fiber subset."""
+        text = bin(taken)[:1:-1]
+        row = text.find("1")
+        while row >= 0:
+            f = row % width
+            verdict = cert.by_fiber.get(f)
+            if verdict is None:
                 weight = weight_of_pairings(
-                    map(pairs.__getitem__, base_indices), map(pairs.__getitem__, fiber_indices)
+                    cert.base_pairs, map(cert.pairs.__getitem__, fiber_subsets[f][1])
                 )
-                verdict = by_weight.get(weight)
+                verdict = cert.by_weight.get(weight)
                 if verdict is None:
-                    verdict = by_weight[weight] = Verdict(solved.status, solved.witness, weight)
-                rows.append((pattern, verdict))
-                continue
-            verdict = classify_pattern(problem, pattern)
-            if verdict.status is StabilityStatus.STABLE:
-                rows.append((pattern, inherited))
-                stable.append(mask)
-                continue
-            by_weight = by_witness.setdefault(verdict[:2], {})
-            verdict = by_weight.setdefault(verdict.witness_mu, verdict)
-            rows.append((pattern, verdict))
-            pairs = pairings(problem, verdict.witness)
-            if verdict.status is StabilityStatus.UNSTABLE:
-                destabilizers.append((satisfied(pairs, 1), verdict, pairs, by_weight))
-            else:
-                semistable.append(mask)
-                blockers.append((satisfied(pairs, 0), verdict, pairs, by_weight))
+                    solved = cert.verdict
+                    verdict = cert.by_weight[weight] = Verdict(
+                        solved.status, solved.witness, weight
+                    )
+                cert.by_fiber[f] = verdict
+            rows[row] = (rows[row][0], verdict)
+            row = text.find("1", row + 1)
+
+    undecided = everything
+    covered = 0  # rows inside some certificate's covered set
+    marked = 0  # rows containing a support solved strictly semistable
+    blockers: list[_Certificate] = []
+    # One weight dict per witness, since supports solved apart may return
+    # the same strictly semistable one.
+    by_witness: dict[tuple[StabilityStatus, OnePS], dict[int, Verdict]] = {}
+    while undecided:
+        row = (undecided & -undecided).bit_length() - 1
+        undecided ^= 1 << row
+        b, f = divmod(row, width)
+        indices = base_subsets[b][1] + fiber_subsets[f][1]
+        pattern = rows[row][0]
+        verdict = classify_pattern(problem, pattern)
+        if verdict.status is StabilityStatus.STABLE:
+            if covered >> row & 1:
+                raise InternalInvariantError(
+                    f"{pattern} solved stable lies inside a witness's covered set"
+                )
+            undecided &= ~rows_with(indices, [])
+            continue
+        by_weight = by_witness.setdefault(verdict[:2], {})
+        verdict = by_weight.setdefault(verdict.witness_mu, verdict)
+        rows[row] = (pattern, verdict)
+        pairs = pairings(problem, verdict.witness)
+        unstable = verdict.status is StabilityStatus.UNSTABLE
+        fiber_floor = 1 if unstable else 0
+        inside = rows_with(
+            (),
+            [i for i, p in enumerate(pairs) if p < (0 if i < base_count else fiber_floor)],
+        )
+        covered |= inside
+        base_pairs = [p for p in pairs[:base_count] if p >= 0]
+        cert = _Certificate(inside, verdict, base_pairs, pairs, by_weight, {})
+        if unstable:
+            taken = undecided & inside
+            settle(taken, cert)
+            undecided ^= taken
+            continue
+        marked |= rows_with(indices, [])
+        blockers.append(cert)
+        for blocker in blockers:
+            taken = undecided & marked & blocker.inside
+            settle(taken, blocker)
+            undecided ^= taken
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)

@@ -43,8 +43,10 @@ def parse_rational(text: str | int) -> Fraction:
     if isinstance(text, str):
         try:
             return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"invalid rational {text!r}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise InputError(f"invalid rational {text!r}: zero denominator") from exc
     raise InputError(f"rationals must be strings or integers, got {type(text).__name__}")
 
 

@@ -12,6 +12,9 @@ eliminated, and the witness is back-substituted with `Fraction`s.
 weights at the cube points of a stratum: one cone per sign orthant, solved
 by `verdict_over_pieces`, the multi-piece verdict walk that the package's
 pattern core used before it became one system per support.
+`pattern_table_oracle` is `classify_patterns` as it was before it decided
+rows by sets: one row at a time, scanning the supports solved stable and
+strictly semistable and then the certificates in solve order.
 `invariant_monomials_oracle`, `minimal_generators_oracle` and
 `relations_oracle` are the invariant-ring kernels as they were before the
 meet-in-the-middle enumeration, without their shortcuts: every exponent
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
 import pytest
@@ -43,7 +46,7 @@ from torstab import (
     mu_from_pattern,
     support,
 )
-from torstab.classify import Verdict
+from torstab.classify import Verdict, classify_pattern
 from torstab.cones import (
     ConeProblem,
     FeasibilityResult,
@@ -54,6 +57,7 @@ from torstab.cones import (
 )
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
+from torstab.mu import pairings, weight_of_pairings
 from torstab.snf import IntegerLattice
 
 
@@ -315,6 +319,75 @@ def config_verdict_oracle(table: WeightTable, config: ChainConfiguration) -> Ver
             yield [*stratum.limit_rows, *signs], [tuple(form)]
 
     return verdict_over_pieces(pieces(), n, lambda lam: mu_config(table, config, lam))
+
+
+def pattern_table_oracle(problem: GitProblem, solve=classify_pattern):
+    """`torstab.classify_patterns`'s rows, decided one row at a time.
+
+    Rows come base size outer, fiber size inner.  A row containing a support
+    solved stable is stable; otherwise, if it contains a support solved
+    strictly semistable, the first strictly semistable certificate (in solve
+    order) whose mask holds it gives its witness, else the first unstable
+    one does; a row no rule decides is classified by `solve`.  A
+    certificate's mask is the variables whose rows its witness's pairings
+    satisfy (base >= 0; fiber >= 1 for an unstable witness, >= 0 for a
+    strictly semistable one), and a reused witness's weight is
+    `weight_of_pairings` over the row's own entries.  Stable rows share one
+    `Verdict`, and each witness one per distinct weight.
+    """
+    names = problem.var_names
+    base_count = len(problem.base_names)
+
+    def satisfied(pairs, fiber_floor):
+        floors = [0] * base_count + [fiber_floor] * (len(names) - base_count)
+        return sum(1 << i for i, (p, f) in enumerate(zip(pairs, floors)) if p >= f)
+
+    def subsets(pool, smallest):
+        return [
+            (frozenset(names[i] for i in sub), sum(1 << i for i in sub), sub)
+            for size in range(smallest, len(pool) + 1)
+            for sub in combinations(pool, size)
+        ]
+
+    fiber_subsets = subsets(range(base_count, len(names)), 1)
+    inherited = Verdict(StabilityStatus.STABLE)
+    stable, semistable, destabilizers, blockers = [], [], [], []
+    by_witness = {}
+    rows = []
+    for base_set, base_mask, base_indices in subsets(range(base_count), 0):
+        for fiber_set, fiber_mask, fiber_indices in fiber_subsets:
+            pattern = SupportPattern(base_set, fiber_set)
+            mask = base_mask | fiber_mask
+            if any(m & mask == m for m in stable):
+                rows.append((pattern, inherited))
+                continue
+            certificates = blockers if any(m & mask == m for m in semistable) else destabilizers
+            cert = next((c for c in certificates if mask & c[0] == mask), None)
+            if cert is not None:
+                _, solved, pairs, by_weight = cert
+                weight = weight_of_pairings(
+                    [pairs[i] for i in base_indices], [pairs[i] for i in fiber_indices]
+                )
+                verdict = by_weight.get(weight)
+                if verdict is None:
+                    verdict = by_weight[weight] = Verdict(solved.status, solved.witness, weight)
+                rows.append((pattern, verdict))
+                continue
+            verdict = solve(problem, pattern)
+            if verdict.status is StabilityStatus.STABLE:
+                rows.append((pattern, inherited))
+                stable.append(mask)
+                continue
+            by_weight = by_witness.setdefault(verdict[:2], {})
+            verdict = by_weight.setdefault(verdict.witness_mu, verdict)
+            rows.append((pattern, verdict))
+            pairs = pairings(problem, verdict.witness)
+            if verdict.status is StabilityStatus.UNSTABLE:
+                destabilizers.append((satisfied(pairs, 1), verdict, pairs, by_weight))
+            else:
+                semistable.append(mask)
+                blockers.append((satisfied(pairs, 0), verdict, pairs, by_weight))
+    return rows
 
 
 def decay_profile(magnitude: Fraction, degree: int, steps: int = 20) -> list[Fraction]:

@@ -24,12 +24,15 @@ from torstab import (
     support,
 )
 from torstab import cones
+from torstab.builtin import BUILTINS
 from torstab.classify import Verdict
 from torstab.errors import InputError, InternalInvariantError, ZeroSectionError
+from torstab.mu import pairings, weight_of_pairings
 
 from conftest import (
     box,
     brute_force_status,
+    pattern_table_oracle,
     point,
     random_point,
     random_problem,
@@ -305,8 +308,8 @@ def test_row_order_follows_the_nested_subset_loops():
 
 
 @st.composite
-def pattern_problems(draw):
-    """Rank 1-4, up to 7 variables (at most 4 base, 4 fiber), weights in [-3, 3].
+def pattern_problems(draw, total=7):
+    """Rank 1-4, up to `total` variables (at most 4 base, 4 fiber), weights in [-3, 3].
 
     Each weight is fresh or taken from a small pool, so repeated weights
     are common, and the pool may hold the zero vector.
@@ -317,7 +320,7 @@ def pattern_problems(draw):
     if draw(st.booleans()):
         pool.append((0,) * rank)
     nb = draw(st.integers(0, 4))
-    nf = draw(st.integers(1, min(4, 7 - nb)))
+    nf = draw(st.integers(1, min(4, total - nb)))
     weight = st.one_of(st.sampled_from(pool), vector)
     weights = draw(st.lists(weight, min_size=nb + nf, max_size=nb + nf))
     shift = draw(st.one_of(st.just(None), vector))
@@ -501,3 +504,117 @@ def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch)
     assert alone.status is StabilityStatus.STRICTLY_SEMISTABLE
     assert both == alone
     assert Counter(questions) == {"solve_cone": 1, "cone_has_nonzero": 1}
+
+
+# --- pattern tables: sets of rows against the row-by-row walk ---------------
+
+
+def _recording(solved):
+    """`classify_pattern`, appending each pattern it is asked about to `solved`."""
+
+    def solve(problem, pattern):
+        solved.append(pattern)
+        return classify_pattern(problem, pattern)
+
+    return solve
+
+
+def _assert_table_equals_the_row_walk(problem):
+    """The table's rows, checked against `pattern_table_oracle`."""
+    classify_module = importlib.import_module("torstab.classify")
+    solved, walked = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "classify_pattern", _recording(solved))
+        rows = classify_patterns(problem).rows
+    expected = pattern_table_oracle(problem, _recording(walked))
+    assert solved == walked
+    assert [p for p, _ in rows] == [p for p, _ in expected]
+    # Status, witness and weight, and the same rows share one object.
+    assert [v for _, v in rows] == [v for _, v in expected]
+    objects: dict[Verdict, set[int]] = {}
+    for _, verdict in rows:
+        objects.setdefault(verdict, set()).add(id(verdict))
+    assert all(len(ids) == 1 for ids in objects.values())
+    index = {name: i for i, name in enumerate(problem.var_names)}
+    for pattern, verdict in rows:
+        if verdict.witness is None:
+            continue
+        pairs = pairings(problem, verdict.witness)
+        assert verdict.witness_mu == weight_of_pairings(
+            [pairs[index[n]] for n in pattern.base], [pairs[index[n]] for n in pattern.fiber]
+        )
+    return rows, solved
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rank3_5x5_seed1", "rank4_4x4_seed1", "rank4_4x4_seed2", *sorted(BUILTINS)],
+)
+def test_pattern_table_equals_the_row_walk(name):
+    if name in BUILTINS:
+        problem = BUILTINS[name]()
+    else:
+        problem = parse_problem((TABLES / f"{name}.problem").read_text())
+    _assert_table_equals_the_row_walk(problem)
+
+
+def test_blockers_take_rows_on_the_seeded_tables():
+    # Strictly semistable rows that no solve produced came from a blocker.
+    for name in ("rank3_5x5_seed1", "rank4_4x4_seed2"):
+        problem = parse_problem((TABLES / f"{name}.problem").read_text())
+        rows, solved = _assert_table_equals_the_row_walk(problem)
+        semistable = [p for p, v in rows if v.status is StabilityStatus.STRICTLY_SEMISTABLE]
+        assert set(semistable) - set(solved)
+
+
+# {x0, x3} + {u1} contains {x3} + {u1}, solved strictly semistable with the
+# witness (1, 0, 1), and lies in that witness's covered set and in that of
+# (2, 1, 1), solved earlier: the earlier blocker takes it.
+TWO_BLOCKERS = GitProblem(
+    torus_rank=3,
+    base_vars=(("x0", (0, -2, 2)), ("x1", (-2, -2, -2)), ("x2", (-2, 1, 0)), ("x3", (2, -2, -2))),
+    fiber_vars=(("u0", (0, 1, -1)), ("u1", (-2, 2, 2))),
+)
+
+# {x1} + {u1} contains no strictly semistable support but lies in the
+# covered set of the blocker (-2, 1); it is solved, and keeps its own
+# witness (2, -1).
+SOLVED_INSIDE_A_BLOCKER = GitProblem(
+    torus_rank=2,
+    base_vars=(("x0", (-1, 0)), ("x1", (-1, -2))),
+    fiber_vars=(("u0", (0, -2)), ("u1", (1, 2)), ("u2", (0, 0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_problems(total=8))
+@example(ZERO_WEIGHTS)
+@example(REPEATED_WITNESS)
+@example(TWO_BLOCKERS)
+@example(SOLVED_INSIDE_A_BLOCKER)
+@example(degenerating_conic_problem())
+def test_pattern_table_equals_the_row_walk_on_random_problems(problem):
+    _assert_table_equals_the_row_walk(problem)
+
+
+def test_a_support_solved_stable_inside_a_covered_set_is_an_internal_error(monkeypatch):
+    # {u} is solved strictly semistable; its witness pairs to 0 with u and v,
+    # so its covered set holds {v}.  {v} contains no strictly semistable
+    # support, so it is solved on its own, and a stable answer contradicts
+    # that witness.
+    problem = GitProblem(torus_rank=1, base_vars=(), fiber_vars=(("u", (0,)), ("v", (0,))))
+
+    def forged(problem, pattern):
+        if pattern.fiber == {"v"}:
+            return Verdict(StabilityStatus.STABLE)
+        return classify_pattern(problem, pattern)
+
+    monkeypatch.setattr(importlib.import_module("torstab.classify"), "classify_pattern", forged)
+    with pytest.raises(InternalInvariantError, match="solved stable lies inside"):
+        classify_patterns(problem)
+
+
+def test_the_eight_plus_eight_table_counts():
+    problem = parse_problem((TABLES / "rank4_8x8_seed1.problem").read_text())
+    statuses = Counter(v.status.value for _, v in classify_patterns(problem).rows)
+    assert statuses == {"stable": 37256, "strictly-semistable": 1234, "unstable": 26790}

@@ -78,6 +78,22 @@ def test_missing_file_exit_code(capture):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("spec", ["x=1/0,u=1", '{"x": "1/0", "u": 1}'], ids=["inline", "json"])
+def test_a_zero_denominator_exits_1_in_plain_words(capture, spec):
+    code, out, err = capture("classify", "--problem", "builtin:conic-bundle", "--point", spec)
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid rational '1/0': zero denominator\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_patterns_refuses_a_cap_below_one(capture, cap):
+    code, out, err = capture("patterns", "--problem", "builtin:conic-bundle", "--max-vars", cap)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: pattern enumeration cap must be >= 1, got {cap}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
