@@ -33,7 +33,13 @@ rows as the bits of one int, so each solve settles every row it decides
 (the rows containing a stable support, or inside a witness's covered
 variables) with a few AND operations.  The next solve is the lowest row
 still undecided: covered sets are down-closed and every subpattern comes
-first, so it is the row a row-by-row walk would solve next.
+first, so it is the row a row-by-row walk would solve next.  A row
+containing a support solved strictly semistable is not unstable, so if it
+is solved, only its second system is asked.  A table is the product of the
+base subsets and the nonempty fiber subsets, and `PatternTable` keeps it in
+that form: the two subset lists and one verdict per row, with a
+`SupportPattern` built only for a row that is solved or read through
+`PatternTable.rows`.
 
 Every verdict's witness is re-verified by an independent weight computation
 before it is returned; a mismatch raises InternalInvariantError.
@@ -46,7 +52,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .cones import cone_has_nonzero, make_cone_problem, solve_cone
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, ZeroSectionError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 from .mu import mu_from_pattern, pairings, weight_of_pairings
 from .snf import lattice_rank_and_index
@@ -91,27 +97,67 @@ class _Certificate(
     __slots__ = ()
 
 
-class PatternTable(namedtuple("PatternTable", "rows warnings", defaults=((),))):
-    rows: tuple[tuple[SupportPattern, Verdict], ...]
+class PatternTable(namedtuple("PatternTable", "bases fibers verdicts warnings")):
+    """Verdicts for the product of the base subsets and the nonempty fiber
+    subsets: row `b * len(fibers) + f` is the support `(bases[b],
+    fibers[f])`, and `verdicts` holds one verdict per row."""
+
+    bases: tuple[frozenset[str], ...]
+    fibers: tuple[frozenset[str], ...]
+    verdicts: tuple[Verdict, ...]
     warnings: tuple[str, ...]
     __slots__ = ()
+
+    def __new__(cls, bases, fibers, verdicts, warnings=()) -> PatternTable:
+        bases, fibers, verdicts = tuple(bases), tuple(fibers), tuple(verdicts)
+        if not all(fibers):
+            raise ZeroSectionError("pattern table has an empty fiber subset")
+        if len(verdicts) != len(bases) * len(fibers):
+            raise InputError(
+                f"{len(verdicts)} verdicts for {len(bases)} base subsets "
+                f"times {len(fibers)} fiber subsets"
+            )
+        return tuple.__new__(cls, (bases, fibers, verdicts, tuple(warnings)))
+
+    @property
+    def rows(self) -> tuple[tuple[SupportPattern, Verdict], ...]:
+        """(pattern, verdict) per row, base subset outer, fiber subset inner."""
+        patterns = [SupportPattern(b, f) for b in self.bases for f in self.fibers]
+        return tuple(zip(patterns, self.verdicts))
+
+
+def _support_rows(
+    problem: GitProblem, pattern: SupportPattern
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The rows B and F of a support, each in sorted name order."""
+    return (
+        [problem.base_weight(n) for n in sorted(pattern.base)],
+        [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)],
+    )
 
 
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
     """Verdict for every point realizing the given support pattern: first
     {B >= 0, F >= 1}, whose integral point destabilizes, then, if it has
     none, a nonzero point of {B >= 0, F >= 0}, which has weight 0."""
-    base_rows = [problem.base_weight(n) for n in sorted(pattern.base)]
-    fiber_rows = [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)]
-    dim = problem.torus_rank
-    status = StabilityStatus.UNSTABLE
-    lam = solve_cone(make_cone_problem(base_rows, fiber_rows, dim)).witness
+    base_rows, fiber_rows = _support_rows(problem, pattern)
+    lam = solve_cone(make_cone_problem(base_rows, fiber_rows, problem.torus_rank)).witness
     if lam is None:
-        status = StabilityStatus.STRICTLY_SEMISTABLE
-        lam = cone_has_nonzero(base_rows + fiber_rows, dim)
-        if lam is None:
-            return Verdict(StabilityStatus.STABLE)
-    return Verdict(status, lam, mu_from_pattern(problem, pattern, lam))
+        return _not_unstable(problem, pattern)
+    return Verdict(StabilityStatus.UNSTABLE, lam, mu_from_pattern(problem, pattern, lam))
+
+
+def _not_unstable(problem: GitProblem, pattern: SupportPattern) -> Verdict:
+    """`classify_pattern`'s verdict for a support whose {B >= 0, F >= 1}
+    has no integral point: strictly semistable with a nonzero point of
+    {B >= 0, F >= 0}, else stable."""
+    base_rows, fiber_rows = _support_rows(problem, pattern)
+    lam = cone_has_nonzero(base_rows + fiber_rows, problem.torus_rank)
+    if lam is None:
+        return Verdict(StabilityStatus.STABLE)
+    return Verdict(
+        StabilityStatus.STRICTLY_SEMISTABLE, lam, mu_from_pattern(problem, pattern, lam)
+    )
 
 
 def classify(problem: GitProblem, point: PointSample) -> Verdict:
@@ -134,14 +180,17 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
 
     The rows run base size outer, fiber size inner, each in `combinations`
     order, so every proper subpattern comes before the patterns containing
-    it.  A set of rows is one int, with row `b * F + f` (base subset `b`,
-    fiber subset `f`, F fiber subsets) as its bit; the rows holding a
+    it.  The table keeps that product form: its `bases` and `fibers` in
+    that order, and `verdicts[b * F + f]` for base subset `b` and fiber
+    subset `f`, F fiber subsets.  A set of rows is one int, with row
+    `b * F + f` as its bit; the rows holding a
     variable are one such set, built once per call, so "the rows containing
     a support" and "the rows inside a witness's covered variables" are each
     an AND of those sets and their complements.
 
-    The next solve is the lowest undecided row, by `classify_pattern`, and
-    each solve settles every undecided row it decides at once:
+    The next solve is the lowest undecided row, by `classify_pattern` (a
+    marked row, below, by its second half alone), and each solve settles
+    every undecided row it decides at once:
 
       * solved stable, it makes every row containing it stable (their cones
         lie in its cone, which is {0}; stable verdicts have no witness);
@@ -153,8 +202,9 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         take fiber pairings >= 0.  Each blocker, in solve order, then takes
         the marked undecided rows inside its covered set, where its weight
         is 0.  A marked row no blocker covers is solved; it has all of a
-        semistable support's rows {B >= 0, F >= 1}, so only the second
-        solve can find its witness.
+        semistable support's rows {B >= 0, F >= 1}, which have no point, so
+        it skips the first system and asks only the second, as
+        `classify_pattern` does once the first has none.
 
     Covered sets are down-closed and subpatterns come first, so the lowest
     undecided row is the one a row-by-row walk would solve next, and every
@@ -200,7 +250,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     fiber_subsets = subsets(range(base_count, len(names)), 1)
     width = len(fiber_subsets)
     inherited = Verdict(StabilityStatus.STABLE)
-    rows = [(SupportPattern(b, f), inherited) for b, _ in base_subsets for f, _ in fiber_subsets]
+    verdicts = [inherited] * (len(base_subsets) * width)
     # holding[i]: the rows whose support has variable i, as a spread set of
     # base subsets (bit b * width for subset b) times a set of fiber subsets
     # (bits below width), so the product has no carries.
@@ -215,7 +265,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             spread[i] |= 1 << f
     holding = [s * every_fiber for s in spread[:base_count]]
     holding += [every_base * s for s in spread[base_count:]]
-    everything = (1 << len(rows)) - 1
+    everything = (1 << len(verdicts)) - 1
 
     def rows_with(present: tuple[int, ...], absent: list[int]) -> int:
         """Rows whose support holds every variable of `present` and none of
@@ -246,7 +296,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
                         solved.status, solved.witness, weight
                     )
                 cert.by_fiber[f] = verdict
-            rows[row] = (rows[row][0], verdict)
+            verdicts[row] = verdict
             row = text.find("1", row + 1)
 
     undecided = everything
@@ -261,8 +311,11 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         undecided ^= 1 << row
         b, f = divmod(row, width)
         indices = base_subsets[b][1] + fiber_subsets[f][1]
-        pattern = rows[row][0]
-        verdict = classify_pattern(problem, pattern)
+        pattern = SupportPattern(base_subsets[b][0], fiber_subsets[f][0])
+        if marked >> row & 1:
+            verdict = _not_unstable(problem, pattern)
+        else:
+            verdict = classify_pattern(problem, pattern)
         if verdict.status is StabilityStatus.STABLE:
             if covered >> row & 1:
                 raise InternalInvariantError(
@@ -271,8 +324,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             undecided &= ~rows_with(indices, [])
             continue
         by_weight = by_witness.setdefault(verdict[:2], {})
-        verdict = by_weight.setdefault(verdict.witness_mu, verdict)
-        rows[row] = (pattern, verdict)
+        verdict = verdicts[row] = by_weight.setdefault(verdict.witness_mu, verdict)
         pairs = pairings(problem, verdict.witness)
         unstable = verdict.status is StabilityStatus.UNSTABLE
         fiber_floor = 1 if unstable else 0
@@ -297,7 +349,9 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     warnings = ()
     if problem.ideal:
         warnings = ("pattern-level — ideal realizability not checked",)
-    return PatternTable(tuple(rows), warnings)
+    return PatternTable(
+        [b for b, _ in base_subsets], [f for f, _ in fiber_subsets], verdicts, warnings
+    )
 
 
 def stabilizer_order(problem: GitProblem, point: PointSample) -> int | None:

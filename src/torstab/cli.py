@@ -22,6 +22,7 @@ import functools
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -163,23 +164,24 @@ def _cmd_patterns(args):
     problem = args.problem
     table = classify_patterns(problem, max_vars=args.max_vars)
     position = {name: i for i, name in enumerate(problem.var_names)}.__getitem__
-    # Rows repeat name sets and verdicts, so each distinct one is rendered
-    # once and every row that has it shares the list or dict.
-    names: dict[frozenset[str], list[str]] = {}
-    verdicts: dict[Verdict, dict] = {}
+    # The table is the product of its base and fiber subsets, and holds one
+    # `Verdict` object per distinct verdict, so each subset's name list and
+    # each verdict object's dict is built once, and every row that has it
+    # shares the list or dict.
+    bases = [sorted(names, key=position) for names in table.bases]
+    fibers = [sorted(names, key=position) for names in table.fibers]
+    ids = list(map(id, table.verdicts))
+    objects = dict(zip(ids, table.verdicts))
+    shown = {key: _verdict_dict(verdict) for key, verdict in objects.items()}
     counts = {status.value: 0 for status in StabilityStatus}
-    rows = []
-    for pattern, verdict in table.rows:
-        base, fiber = pattern
-        if base not in names:
-            names[base] = sorted(base, key=position)
-        if fiber not in names:
-            names[fiber] = sorted(fiber, key=position)
-        shown = verdicts.get(verdict)
-        if shown is None:
-            shown = verdicts[verdict] = _verdict_dict(verdict)
-        counts[shown["status"]] += 1
-        rows.append({"base": names[base], "fiber": names[fiber], "verdict": shown})
+    for key, count in Counter(ids).items():
+        counts[shown[key]["status"]] += count
+    row_verdicts = map(shown.__getitem__, ids)
+    rows = [
+        {"base": base, "fiber": fiber, "verdict": next(row_verdicts)}
+        for base in bases
+        for fiber in fibers
+    ]
     return {"rows": rows, "counts": counts}, list(table.warnings)
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from torstab import (
     GitProblem,
+    PatternTable,
     StabilityStatus,
     SupportPattern,
     classify,
@@ -430,10 +431,11 @@ def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
     statuses = {v.status for _, v in table.rows}
     assert StabilityStatus.STABLE in statuses
     assert StabilityStatus.STRICTLY_SEMISTABLE in statuses
-    # 992 patterns: 53 cone questions against 1364.  Stable supersets of
+    # 992 patterns: 51 cone questions against 1364.  Stable supersets of
     # stable supports ask neither kind, and so does every pattern whose rows
-    # a witness already found for a smaller support satisfies.
-    assert Counter(questions) == {"solve_cone": 33, "cone_has_nonzero": 20}
+    # a witness already found for a smaller support satisfies.  A pattern
+    # containing a strictly semistable support asks only `cone_has_nonzero`.
+    assert Counter(questions) == {"solve_cone": 31, "cone_has_nonzero": 20}
     assert Counter(one_by_one) == {"solve_cone": 992, "cone_has_nonzero": 372}
 
 
@@ -509,22 +511,30 @@ def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch)
 # --- pattern tables: sets of rows against the row-by-row walk ---------------
 
 
-def _recording(solved):
-    """`classify_pattern`, appending each pattern it is asked about to `solved`."""
+def _recording(solved, solve=classify_pattern):
+    """`solve`, appending each pattern it is asked about to `solved`, unless
+    that pattern is the last one recorded: `classify_pattern` hands its
+    second pass to `_not_unstable`, and a pattern is solved once."""
 
-    def solve(problem, pattern):
-        solved.append(pattern)
-        return classify_pattern(problem, pattern)
+    def recorded(problem, pattern):
+        if not solved or solved[-1] is not pattern:
+            solved.append(pattern)
+        return solve(problem, pattern)
 
-    return solve
+    return recorded
 
 
 def _assert_table_equals_the_row_walk(problem):
-    """The table's rows, checked against `pattern_table_oracle`."""
+    """The table's rows, checked against `pattern_table_oracle`.  Solves
+    enter by `classify_pattern` or, for a row containing a support solved
+    strictly semistable, by `_not_unstable`; both are recorded in one list,
+    in the order the walk would solve them."""
     classify_module = importlib.import_module("torstab.classify")
     solved, walked = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classify_module, "classify_pattern", _recording(solved))
+        for name in ("classify_pattern", "_not_unstable"):
+            recorded = _recording(solved, getattr(classify_module, name))
+            patch.setattr(classify_module, name, recorded)
         rows = classify_patterns(problem).rows
     expected = pattern_table_oracle(problem, _recording(walked))
     assert solved == walked
@@ -612,6 +622,30 @@ def test_a_support_solved_stable_inside_a_covered_set_is_an_internal_error(monke
     monkeypatch.setattr(importlib.import_module("torstab.classify"), "classify_pattern", forged)
     with pytest.raises(InternalInvariantError, match="solved stable lies inside"):
         classify_patterns(problem)
+
+
+def test_a_pattern_table_is_the_product_of_its_subsets(conic):
+    table = classify_patterns(conic)
+    assert table.bases == tuple(frozenset(s) for s in ((), ("x",), ("y",), ("x", "y")))
+    assert table.fibers == (frozenset({"u"}), frozenset({"v"}), frozenset({"u", "v"}))
+    assert table.rows == tuple(
+        zip([SupportPattern(b, f) for b in table.bases for f in table.fibers], table.verdicts)
+    )
+    assert PatternTable(*table) == table
+
+
+def test_a_pattern_table_refuses_a_verdict_count_other_than_the_product(conic):
+    table = classify_patterns(conic)
+    for verdicts in (table.verdicts[:-1], table.verdicts + table.verdicts[:1], ()):
+        with pytest.raises(InputError, match=f"{len(verdicts)} verdicts for 4 base"):
+            PatternTable(table.bases, table.fibers, verdicts)
+
+
+def test_a_pattern_table_refuses_an_empty_fiber_subset(conic):
+    table = classify_patterns(conic)
+    fibers = (frozenset(), *table.fibers[1:])
+    with pytest.raises(ZeroSectionError, match="empty fiber subset"):
+        PatternTable(table.bases, fibers, table.verdicts)
 
 
 def test_the_eight_plus_eight_table_counts():

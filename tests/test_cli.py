@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torstab
+from torstab import cli
 from torstab.cli import main
 from torstab.errors import InputError
 from torstab.golden import GOLDEN_REPORTS
@@ -487,7 +489,29 @@ def test_oversized_cone_system_exits_1(capture, tmp_path):
     assert err.startswith("error: rank-5 cone system of 14 rows is too large")
 
 
-P40 = str(Path(__file__).parent / "tables" / "p40.problem")
+TABLES = Path(__file__).parent / "tables"
+P40 = str(TABLES / "p40.problem")
+
+
+def test_pattern_rows_share_one_list_per_subset_and_one_dict_per_verdict(monkeypatch):
+    # Both views render a shared object once: `to_json` by id in a row list,
+    # `to_text` by id in `_text_patterns`.
+    problem = parse_problem((TABLES / "rank4_4x4_seed2.problem").read_text())
+    table = torstab.classify_patterns(problem)
+    monkeypatch.setattr(cli, "classify_patterns", lambda problem, max_vars: table)
+    result, _ = cli._cmd_patterns(argparse.Namespace(problem=problem, max_vars=16))
+    rows, width = result["rows"], len(table.fibers)
+    assert len(rows) == len(table.verdicts)
+    for r, row in enumerate(rows):
+        b, f = divmod(r, width)
+        assert row["base"] is rows[b * width]["base"]
+        assert row["fiber"] is rows[f]["fiber"]
+    assert len({id(row["base"]) for row in rows}) == len(table.bases)
+    assert len({id(row["fiber"]) for row in rows}) == width
+    shown = {}
+    for verdict, row in zip(table.verdicts, rows):
+        assert shown.setdefault(id(verdict), row["verdict"]) is row["verdict"]
+    assert len({id(row["verdict"]) for row in rows}) == len(shown) < len(rows) // 5
 
 
 def test_p40_quotient_at_the_default_syzygy_degree_is_fast(capture):

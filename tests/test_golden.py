@@ -44,6 +44,13 @@ TABLES = [
         "a97fd26c6b203acf46140add385da0b8873ab697bf40f2c72e2e184e92e8ec1a",
         "c79d18125dc19ac0351d63e5a3745aed01274e921437c5e6cdc6cdfa48872d9e",
     ),
+    # The rank-4 8+8 table of 65 280 patterns, the worst case that CI smokes:
+    # every row's name lists, verdict and witness, in both views.
+    (
+        ("patterns", "--problem", "tests/tables/rank4_8x8_seed1.problem"),
+        "3609191900f213122e42b1dadd02ea44760152574cebd60e7b5969b0d7d97231",
+        "ab13a8a40ab4098caf9bca51061cbd1b818d3d91ae83711402f7c32c0959831e",
+    ),
     # The rank-2 ring "P40" (weights in ROADMAP.md): 24 generators up to
     # degree 10, whose relation scan stops at syzygy degree 3.  Its relations
     # were recorded while the scan still ran to the bound.
