@@ -35,7 +35,6 @@ from .cones import (
     ConeProblem,
     FeasibilityResult,
     cone_has_nonzero,
-    make_cone_problem,
     solve_cone,
 )
 from .degeneration import (

@@ -14,6 +14,8 @@ answered by one system of rows and its relaxation:
                      integral point (weight <= 0, and 0 when the first
                      system has no point).
 
+The first system is one `cones.ConeProblem` for `solve_cone`, and the
+second asks `cone_has_nonzero` of the same rows, both at the torus rank.
 Chain configurations need no cone at all (see `degeneration`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
@@ -37,9 +39,9 @@ first, so it is the row a row-by-row walk would solve next.  A row
 containing a support solved strictly semistable is not unstable, so if it
 is solved, only its second system is asked.  A table is the product of the
 base subsets and the nonempty fiber subsets, and `PatternTable` keeps it in
-that form: the two subset lists and one verdict per row, with a
-`SupportPattern` built only for a row that is solved or read through
-`PatternTable.rows`.
+that form: the two subset lists, each subset a tuple of names in declared
+order, and one verdict per row, with a `SupportPattern` built only for a
+row that is solved or read through `PatternTable.rows`.
 
 Every verdict's witness is re-verified by an independent weight computation
 before it is returned; a mismatch raises InternalInvariantError.
@@ -51,7 +53,7 @@ import enum
 from collections import namedtuple
 from itertools import combinations
 
-from .cones import cone_has_nonzero, make_cone_problem, solve_cone
+from .cones import ConeProblem, cone_has_nonzero, solve_cone
 from .errors import InputError, InternalInvariantError, ZeroSectionError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 from .mu import mu_from_pattern, pairings, weight_of_pairings
@@ -100,10 +102,11 @@ class _Certificate(
 class PatternTable(namedtuple("PatternTable", "bases fibers verdicts warnings")):
     """Verdicts for the product of the base subsets and the nonempty fiber
     subsets: row `b * len(fibers) + f` is the support `(bases[b],
-    fibers[f])`, and `verdicts` holds one verdict per row."""
+    fibers[f])`, and `verdicts` holds one verdict per row.  Each subset is
+    a tuple of names in declared order."""
 
-    bases: tuple[frozenset[str], ...]
-    fibers: tuple[frozenset[str], ...]
+    bases: tuple[tuple[str, ...], ...]
+    fibers: tuple[tuple[str, ...], ...]
     verdicts: tuple[Verdict, ...]
     warnings: tuple[str, ...]
     __slots__ = ()
@@ -122,7 +125,8 @@ class PatternTable(namedtuple("PatternTable", "bases fibers verdicts warnings"))
     @property
     def rows(self) -> tuple[tuple[SupportPattern, Verdict], ...]:
         """(pattern, verdict) per row, base subset outer, fiber subset inner."""
-        patterns = [SupportPattern(b, f) for b in self.bases for f in self.fibers]
+        fibers = list(map(frozenset, self.fibers))
+        patterns = [SupportPattern(frozenset(b), f) for b in self.bases for f in fibers]
         return tuple(zip(patterns, self.verdicts))
 
 
@@ -141,7 +145,7 @@ def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
     {B >= 0, F >= 1}, whose integral point destabilizes, then, if it has
     none, a nonzero point of {B >= 0, F >= 0}, which has weight 0."""
     base_rows, fiber_rows = _support_rows(problem, pattern)
-    lam = solve_cone(make_cone_problem(base_rows, fiber_rows, problem.torus_rank)).witness
+    lam = solve_cone(ConeProblem(base_rows, fiber_rows, problem.torus_rank)).witness
     if lam is None:
         return _not_unstable(problem, pattern)
     return Verdict(StabilityStatus.UNSTABLE, lam, mu_from_pattern(problem, pattern, lam))
@@ -237,11 +241,12 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         )
     base_count = len(problem.base_names)
 
-    def subsets(pool: range, smallest: int) -> list[tuple[frozenset[str], tuple[int, ...]]]:
+    def subsets(pool: range, smallest: int) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
         """(names, indices) of every subset of the variable indices `pool`
-        with at least `smallest` members, in `combinations` order."""
+        with at least `smallest` members, in `combinations` order, names in
+        declared order."""
         return [
-            (frozenset(names[i] for i in sub), sub)
+            (tuple(names[i] for i in sub), sub)
             for size in range(smallest, len(pool) + 1)
             for sub in combinations(pool, size)
         ]
@@ -311,7 +316,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         undecided ^= 1 << row
         b, f = divmod(row, width)
         indices = base_subsets[b][1] + fiber_subsets[f][1]
-        pattern = SupportPattern(base_subsets[b][0], fiber_subsets[f][0])
+        pattern = SupportPattern(frozenset(base_subsets[b][0]), frozenset(fiber_subsets[f][0]))
         if marked >> row & 1:
             verdict = _not_unstable(problem, pattern)
         else:

@@ -161,15 +161,11 @@ def _cmd_classify(args):
 
 
 def _cmd_patterns(args):
-    problem = args.problem
-    table = classify_patterns(problem, max_vars=args.max_vars)
-    position = {name: i for i, name in enumerate(problem.var_names)}.__getitem__
-    # The table is the product of its base and fiber subsets, and holds one
-    # `Verdict` object per distinct verdict, so each subset's name list and
-    # each verdict object's dict is built once, and every row that has it
-    # shares the list or dict.
-    bases = [sorted(names, key=position) for names in table.bases]
-    fibers = [sorted(names, key=position) for names in table.fibers]
+    table = classify_patterns(args.problem, max_vars=args.max_vars)
+    # The table is the product of its base and fiber subsets, each a name
+    # tuple in declared order, and holds one `Verdict` object per distinct
+    # verdict, so every row shares its subsets' tuples and each verdict
+    # object's dict, built once.
     ids = list(map(id, table.verdicts))
     objects = dict(zip(ids, table.verdicts))
     shown = {key: _verdict_dict(verdict) for key, verdict in objects.items()}
@@ -179,8 +175,8 @@ def _cmd_patterns(args):
     row_verdicts = map(shown.__getitem__, ids)
     rows = [
         {"base": base, "fiber": fiber, "verdict": next(row_verdicts)}
-        for base in bases
-        for fiber in fibers
+        for base in table.bases
+        for fiber in table.fibers
     ]
     return {"rows": rows, "counts": counts}, list(table.warnings)
 
@@ -316,14 +312,16 @@ def _cmd_conic(args):
             if value not in (None, False):
                 raise InputError(f"{flag} does not apply with --sweep")
         report = sweep_equivalence(table)
+        if not report.equivalence_holds:
+            raise InternalInvariantError("sweep disagrees with the admissibility criterion")
         rows = []
-        # As in `_cmd_patterns`, each distinct stratum list, lengths list and
-        # verdict dict is built once and shared by the rows that have it.
+        # As in `_cmd_patterns`, each distinct stratum list and verdict dict
+        # is built once and shared by the rows that have it, and so is each
+        # lengths tuple, which the sweep shares across strata.
         stratum_weights: dict[Stratum, dict] = {}
-        lengths: dict[tuple[int, ...], list[int]] = {}
         verdicts: dict[Verdict, dict] = {}
         for row in report.rows:
-            stratum, key = row.config.stratum, row.config.lengths
+            stratum = row.config.stratum
             if stratum not in stratum_weights:
                 stratum_weights[stratum] = {
                     "stratum": sorted(stratum.vanishing),
@@ -331,15 +329,14 @@ def _cmd_conic(args):
                 }
             if row.verdict not in verdicts:
                 verdicts[row.verdict] = _verdict_dict(row.verdict)
-            if key not in lengths:
-                lengths[key] = list(key)
             rows.append(
                 {
                     "stratum": stratum_weights[stratum]["stratum"],
-                    "lengths": lengths[key],
+                    "lengths": row.config.lengths,
                     "admissible": row.admissible,
                     "verdict": verdicts[row.verdict],
-                    "agreement": (row.verdict.status is StabilityStatus.STABLE) == row.admissible,
+                    # The equivalence holds, so every row agrees.
+                    "agreement": True,
                 }
             )
         result = {
@@ -348,11 +345,9 @@ def _cmd_conic(args):
             ),
             "stratum_weights": list(stratum_weights.values()),
             "rows": rows,
-            "equivalence_holds": report.equivalence_holds,
+            "equivalence_holds": True,
             "strictly_semistable_rows": report.strictly_semistable_count,
         }
-        if not report.equivalence_holds:
-            raise InternalInvariantError("sweep disagrees with the admissibility criterion")
         return result, []
 
     stratum = _parse_stratum(args)

@@ -1,10 +1,12 @@
 """Exact feasibility of integral linear inequality systems, with witnesses.
 
 Constraints come in two kinds: weak rows ``<lam, w> >= 0`` and strict rows
-``<lam, w> >= 1``.  Both row sets are integral and the solution set is
-invariant under scaling ``lam`` by a positive integer, so the ``>= 1``
-encoding is equivalent to strict positivity and every rational solution
-scales to an integral one.
+``<lam, w> >= 1``.  A system is stated one way, as `ConeProblem(nonneg_rows,
+strict_rows, dim)`, with its dimension given, never inferred from the rows;
+`cone_has_nonzero(rows, dim)` takes weak rows alone the same way.  Both row
+sets are integral and the solution set is invariant under scaling ``lam``
+by a positive integer, so the ``>= 1`` encoding is equivalent to strict
+positivity and every rational solution scales to an integral one.
 
 The solver is Fourier-Motzkin elimination, in integers only.  Eliminating a
 variable combines each positive-coefficient row with each negative-coefficient
@@ -85,20 +87,6 @@ class FeasibilityResult(namedtuple("FeasibilityResult", "feasible witness")):
         if feasible != (witness is not None):
             raise InternalInvariantError("feasible flag and witness disagree")
         return tuple.__new__(cls, (feasible, witness))
-
-
-def make_cone_problem(
-    nonneg_rows: list[IntVec] | tuple[IntVec, ...],
-    strict_rows: list[IntVec] | tuple[IntVec, ...],
-    dim: int | None = None,
-) -> ConeProblem:
-    """Build a ConeProblem, inferring the dimension from the rows if possible."""
-    rows = list(nonneg_rows) + list(strict_rows)
-    if dim is None:
-        if not rows:
-            raise InputError("cannot infer dimension of an empty constraint system")
-        dim = len(rows[0])
-    return ConeProblem(nonneg_rows, strict_rows, dim)
 
 
 def _normalize_row(coeffs: list[int], rhs: int) -> _Row | None:
@@ -258,9 +246,7 @@ def solve_cone(problem: ConeProblem) -> FeasibilityResult:
     return FeasibilityResult(True, result)
 
 
-def cone_has_nonzero(
-    rows: list[IntVec] | tuple[IntVec, ...], dim: int | None = None
-) -> IntVec | None:
+def cone_has_nonzero(rows: list[IntVec] | tuple[IntVec, ...], dim: int) -> IntVec | None:
     """Find a nonzero integral point of the closed cone ``{all rows >= 0}``.
 
     Returns None when the cone is the origin alone.  Eliminating x_{dim-1}
@@ -274,12 +260,8 @@ def cone_has_nonzero(
     is 0 on the cone; it is left out of the elimination, which keeps every
     stage exact, and put back as 0.  The answer depends only on the row set.
     """
-    rows = [tuple(r) for r in rows]
-    if dim is None:
-        if not rows:
-            raise InputError("cannot infer dimension of an empty row set")
-        dim = len(rows[0])
-    problem = make_cone_problem(rows, [], dim)
+    problem = ConeProblem(rows, (), dim)
+    rows = problem.nonneg_rows
     units = {(w.index(sum(w)), sum(w)) for w in rows if sum(map(abs, w)) == 1}
     free = [i for i in range(dim) if (i, 1) not in units or (i, -1) not in units]
     r = len(free)

@@ -24,13 +24,14 @@ polarization at any torus-limit point is a per-bundle bookkeeping exercise:
 `WeightTable.limit_weights` holds this rule once; the printed limit
 vectors, the classifier's pairings and `mu_config` are all read off it.
 A `Stratum` carries its chain of intervals, its base-limit rows (t_i
-nonzero forces s_i - s_{i-1} >= 0) and its cube points (below), each
-computed once per instance.  The subgroup weight of a configuration,
-`mu_config`, is None when lambda breaks a base-limit row (the limit leaves
-the base, so the weight is infinite) and otherwise minus the
-lambda-pairing of the summed limit weights: a plain int, oriented so that
-admissible configurations get positive weights, and linear on each sign
-orthant.
+nonzero forces s_i - s_{i-1} >= 0) and its inner counts, each computed
+once per instance.  A configuration is admissible when its lengths are its
+stratum's inner counts, so `admissible_configs` lists one per stratum.
+The subgroup weight of a configuration, `mu_config`, is None when lambda
+breaks a base-limit row (the limit leaves the base, so the weight is
+infinite) and otherwise minus the lambda-pairing of the summed limit
+weights: a plain int, oriented so that admissible configurations get
+positive weights, and linear on each sign orthant.
 
 Classification solves no cone.  On a sign orthant the subgroups with a
 base limit form the cone of the base-limit rows and one sign row per
@@ -48,8 +49,10 @@ sign orthant, in product((1, -1)) order with a zero counting as +, then
 lexicographically.
 
 Which strata keep a point is read off one walk of the cube: each point is
-tagged with the smooth stratum's base-limit rows it breaks, and a stratum
-keeps the points whose broken rows all vanish on it.
+tagged with the smooth stratum's base-limit rows it breaks
+(`_tagged_cube`), and a stratum keeps the points whose broken rows all
+vanish on it (`_points_on`).  `classify_config` walks the cube for its one
+stratum; a sweep walks it once for all of them.
 
 A point's pairing with a component's limit weights depends only on the
 table, the point and the component's interval, so a configuration's weight
@@ -63,7 +66,6 @@ configuration alone, and every witness's weight is still recomputed by
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -79,9 +81,9 @@ Interval = tuple[int, ...]
 class Stratum(namedtuple("Stratum", "n vanishing")):
     """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`.
 
-    No ``__slots__``: the chain, the base-limit rows, the inner counts and
-    the cube points below are cached in the instance dict, which equality,
-    hashing and repr ignore.
+    No ``__slots__``: the chain, the base-limit rows and the inner counts
+    below are cached in the instance dict, which equality, hashing and repr
+    ignore.
     """
 
     n: int
@@ -124,12 +126,6 @@ class Stratum(namedtuple("Stratum", "n vanishing")):
         counts[-1] -= 1
         return tuple(counts)
 
-    @cached_property
-    def cube_points(self) -> tuple[tuple[int, ...], ...]:
-        """Every nonzero lambda in {-1, 0, 1}^n on the base-limit rows, by
-        sign orthant (a zero counting as +), then lexicographically."""
-        return _points_on(_tagged_cube(self.n), self.vanishing)
-
 
 def _tagged_cube(n: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Every nonzero lambda in {-1, 0, 1}^n, in cube-point order (by sign
@@ -151,8 +147,9 @@ def _tagged_cube(n: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
 def _points_on(
     tagged: list[tuple[tuple[int, ...], frozenset[int]]], vanishing: frozenset[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """The tagged points on a stratum's base-limit rows: those whose broken
-    rows all belong to vanishing t_i, which impose no row there."""
+    """The stratum's cube points: the tagged points on its base-limit rows,
+    those whose broken rows all belong to vanishing t_i, which impose no
+    row there."""
     return tuple(v for v, broken in tagged if broken <= vanishing)
 
 
@@ -292,7 +289,7 @@ def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     docstring); each witness's weight is recomputed by `mu_config`."""
     if config.stratum.n != table.n:
         raise InputError("configuration and weight table have different n")
-    points = config.stratum.cube_points
+    points = _points_on(_tagged_cube(table.n), config.stratum.vanishing)
     return _verdict_at_points(
         table, config, points, _point_pairings(table, config.stratum, points, {})
     )
@@ -416,17 +413,10 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _all_configs(n: int) -> Iterator[ChainConfiguration]:
-    """Every configuration over every stratum, strata in `strata` order and
-    lengths in `compositions` order."""
-    for stratum in strata(n):
-        for lengths in compositions(n, len(stratum.intervals)):
-            yield ChainConfiguration(stratum, lengths)
-
-
 def admissible_configs(n: int) -> list[ChainConfiguration]:
-    """Every admissible configuration over every stratum."""
-    return [config for config in _all_configs(n) if admissible(config)]
+    """Every admissible configuration, in `strata` order: one per stratum,
+    with its inner counts as lengths, which is what `admissible` asks."""
+    return [ChainConfiguration(s, s.inner_counts) for s in strata(n)]
 
 
 def in_component_closure(config: ChainConfiguration, component: HilbertComponent) -> bool:
@@ -503,7 +493,9 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
 
     The sweep walks the cube once, computes each (interval, point) pairing
     once for every stratum holding both, and lists the compositions once
-    per component count.  Rows come in `_all_configs` order, and rows and
+    per component count, so configurations over strata with as many
+    components share their lengths tuples.  Rows come with strata in
+    `strata` order and lengths in `compositions` order, and rows and
     witnesses are those of `classify_config` on every configuration alone.
     """
     n = table.n

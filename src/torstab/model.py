@@ -30,6 +30,11 @@ OnePS = tuple[int, ...]
 
 Monomial = tuple[tuple[str, int], ...]
 
+# The most bits a power's numerator or denominator may take when a
+# polynomial is evaluated at a point, so that checking a point on an ideal
+# with a huge exponent is refused instead of building a gigabyte integer.
+_MAX_POWER_BITS = 1 << 16
+
 
 def _is_int(value: object) -> bool:
     """True for JSON integers; JSON booleans load as bool, a subclass of int."""
@@ -96,11 +101,22 @@ class Polynomial(namedtuple("Polynomial", "terms")):
         ]
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
+        """The exact value at `values`.  A power of a value other than 0
+        and +-1 whose numerator or denominator could take more than
+        `_MAX_POWER_BITS` bits, by the bound exponent times bit length, is
+        refused with an InputError before it is computed."""
         total = Fraction(0)
         for coeff, mono in self.terms:
             prod = coeff
             for name, exp in mono:
-                prod *= values[name] ** exp
+                value = values[name]
+                size = max(abs(value.numerator), value.denominator).bit_length()
+                if size > 1 and exp * size > _MAX_POWER_BITS:
+                    raise InputError(
+                        f"{name}^{exp} at {name} = {format_rational(value)} would take "
+                        f"more than {_MAX_POWER_BITS} bits"
+                    )
+                prod *= value**exp
             total += prod
         return total
 

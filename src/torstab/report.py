@@ -9,11 +9,11 @@ but the report dict, so the two views cannot disagree.  `to_json` is written
 out by hand because the standard library runs its C encoder only without
 `indent`, and falls back to a generator-based pure-Python encoder with it.
 It renders a row list, a list of dicts with one non-empty key set, one
-string per row, and a list or dict that several of its rows hold, such as
-the name lists and verdict dicts of a `patterns` report, once per list.
-Nothing time- or environment-dependent goes into a report, so repeated runs
-on identical inputs are byte-identical; timing is printed to stderr by the
-CLI instead.
+string per row, and a list, tuple or dict that several of its rows hold,
+such as the name tuples and verdict dicts of a `patterns` report, once per
+list.  Nothing time- or environment-dependent goes into a report, so
+repeated runs on identical inputs are byte-identical; timing is printed to
+stderr by the CLI instead.
 """
 
 from __future__ import annotations
@@ -130,9 +130,10 @@ def _put_value(lead: str, value, indent: str, put) -> None:
 def _put_rows(lead: str, rows, indent: str, put) -> None:
     """Push `rows`, dicts that all have one non-empty key set, as
     `_put_value` would, one string per row.  The keys are sorted and
-    encoded once.  Each list or dict in a row is rendered once, at the depth
-    of a row's values, and reused wherever the same object recurs in this
-    list, so a caller that wants a fragment rendered once shares it."""
+    encoded once.  Each list, tuple or dict in a row is rendered once, at
+    the depth of a row's values, and reused wherever the same object recurs
+    in this list, so a caller that wants a fragment rendered once shares
+    it."""
     inner = indent + " "
     cell = inner + " "
     keys = sorted(rows[0])
@@ -252,7 +253,7 @@ def _text_classify(r: dict) -> list[str]:
 
 
 def _text_patterns(r: dict) -> list[str]:
-    # Rows share their name lists and verdict dicts (see `cli._cmd_patterns`),
+    # Rows share their name tuples and verdict dicts (see `cli._cmd_patterns`),
     # so each distinct object is formatted once, keyed by its id.
     rows = r["rows"]
     pieces = {id(v): v for row in rows for v in (row["base"], row["fiber"], row["verdict"])}
@@ -323,7 +324,6 @@ def _text_sweep(r: dict) -> list[str]:
         lines.append(
             f"stratum {_braced(stratum)} lengths {_vec(row['lengths'])}: "
             f"admissible={_yes_no(row['admissible'])} verdict={_verdict(row['verdict'])}"
-            + ("" if row["agreement"] else "  [DISAGREES]")
         )
     lines.append(
         f"equivalence holds: {r['equivalence_holds']}; "

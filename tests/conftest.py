@@ -52,7 +52,6 @@ from torstab.cones import (
     FeasibilityResult,
     _eliminate,
     cone_has_nonzero,
-    make_cone_problem,
     solve_cone,
 )
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
@@ -192,7 +191,7 @@ def cone_has_nonzero_oracle(rows, dim: int):
     for i in range(dim):
         for sign in (1, -1):
             axis = tuple(sign if k == i else 0 for k in range(dim))
-            result = solve_cone_oracle(make_cone_problem(rows, [axis], dim))
+            result = solve_cone_oracle(ConeProblem(rows, [axis], dim))
             if result.feasible:
                 return result.witness
     return None
@@ -291,7 +290,7 @@ def verdict_over_pieces(pieces, dim: int, weight) -> Verdict:
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
-        destab = solve_cone(make_cone_problem(weak, strict, dim))
+        destab = solve_cone(ConeProblem(weak, strict, dim))
         if destab.feasible:
             return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
     for weak, strict in seen:

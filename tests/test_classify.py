@@ -626,11 +626,12 @@ def test_a_support_solved_stable_inside_a_covered_set_is_an_internal_error(monke
 
 def test_a_pattern_table_is_the_product_of_its_subsets(conic):
     table = classify_patterns(conic)
-    assert table.bases == tuple(frozenset(s) for s in ((), ("x",), ("y",), ("x", "y")))
-    assert table.fibers == (frozenset({"u"}), frozenset({"v"}), frozenset({"u", "v"}))
-    assert table.rows == tuple(
-        zip([SupportPattern(b, f) for b in table.bases for f in table.fibers], table.verdicts)
-    )
+    assert table.bases == ((), ("x",), ("y",), ("x", "y"))
+    assert table.fibers == (("u",), ("v",), ("u", "v"))
+    patterns = [
+        SupportPattern(frozenset(b), frozenset(f)) for b in table.bases for f in table.fibers
+    ]
+    assert table.rows == tuple(zip(patterns, table.verdicts))
     assert PatternTable(*table) == table
 
 
@@ -643,7 +644,7 @@ def test_a_pattern_table_refuses_a_verdict_count_other_than_the_product(conic):
 
 def test_a_pattern_table_refuses_an_empty_fiber_subset(conic):
     table = classify_patterns(conic)
-    fibers = (frozenset(), *table.fibers[1:])
+    fibers = ((), *table.fibers[1:])
     with pytest.raises(ZeroSectionError, match="empty fiber subset"):
         PatternTable(table.bases, fibers, table.verdicts)
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,36 @@ def test_point_off_ideal_rejected(capture, argv):
     assert code == 1
     assert out == ""
     assert err == "error: point does not lie on the declared ideal\n"
+
+
+def test_a_huge_power_in_the_ideal_exits_1_before_it_is_computed(capture, tmp_path):
+    # Checking the point on the ideal would build 2^(10^10), 1.25 GB; the
+    # power is refused from its size alone, and 1^(10^10) stays exact.
+    path = tmp_path / "huge-power.problem"
+    path.write_text(json.dumps({
+        "torus_rank": 1,
+        "base_vars": {"x": [0]},
+        "fiber_vars": {"u": [1], "v": [-1]},
+        "ideal": [
+            [
+                {"coeff": "1", "monomial": {"x": 10**10}},
+                {"coeff": "-1", "monomial": {"u": 1}},
+            ]
+        ],
+    }))
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        code, out, err = capture("classify", "--problem", str(path), "--point", "x=2,u=1,v=1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1
+    assert peak < 10**7
+    assert (code, out) == (1, "")
+    assert err == "error: x^10000000000 at x = 2 would take more than 65536 bits\n"
+    code, out, _ = capture("classify", "--problem", str(path), "--point", "x=1,u=1,v=1")
+    assert (code, out) == (0, "stable\n")
 
 
 def test_patterns_warns_about_ideal(capture):

@@ -13,8 +13,8 @@ from torstab.degeneration import (
     Stratum,
     SweepRow,
     WeightTable,
-    _all_configs,
     admissible,
+    admissible_configs,
     build_weight_table,
     classify_config,
     compositions,
@@ -36,6 +36,21 @@ def origin(n):
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def cube_points(stratum):
+    """The stratum's cube points, as `classify_config` and the sweep find them."""
+    return degeneration._points_on(degeneration._tagged_cube(stratum.n), stratum.vanishing)
+
+
+def every_config(n):
+    """Every configuration over every stratum, strata in `strata` order and
+    lengths in `compositions` order: a sweep's rows."""
+    return [
+        ChainConfiguration(stratum, lengths)
+        for stratum in strata(n)
+        for lengths in compositions(n, len(stratum.intervals))
+    ]
 
 
 def extreme_limit_weights(table, interval):
@@ -131,11 +146,20 @@ def test_cube_points_and_admissibility_match_their_definitions():
         for stratum in strata(n):
             on_rows = [v for v in cube if all(dot(row, v) >= 0 for row in stratum.limit_rows)]
             expected = sorted(on_rows, key=lambda v: (tuple(x < 0 for x in v), v))
-            assert stratum.cube_points == tuple(expected), stratum
+            assert cube_points(stratum) == tuple(expected), stratum
             inner = [sum(1 for i in interval if 1 <= i <= n) for interval in stratum.intervals]
             for lengths in compositions(n, len(stratum.intervals)):
                 config = ChainConfiguration(stratum, lengths)
                 assert admissible(config) is (list(lengths) == inner), config
+
+
+def test_admissible_configurations_are_one_per_stratum():
+    # `admissible_configs` lists each stratum's inner counts rather than
+    # filtering every configuration; the filter gives the same list.
+    for n in range(1, 6):
+        filtered = [config for config in every_config(n) if admissible(config)]
+        assert admissible_configs(n) == filtered
+        assert [config.stratum for config in filtered] == strata(n)
 
 
 def test_compositions_are_the_lexicographic_tuples_with_that_sum():
@@ -343,7 +367,7 @@ SWEEP_CASES = [
 def oracle_rows(table):
     return tuple(
         SweepRow(config, admissible(config), config_verdict_oracle(table, config))
-        for config in _all_configs(table.n)
+        for config in every_config(table.n)
     )
 
 
@@ -371,7 +395,7 @@ def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, s
     assert len(questions) == 0
     alone = tuple(
         SweepRow(config, admissible(config), classify_config(table, config))
-        for config in _all_configs(table.n)
+        for config in every_config(table.n)
     )
     assert len(questions) == 0
     assert report.rows == expected
@@ -423,7 +447,7 @@ def test_a_sweep_pairs_each_interval_and_cube_point_once(monkeypatch):
         (interval, v)
         for stratum in strata(3)
         for interval in stratum.intervals
-        for v in stratum.cube_points
+        for v in cube_points(stratum)
     }
     pairings = Counter()
     inside, rechecked = [], []

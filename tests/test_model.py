@@ -147,7 +147,7 @@ def test_record_fields_are_read_only(conic):
     table = ts.classify_patterns(conic)
     pattern, verdict = table.rows[0]
     quotient = ts.quotient_presentation(conic)
-    cone = ts.make_cone_problem([(1, 0)], [(0, 1)])
+    cone = ts.ConeProblem([(1, 0)], [(0, 1)], 2)
     sweep = ts.sweep_equivalence(ts.build_weight_table(1))
     config = sweep.rows[0].config
     incidence = ts.hilbert_components(2)
@@ -246,3 +246,25 @@ def test_polynomial_evaluate():
     poly = Polynomial.make([(1, {"t": 1, "z": 2}), (-1, {"x": 1, "y": 1})])
     values = {"t": Fraction(2), "z": Fraction(3), "x": Fraction(6), "y": Fraction(3)}
     assert poly.evaluate(values) == 0
+
+
+@pytest.mark.parametrize("value, expected", [("0", 0), ("1", 1), ("-1", 1), ("-1/1", 1)])
+def test_a_huge_power_of_zero_or_one_stays_exact(value, expected):
+    poly = Polynomial.make([(1, {"x": 10**10})])
+    assert poly.evaluate({"x": Fraction(value)}) == expected
+
+
+@pytest.mark.parametrize("value", ["2", "-3", "1/2", "-5/4"])
+def test_a_huge_power_is_refused_before_it_is_computed(value):
+    # Numerator or denominator: 2^(10^10) and (1/2)^(10^10) would each take
+    # 1.25 GB.
+    poly = Polynomial.make([(1, {"x": 10**10})])
+    with pytest.raises(InputError, match=r"x\^10000000000 at x = .* more than 65536 bits"):
+        poly.evaluate({"x": Fraction(value)})
+
+
+def test_the_largest_power_allowed_evaluates():
+    # 2 has bit length 2, so 2^32768 is at the bound of 65536 bits.
+    assert Polynomial.make([(1, {"x": 32768})]).evaluate({"x": Fraction(2)}) == 2**32768
+    with pytest.raises(InputError, match="more than 65536 bits"):
+        Polynomial.make([(1, {"x": 32769})]).evaluate({"x": Fraction(2)})

@@ -202,11 +202,15 @@ def _count_renders(monkeypatch):
 
 
 def test_patterns_report_renders_each_shared_fragment_once(monkeypatch):
+    # The name cells are the table's own tuples, shared by every row of
+    # their subset; each is rendered once, as the stdlib renders a list.
     problem = Path(__file__).parent / "tables" / "rank3_5x5_seed1.problem"
     _, report = _run(["patterns", "--problem", str(problem), "--format", "json"])
     rows = report["result"]["rows"]
+    assert {type(row[key]) for row in rows for key in ("base", "fiber")} == {tuple}
+    expected = stdlib_json(report)
     counts = _count_renders(monkeypatch)
-    to_json(report)
+    assert_same_text(to_json(report), expected)
     shared = {id(row[key]) for row in rows for key in ("base", "fiber", "verdict")}
     assert {counts[i] for i in shared} == {1}
     # Each row goes out whole, without a `_put_value` call of its own.
@@ -214,21 +218,24 @@ def test_patterns_report_renders_each_shared_fragment_once(monkeypatch):
 
 
 def _unshared(value):
-    """A copy of a report in which no list or dict object occurs twice."""
+    """A copy of a report in which no list, tuple or dict object occurs
+    twice.  Tuples come back as lists, since the empty tuple is one object."""
     if type(value) is dict:
         return {k: _unshared(v) for k, v in value.items()}
-    if type(value) is list:
+    if type(value) in (list, tuple):
         return [_unshared(v) for v in value]
     return value
 
 
 def test_sweep_report_shares_and_renders_each_fragment_once(monkeypatch):
     # `conic --sweep` builds one stratum list per stratum (the one in
-    # `stratum_weights`), one lengths list per lengths tuple and one verdict
-    # dict per distinct verdict; both views equal those of an unshared copy.
+    # `stratum_weights`) and one verdict dict per distinct verdict, and its
+    # rows hold the sweep's lengths tuples, one per distinct lengths; both
+    # views equal those of an unshared copy.
     _, report = _run(["conic", "--n", "3", "--sweep", "--format", "json"])
     result = report["result"]
     rows = result["rows"]
+    assert {type(row["lengths"]) for row in rows} == {tuple}
     strata = {tuple(s["stratum"]): s["stratum"] for s in result["stratum_weights"]}
     assert all(row["stratum"] is strata[tuple(row["stratum"])] for row in rows)
     for key in ("lengths", "verdict"):
@@ -282,8 +289,9 @@ def test_text_view_formats_each_shared_pattern_piece_once(monkeypatch):
     ],
 )
 def test_row_lists_take_the_row_path_whether_or_not_they_share(monkeypatch, argv, tables):
-    # Neither report shares a list or dict between rows; the shape alone
-    # sends its lists of dicts through `_put_rows`.
+    # The sweep's rows share their lengths tuples and verdict dicts, and the
+    # invariants report's rows share nothing; the shape alone sends a list
+    # of dicts through `_put_rows`.
     _, report = _run(argv + ["--format", "json"])
     rows_rendered = []
     put_rows = report_module._put_rows
