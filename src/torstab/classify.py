@@ -16,6 +16,11 @@ answered by one system of rows and its relaxation:
 
 The first system is one `cones.ConeProblem` for `solve_cone`, and the
 second asks `cone_has_nonzero` of the same rows, both at the torus rank.
+One private `_solve` asks them, for a support given as positions in
+`var_names`: `classify_pattern` resolves a pattern's names once, through
+`GitProblem.support_indices`, and `classify_patterns` passes each row's
+own position tuples.  A support's rows follow declaration order; the cone
+answers depend only on the set of rows.
 Chain configurations need no cone at all (see `degeneration`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
@@ -41,10 +46,12 @@ is solved, only its second system is asked.  A table is the product of the
 base subsets and the nonempty fiber subsets, and `PatternTable` keeps it in
 that form: the two subset lists, each subset a tuple of names in declared
 order, and one verdict per row, with a `SupportPattern` built only for a
-row that is solved or read through `PatternTable.rows`.
+row read through `PatternTable.rows`.
 
 Every verdict's witness is re-verified by an independent weight computation
-before it is returned; a mismatch raises InternalInvariantError.
+before it is returned: `weight_of_pairings` over the witness's `pairings`,
+computed once per solve and reused for every row the witness settles.  A
+mismatch raises InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from itertools import combinations
 from .cones import ConeProblem, cone_has_nonzero, solve_cone
 from .errors import InputError, InternalInvariantError, ZeroSectionError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
-from .mu import mu_from_pattern, pairings, weight_of_pairings
+from .mu import pairings, weight_of_pairings
 from .snf import lattice_rank_and_index
 
 
@@ -130,38 +137,39 @@ class PatternTable(namedtuple("PatternTable", "bases fibers verdicts warnings"))
         return tuple(zip(patterns, self.verdicts))
 
 
-def _support_rows(
-    problem: GitProblem, pattern: SupportPattern
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The rows B and F of a support, each in sorted name order."""
-    return (
-        [problem.base_weight(n) for n in sorted(pattern.base)],
-        [problem.shifted_fiber_weight(n) for n in sorted(pattern.fiber)],
-    )
+def _solve(
+    problem: GitProblem, base: tuple[int, ...], fiber: tuple[int, ...], first: bool = True
+) -> tuple[Verdict, list[int] | None]:
+    """The verdict of the support whose base and fiber variables sit at
+    the positions `base` and `fiber` of `var_names`, and its witness's
+    `pairings` (None when stable).  With `first`, {B >= 0, F >= 1} is asked
+    first, and an integral point of it destabilizes; if it has none, or
+    without `first`, a nonzero point of {B >= 0, F >= 0} has weight 0, and
+    with none the support is stable.  The weight is `weight_of_pairings`
+    over the witness's pairings with the support, and the `Verdict`
+    constructor checks it."""
+    weights = problem.weights
+    base_rows = [weights[i] for i in base]
+    fiber_rows = [weights[i] for i in fiber]
+    status = StabilityStatus.UNSTABLE
+    lam = None
+    if first:
+        lam = solve_cone(ConeProblem(base_rows, fiber_rows, problem.torus_rank)).witness
+    if lam is None:
+        status = StabilityStatus.STRICTLY_SEMISTABLE
+        lam = cone_has_nonzero(base_rows + fiber_rows, problem.torus_rank)
+        if lam is None:
+            return Verdict(StabilityStatus.STABLE), None
+    pairs = pairings(problem, lam)
+    weight = weight_of_pairings(map(pairs.__getitem__, base), map(pairs.__getitem__, fiber))
+    return Verdict(status, lam, weight), pairs
 
 
 def classify_pattern(problem: GitProblem, pattern: SupportPattern) -> Verdict:
     """Verdict for every point realizing the given support pattern: first
     {B >= 0, F >= 1}, whose integral point destabilizes, then, if it has
     none, a nonzero point of {B >= 0, F >= 0}, which has weight 0."""
-    base_rows, fiber_rows = _support_rows(problem, pattern)
-    lam = solve_cone(ConeProblem(base_rows, fiber_rows, problem.torus_rank)).witness
-    if lam is None:
-        return _not_unstable(problem, pattern)
-    return Verdict(StabilityStatus.UNSTABLE, lam, mu_from_pattern(problem, pattern, lam))
-
-
-def _not_unstable(problem: GitProblem, pattern: SupportPattern) -> Verdict:
-    """`classify_pattern`'s verdict for a support whose {B >= 0, F >= 1}
-    has no integral point: strictly semistable with a nonzero point of
-    {B >= 0, F >= 0}, else stable."""
-    base_rows, fiber_rows = _support_rows(problem, pattern)
-    lam = cone_has_nonzero(base_rows + fiber_rows, problem.torus_rank)
-    if lam is None:
-        return Verdict(StabilityStatus.STABLE)
-    return Verdict(
-        StabilityStatus.STRICTLY_SEMISTABLE, lam, mu_from_pattern(problem, pattern, lam)
-    )
+    return _solve(problem, *problem.support_indices(pattern))[0]
 
 
 def classify(problem: GitProblem, point: PointSample) -> Verdict:
@@ -192,9 +200,9 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     a support" and "the rows inside a witness's covered variables" are each
     an AND of those sets and their complements.
 
-    The next solve is the lowest undecided row, by `classify_pattern` (a
-    marked row, below, by its second half alone), and each solve settles
-    every undecided row it decides at once:
+    The next solve is the lowest undecided row, by `_solve` over the row's
+    own position tuples (a marked row, below, by its second system alone),
+    and each solve settles every undecided row it decides at once:
 
       * solved stable, it makes every row containing it stable (their cones
         lie in its cone, which is {0}; stable verdicts have no witness);
@@ -221,8 +229,9 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     must lie in no covered set, since every covering witness shows it is not
     stable; otherwise the call raises InternalInvariantError.
 
-    A reused witness is re-checked with `weight_of_pairings` once per fiber
-    subset it takes rows of, over its covered base pairings, all >= 0, and
+    A reused witness is re-checked with `weight_of_pairings`, over the
+    pairings its solve computed, once per fiber subset it takes rows of:
+    over its covered base pairings, all >= 0, and
     that fiber subset's pairings; a row's base pairings are a subset of
     the covered ones, so this is each row's own weight.  The `Verdict`
     constructor rejects it unless it is < 0 (unstable) or 0 (strictly
@@ -315,22 +324,18 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         row = (undecided & -undecided).bit_length() - 1
         undecided ^= 1 << row
         b, f = divmod(row, width)
-        indices = base_subsets[b][1] + fiber_subsets[f][1]
-        pattern = SupportPattern(frozenset(base_subsets[b][0]), frozenset(fiber_subsets[f][0]))
-        if marked >> row & 1:
-            verdict = _not_unstable(problem, pattern)
-        else:
-            verdict = classify_pattern(problem, pattern)
+        (base_names, base), (fiber_names, fiber) = base_subsets[b], fiber_subsets[f]
+        verdict, pairs = _solve(problem, base, fiber, first=not marked >> row & 1)
         if verdict.status is StabilityStatus.STABLE:
             if covered >> row & 1:
                 raise InternalInvariantError(
-                    f"{pattern} solved stable lies inside a witness's covered set"
+                    f"support {base_names} + {fiber_names} solved stable lies inside "
+                    "a witness's covered set"
                 )
-            undecided &= ~rows_with(indices, [])
+            undecided &= ~rows_with(base + fiber, [])
             continue
         by_weight = by_witness.setdefault(verdict[:2], {})
         verdict = verdicts[row] = by_weight.setdefault(verdict.witness_mu, verdict)
-        pairs = pairings(problem, verdict.witness)
         unstable = verdict.status is StabilityStatus.UNSTABLE
         fiber_floor = 1 if unstable else 0
         inside = rows_with(
@@ -345,7 +350,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
             settle(taken, cert)
             undecided ^= taken
             continue
-        marked |= rows_with(indices, [])
+        marked |= rows_with(base + fiber, [])
         blockers.append(cert)
         for blocker in blockers:
             taken = undecided & marked & blocker.inside
@@ -367,13 +372,11 @@ def stabilizer_order(problem: GitProblem, point: PointSample) -> int | None:
     the nonzero fiber weights (fiber coordinates matter up to common scalar).
     Its order is the lattice index, the product of the echelon pivots.
     """
-    pattern = support(point)
-    rows: list[tuple[int, ...]] = [problem.base_weight(n) for n in sorted(pattern.base)]
-    fiber = sorted(pattern.fiber, key=problem.fiber_names.index)
-    anchor = problem.shifted_fiber_weight(fiber[0])
-    for name in fiber[1:]:
-        weight = problem.shifted_fiber_weight(name)
-        rows.append(tuple(a - b for a, b in zip(weight, anchor)))
+    base, fiber = problem.support_indices(support(point))
+    weights = problem.weights
+    anchor = weights[fiber[0]]
+    rows = [weights[i] for i in base]
+    rows += [tuple(a - b for a, b in zip(weights[i], anchor)) for i in fiber[1:]]
     rows = [r for r in rows if any(r)]
     _, index = lattice_rank_and_index(rows, problem.torus_rank)
     return index

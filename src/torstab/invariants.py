@@ -303,20 +303,17 @@ def quotient_presentation(
 
     syzygy_degree counts generator factors and defaults to twice the largest
     generator total degree.  Pass an explicit bound to search for longer
-    coincidences.
+    coincidences.  A bound below 1 is refused by `relations`, also when
+    there is no generator.
     """
     gens = minimal_generators(invariant_monomials(problem, max_degree))
     base = [m for m in gens if m.l_degree == 0]
     proj = [m for m in gens if m.l_degree > 0]
-    named: list[tuple[str, MonomialInvariant]] = []
-    named += [(f"T{i}", m) for i, m in enumerate(base)]
-    named += [(f"Z{i}", m) for i, m in enumerate(proj)]
+    names = [f"T{i}" for i in range(len(base))] + [f"Z{i}" for i in range(len(proj))]
     if syzygy_degree is None:
         syzygy_degree = max((2 * m.total_degree for m in gens), default=1)
     warnings: list[str] = []
-    rels = relations(
-        [m for _, m in named], syzygy_degree, [n for n, _ in named], warnings=warnings
-    ) if named else []
+    rels = relations(base + proj, syzygy_degree, names, warnings=warnings)
 
     degrees = sorted(m.l_degree for m in proj)
     parts = []
@@ -324,22 +321,14 @@ def quotient_presentation(
         parts.append(f"A^{len(base)}")
     if proj:
         parts.append("P(" + ",".join(map(str, degrees)) + ")")
-    ambient = " x ".join(parts) if parts else "point"
-
-    veronese = None
-    if degrees:
-        common = 0
-        for d in degrees:
-            common = gcd(common, d)
-        if common > 1:
-            veronese = common
+    common = gcd(*degrees)  # 0 when there is no projective coordinate
 
     return QuotientPresentation(
-        base_generators=tuple((n, m) for n, m in named if m.l_degree == 0),
-        proj_generators=tuple((n, m, m.l_degree) for n, m in named if m.l_degree > 0),
+        base_generators=tuple(zip(names, base)),
+        proj_generators=tuple((n, m, m.l_degree) for n, m in zip(names[len(base) :], proj)),
         relations=tuple(rels),
-        ambient=ambient,
-        veronese_divisor=veronese,
+        ambient=" x ".join(parts) if parts else "point",
+        veronese_divisor=common if common > 1 else None,
         warnings=tuple(warnings),
     )
 
@@ -352,8 +341,10 @@ def semistable_via_sections(
     Finding one certifies the point is not unstable; not finding one at this
     bound proves nothing.
     """
-    support(point)  # zero-section validation
-    vanishing = [point.value(name) == 0 for name in problem.var_names]
+    base, fiber = problem.support_indices(support(point))
+    vanishing = [True] * len(problem.var_names)
+    for i in base + fiber:
+        vanishing[i] = False
     for mono in invariant_monomials(problem, max_degree):
         if mono.l_degree < 1:
             continue

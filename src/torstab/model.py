@@ -6,6 +6,13 @@ added to every fiber weight, and an optional defining ideal.  Points carry
 exact rational coordinates; every stability decision downstream depends on a
 point only through its support pattern.
 
+Downstream, a variable is addressed by its position in `var_names` (base
+variables, then fiber variables, each in declaration order), where
+`GitProblem.weights` holds its weight.  Names become positions in one
+place: the cached map `GitProblem.positions`, and
+`GitProblem.support_indices`, which turns a support pattern into its base
+and fiber positions and refuses a name that is not a variable of its kind.
+
 File format: JSON with integer weight vectors and rationals as "p/q" or "n"
 strings (never floats).  See the README for the full grammar.
 
@@ -129,7 +136,7 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
 
     A shift of None stands for the zero shift; any other shift must have
     one entry per torus coordinate.  No ``__slots__``: the cached weight
-    lookups below live in the instance dict.
+    list and position map below live in the instance dict.
     """
 
     torus_rank: int
@@ -180,9 +187,9 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
     def var_names(self) -> tuple[str, ...]:
         return self.base_names + self.fiber_names
 
-    # Weight lookups, built on first use.  They are cached properties, not
-    # fields, so equality, hashing, repr and serialization see only the
-    # declared data.
+    # Lookups built on first use.  They are cached properties, not fields,
+    # so equality, hashing, repr and serialization see only the declared
+    # data.
     @cached_property
     def weights(self) -> tuple[WeightVector, ...]:
         """Every variable's weight, indexed like `var_names`: the base
@@ -192,24 +199,28 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
         )
 
     @cached_property
-    def _base_weights(self) -> dict[str, WeightVector]:
-        return dict(self.base_vars)
+    def positions(self) -> dict[str, int]:
+        """Each variable's position in `var_names`: the one map from names
+        to positions."""
+        return {name: i for i, name in enumerate(self.var_names)}
 
-    @cached_property
-    def _shifted_fiber_weights(self) -> dict[str, WeightVector]:
-        return dict(zip(self.fiber_names, self.weights[len(self.base_vars) :]))
-
-    def base_weight(self, name: str) -> WeightVector:
-        try:
-            return self._base_weights[name]
-        except KeyError:
-            raise InputError(f"unknown base variable {name!r}") from None
-
-    def shifted_fiber_weight(self, name: str) -> WeightVector:
-        try:
-            return self._shifted_fiber_weights[name]
-        except KeyError:
-            raise InputError(f"unknown fiber variable {name!r}") from None
+    def support_indices(
+        self, pattern: SupportPattern
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions in `var_names` of a support's base variables and of
+        its fiber variables, each ascending.  A name that is not a declared
+        variable of its kind is refused with an InputError."""
+        nbase = len(self.base_vars)
+        found = []
+        for kind, names, allowed in (
+            ("base", pattern.base, range(nbase)),
+            ("fiber", pattern.fiber, range(nbase, len(self.positions))),
+        ):
+            for name in sorted(names):
+                if self.positions.get(name, -1) not in allowed:
+                    raise InputError(f"unknown {kind} variable {name!r}")
+            found.append(tuple(sorted(map(self.positions.__getitem__, names))))
+        return found[0], found[1]
 
     def check_lambda(self, lam: OnePS) -> OnePS:
         lam = tuple(map(int, lam))
@@ -244,12 +255,6 @@ class PointSample(namedtuple("PointSample", "base_values fiber_values")):
             tuple((n, parsed[n]) for n in problem.base_names),
             tuple((n, parsed[n]) for n in problem.fiber_names),
         )
-
-    def value(self, name: str) -> Fraction:
-        for n, v in self.base_values + self.fiber_values:
-            if n == name:
-                return v
-        raise InputError(f"point has no value for {name!r}")
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.base_values + self.fiber_values)

@@ -8,9 +8,11 @@ coordinate has negative lambda-degree, so the flow leaves the affine base as
 t -> 0.
 
 Because the action is diagonal, the weight depends on the point only through
-the pairings <lambda, w_v> of its support variables; `weight_of_pairings` is
-the one rule, used by `mu_from_pattern` and, over `pairings` computed once
-per witness, by every row of a pattern table.
+the pairings <lambda, w_v> of its support variables.  `pairings` is the one
+place lambda meets the weights, and `weight_of_pairings` the one rule over
+them: `mu_from_pattern` reads a support's pairings by their positions in
+`var_names` (`GitProblem.support_indices`), and `classify` reads each
+witness's pairings, computed once, for every support it is checked on.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ from operator import mul
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 
 
-def _dot(lam: OnePS, weight: tuple[int, ...]) -> int:
-    return sum(map(mul, lam, weight))
-
-
 def pairings(problem: GitProblem, lam: OnePS) -> list[int]:
     """<lambda, w_v> for every declared variable, indexed like
     `problem.var_names`: base weights, then shifted fiber weights."""
     lam = problem.check_lambda(lam)
-    return [_dot(lam, w) for w in problem.weights]
+    return [sum(map(mul, lam, w)) for w in problem.weights]
 
 
 def weight_of_pairings(base: Iterable[int], fiber: Iterable[int]) -> int | None:
@@ -44,11 +42,9 @@ def weight_of_pairings(base: Iterable[int], fiber: Iterable[int]) -> int | None:
 def mu_from_pattern(problem: GitProblem, pattern: SupportPattern, lam: OnePS) -> int | None:
     """Weight of lambda against any point realizing the given support
     pattern, or None when it is infinite (the base limit fails)."""
-    lam = problem.check_lambda(lam)
-    return weight_of_pairings(
-        (_dot(lam, problem.base_weight(n)) for n in pattern.base),
-        (_dot(lam, problem.shifted_fiber_weight(n)) for n in pattern.fiber),
-    )
+    pairs = pairings(problem, lam)
+    base, fiber = problem.support_indices(pattern)
+    return weight_of_pairings(map(pairs.__getitem__, base), map(pairs.__getitem__, fiber))
 
 
 def mu(problem: GitProblem, point: PointSample, lam: OnePS) -> int | None:
@@ -64,22 +60,15 @@ def limit_point(problem: GitProblem, point: PointSample, lam: OnePS) -> PointSam
     survive exactly on the support variables attaining the minimal degree.
     The result is a fixed point of lambda, with the same weight.
     """
-    lam = problem.check_lambda(lam)
-    weight = mu_from_pattern(problem, support(point), lam)
+    pairs = pairings(problem, lam)
+    weight = mu(problem, point, lam)
     if weight is None:
         return None
-    minimal = -weight
-    base_values = tuple(
-        (n, v if v != 0 and _dot(lam, problem.base_weight(n)) == 0 else Fraction(0))
-        for n, v in point.base_values
-    )
-    fiber_values = tuple(
-        (
-            n,
-            v
-            if v != 0 and _dot(lam, problem.shifted_fiber_weight(n)) == minimal
-            else Fraction(0),
+    at = problem.positions
+
+    def kept(values, degree):
+        return tuple(
+            (n, v if v != 0 and pairs[at[n]] == degree else Fraction(0)) for n, v in values
         )
-        for n, v in point.fiber_values
-    )
-    return PointSample(base_values, fiber_values)
+
+    return PointSample(kept(point.base_values, 0), kept(point.fiber_values, -weight))

@@ -220,6 +220,15 @@ def _relations(polys: list[list[dict]]) -> list[str]:
     return [f"  {_poly(p)} = 0" for p in polys] or ["  (none)"]
 
 
+def _generators(gens: list[dict], degree: bool = False) -> list[str]:
+    """One line per named generator, with its fiber degree if asked."""
+    return [
+        f"  {g['name']} = {_monomial(g['monomial'])}"
+        + (f"  (degree {g['l_degree']})" if degree else "")
+        for g in gens
+    ] or ["  (none)"]
+
+
 def _weight_table(table: dict, intervals: list[dict]) -> list[str]:
     sign = "engine(+1)" if table["sign"] == 1 else "opposite(-1)"
     lines = [
@@ -274,21 +283,14 @@ def _text_invariants(r: dict) -> list[str]:
 
 
 def _text_relations(r: dict) -> list[str]:
-    lines = ["generators:"]
-    lines += [f"  {g['name']} = {_monomial(g['monomial'])}" for g in r["generators"]]
+    lines = ["generators:"] + _generators(r["generators"])
     return lines + ["relations:"] + _relations(r["relations"])
 
 
 def _text_quotient(r: dict) -> list[str]:
-    lines = ["base coordinates (degree 0):"]
-    lines += [
-        f"  {g['name']} = {_monomial(g['monomial'])}" for g in r["base_generators"]
-    ] or ["  (none)"]
+    lines = ["base coordinates (degree 0):"] + _generators(r["base_generators"])
     lines.append("projective coordinates (degree > 0):")
-    lines += [
-        f"  {g['name']} = {_monomial(g['monomial'])}  (degree {g['l_degree']})"
-        for g in r["proj_generators"]
-    ]
+    lines += _generators(r["proj_generators"], degree=True)
     lines += ["relations:"] + _relations(r["relations"])
     lines.append(f"ambient: {r['ambient']}")
     if r["veronese_divisor"]:

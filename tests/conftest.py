@@ -121,8 +121,8 @@ def mu_oracle(
 
     best: int | None = None
     fiber_degrees = [
-        (_pairing(lam, problem.shifted_fiber_weight(name)), values[name])
-        for name in problem.fiber_names
+        (_pairing(lam, tuple(a + b for a, b in zip(weight, problem.shift))), values[name])
+        for name, weight in problem.fiber_vars
     ]
     for size in range(degree_bound + 1):
         for combo in combinations_with_replacement(range(len(base)), size):

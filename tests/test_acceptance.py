@@ -253,13 +253,12 @@ def test_criterion_10_property_suite():
             continue
         unstable_witnesses += 1
         sample = synthetic_point(problem, pattern)
+        values = sample.as_dict()
         for name in sorted(pattern.fiber):
-            degree = sum(
-                a * b
-                for a, b in zip(verdict.witness, problem.shifted_fiber_weight(name))
-            )
+            weight = problem.weights[problem.positions[name]]
+            degree = sum(a * b for a, b in zip(verdict.witness, weight))
             assert degree > 0
-            profile = decay_profile(sample.value(name), degree)
+            profile = decay_profile(values[name], degree)
             assert all(a > b for a, b in zip(profile, profile[1:]))
             assert profile[-1] < Fraction(1, 10_000)
     assert unstable_witnesses == 4

@@ -346,8 +346,9 @@ def _rows_hold(problem, pattern, lam, fiber_floor):
     def dot(w):
         return sum(a * b for a, b in zip(w, lam))
 
-    return all(dot(problem.base_weight(n)) >= 0 for n in pattern.base) and all(
-        dot(problem.shifted_fiber_weight(n)) >= fiber_floor for n in pattern.fiber
+    weights, at = problem.weights, problem.positions
+    return all(dot(weights[at[n]]) >= 0 for n in pattern.base) and all(
+        dot(weights[at[n]]) >= fiber_floor for n in pattern.fiber
     )
 
 
@@ -512,29 +513,33 @@ def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch)
 
 
 def _recording(solved, solve=classify_pattern):
-    """`solve`, appending each pattern it is asked about to `solved`, unless
-    that pattern is the last one recorded: `classify_pattern` hands its
-    second pass to `_not_unstable`, and a pattern is solved once."""
+    """`solve`, appending each pattern it is asked about to `solved`."""
 
     def recorded(problem, pattern):
-        if not solved or solved[-1] is not pattern:
-            solved.append(pattern)
+        solved.append(pattern)
         return solve(problem, pattern)
 
     return recorded
 
 
 def _assert_table_equals_the_row_walk(problem):
-    """The table's rows, checked against `pattern_table_oracle`.  Solves
-    enter by `classify_pattern` or, for a row containing a support solved
-    strictly semistable, by `_not_unstable`; both are recorded in one list,
-    in the order the walk would solve them."""
+    """The table's rows, checked against `pattern_table_oracle`.  Every
+    solve enters by `_solve`, over the row's own positions (the second
+    system alone for a row containing a support solved strictly
+    semistable); each is recorded as its pattern, in the order the walk
+    would solve them."""
     classify_module = importlib.import_module("torstab.classify")
+    solve, names = classify_module._solve, problem.var_names
     solved, walked = [], []
+
+    def recorded(problem, base, fiber, first=True):
+        solved.append(
+            SupportPattern(frozenset(names[i] for i in base), frozenset(names[i] for i in fiber))
+        )
+        return solve(problem, base, fiber, first)
+
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("classify_pattern", "_not_unstable"):
-            recorded = _recording(solved, getattr(classify_module, name))
-            patch.setattr(classify_module, name, recorded)
+        patch.setattr(classify_module, "_solve", recorded)
         rows = classify_patterns(problem).rows
     expected = pattern_table_oracle(problem, _recording(walked))
     assert solved == walked
@@ -614,12 +619,15 @@ def test_a_support_solved_stable_inside_a_covered_set_is_an_internal_error(monke
     # that witness.
     problem = GitProblem(torus_rank=1, base_vars=(), fiber_vars=(("u", (0,)), ("v", (0,))))
 
-    def forged(problem, pattern):
-        if pattern.fiber == {"v"}:
-            return Verdict(StabilityStatus.STABLE)
-        return classify_pattern(problem, pattern)
+    classify_module = importlib.import_module("torstab.classify")
+    solve = classify_module._solve
 
-    monkeypatch.setattr(importlib.import_module("torstab.classify"), "classify_pattern", forged)
+    def forged(problem, base, fiber, first=True):
+        if fiber == (problem.positions["v"],):
+            return Verdict(StabilityStatus.STABLE), None
+        return solve(problem, base, fiber, first)
+
+    monkeypatch.setattr(classify_module, "_solve", forged)
     with pytest.raises(InternalInvariantError, match="solved stable lies inside"):
         classify_patterns(problem)
 

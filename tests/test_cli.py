@@ -374,6 +374,39 @@ def test_incomplete_relation_sets_say_so(capture, subcommand):
         assert len(report["result"]["relations"]) == (0 if warned else 1)
 
 
+# Rank 1, base x and fiber u both of weight 1: no monomial has weight 0,
+# so the invariant ring has no generator.
+NO_GENERATOR = '{"torus_rank": 1, "base_vars": {"x": [1]}, "fiber_vars": {"u": [1]}}'
+
+
+@pytest.mark.parametrize("subcommand", ["relations", "quotient"])
+@pytest.mark.parametrize("syzygy", ["0", "-5"])
+def test_a_syzygy_degree_below_1_exits_1_without_generators(capture, tmp_path, subcommand, syzygy):
+    path = tmp_path / "p.problem"
+    path.write_text(NO_GENERATOR)
+    code, out, err = capture(subcommand, "--problem", str(path), "--syzygy-degree", syzygy)
+    assert code == 1 and out == ""
+    assert err == f"error: syzygy degree bound must be >= 1, got {syzygy}\n"
+
+
+def test_empty_sections_print_none(capture, tmp_path):
+    path = tmp_path / "p.problem"
+    path.write_text(NO_GENERATOR)
+
+    def body(subcommand):
+        code, out, _ = capture(subcommand, "--problem", str(path))
+        assert code == 0
+        return [line for line in out.splitlines() if not line.startswith(("warning:", "elapsed:"))]
+
+    assert body("relations") == ["generators:", "  (none)", "relations:", "  (none)"]
+    assert body("quotient") == [
+        "base coordinates (degree 0):", "  (none)",
+        "projective coordinates (degree > 0):", "  (none)",
+        "relations:", "  (none)",
+        "ambient: point",
+    ]
+
+
 def test_conic_sweep_prints_weight_table(capture):
     code, out, _ = capture("conic", "--n", "1", "--sweep")
     assert code == 0
@@ -760,7 +793,7 @@ def test_text_renders_non_unit_coefficients():
             {"coeff": "1", "monomial": {}},
         ]],
     })
-    assert to_text(report) == "generators:\nrelations:\n  2/3*y^2 + 1 + -2*x = 0\n"
+    assert to_text(report) == "generators:\n  (none)\nrelations:\n  2/3*y^2 + 1 + -2*x = 0\n"
 
 
 class _ClosedStdout:

@@ -52,9 +52,8 @@ def test_conic_invariants_bound_two(conic):
 def brute_force_invariants(problem, bound):
     """Independent enumeration: odometer over exponent vectors."""
     names = problem.var_names
-    weights = [
-        problem.base_weight(n) if n in problem.base_names else problem.shifted_fiber_weight(n)
-        for n in names
+    weights = [w for _, w in problem.base_vars] + [
+        tuple(a + b for a, b in zip(w, problem.shift)) for _, w in problem.fiber_vars
     ]
     found = set()
     vector = [0] * len(names)

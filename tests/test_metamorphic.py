@@ -6,7 +6,9 @@ to U w and every subgroup lam to U^-T lam, and keeps every pairing
 and with them the verdicts, the weights of corresponding subgroups, the
 stabilizer lattices' indices and the weight-zero monomials.  Declaring the
 variables in another order renames nothing, so it keeps each support's
-verdict and each invariant monomial.
+verdict and each invariant monomial.  A support's cone systems then list the
+same rows in another order, and the cone answers depend only on the set of
+rows, so `classify_pattern` returns the same witness and weight too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from torstab import (
     GitProblem,
     PointSample,
+    classify_pattern,
     classify_patterns,
     invariant_monomials,
     mu_from_pattern,
@@ -127,6 +130,18 @@ def _statuses(problem):
     return {(p.base, p.fiber): v.status for p, v in classify_patterns(problem).rows}
 
 
+def _supports(problem):
+    """Each support's whole `classify_pattern` verdict, witness and weight
+    included, and the `stabilizer_order` of its 0/1 point."""
+    return {
+        (p.base, p.fiber): (
+            classify_pattern(problem, p),
+            stabilizer_order(problem, _support_point(problem, p)),
+        )
+        for p, _ in classify_patterns(problem).rows
+    }
+
+
 def _monomials(problem):
     """The invariant monomials as name -> exponent maps, with their fiber
     degrees, independent of the order the variables are declared in."""
@@ -141,4 +156,5 @@ def _monomials(problem):
 def test_declaration_order_keeps_every_answer(case):
     problem, reordered = case
     assert _statuses(reordered) == _statuses(problem)
+    assert _supports(reordered) == _supports(problem)
     assert _monomials(reordered) == _monomials(problem)

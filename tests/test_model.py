@@ -7,6 +7,7 @@ from torstab import (
     GitProblem,
     PointSample,
     Polynomial,
+    SupportPattern,
     check_on_ideal,
     parse_point,
     parse_problem,
@@ -60,7 +61,7 @@ def test_parse_king(king):
     parsed = parse_problem(text)
     assert parsed == king
     assert len(parsed.var_names) == 3
-    assert parsed.shifted_fiber_weight("e") == (-1,)
+    assert parsed.weights[parsed.positions["e"]] == (-1,)
 
 
 def test_parse_syntax_error_reports_position():
@@ -125,22 +126,40 @@ def test_round_trip(conic, king, conic_surface):
 
 
 def test_weight_lookup_is_not_part_of_the_problem():
-    problem = GitProblem(
-        torus_rank=2,
-        base_vars=(("x", (1, 0)),),
-        fiber_vars=(("u", (0, 1)), ("v", (2, -1))),
-        shift=(1, 1),
-    )
-    assert problem.base_weight("x") == (1, 0)
-    assert problem.shifted_fiber_weight("v") == (3, 0)
+    def declared():
+        return GitProblem(
+            torus_rank=2,
+            base_vars=(("x", (1, 0)),),
+            fiber_vars=(("u", (0, 1)), ("v", (2, -1))),
+            shift=(1, 1),
+        )
+
+    problem, fresh = declared(), declared()
+    fresh_hash, fresh_repr = hash(fresh), repr(fresh)
     assert problem.weights == ((1, 0), (1, 2), (3, 0))
-    for lookup, name in ((problem.base_weight, "u"), (problem.shifted_fiber_weight, "x")):
-        with pytest.raises(InputError, match="unknown"):
-            lookup(name)
+    assert problem.positions == {"x": 0, "u": 1, "v": 2}
+    assert problem.support_indices(
+        SupportPattern(frozenset({"x"}), frozenset({"v", "u"}))
+    ) == ((0,), (1, 2))
+    assert problem.support_indices(SupportPattern(frozenset(), frozenset({"v"}))) == ((), (2,))
+    # A name that is not a variable of its kind is refused: undeclared, or
+    # declared as the other kind.
+    for base, fiber, refused in (
+        ({"w"}, {"u"}, "unknown base variable 'w'"),
+        ((), {"u", "w"}, "unknown fiber variable 'w'"),
+        ({"u"}, {"v"}, "unknown base variable 'u'"),
+        ((), {"x"}, "unknown fiber variable 'x'"),
+    ):
+        with pytest.raises(InputError, match=refused):
+            problem.support_indices(SupportPattern(frozenset(base), frozenset(fiber)))
+    # The filled caches are not part of the problem.
+    assert problem == fresh and hash(problem) == fresh_hash
+    assert repr(problem) == fresh_repr and "positions" not in repr(problem)
+    assert serialize_problem(problem) == serialize_problem(fresh)
+    assert '"_' not in serialize_problem(problem)
+    assert "positions" not in serialize_problem(problem)
     twin = parse_problem(serialize_problem(problem))
     assert twin == problem and hash(twin) == hash(problem)
-    assert "_base_weights" not in repr(problem)
-    assert '"_' not in serialize_problem(problem)
 
 
 def test_record_fields_are_read_only(conic):
@@ -158,7 +177,7 @@ def test_record_fields_are_read_only(conic):
         sweep.table, config, config.stratum, incidence, incidence.components[0],
     ]
     assert len({type(record) for record in records}) == 17
-    conic.base_weight("x")  # fills a cached property of the instance dict
+    conic.positions  # fills a cached property of the instance dict
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):
@@ -227,7 +246,7 @@ def test_parse_point_inline_and_json(conic):
     inline = parse_point(conic, "x=1, y=0, u=1/2, v=-3")
     as_json = parse_point(conic, '{"x": "1", "y": "0", "u": "1/2", "v": "-3"}')
     assert inline == as_json
-    assert inline.value("u") == Fraction(1, 2)
+    assert inline.as_dict()["u"] == Fraction(1, 2)
 
 
 def test_parse_point_rejects_floats(conic):

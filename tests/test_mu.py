@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from torstab import (
     GitProblem,
+    PointSample,
     classify_pattern,
     classify_patterns,
     conic_bundle_problem,
@@ -14,6 +15,7 @@ from torstab import (
     mu,
     mu_from_pattern,
     parse_problem,
+    stabilizer_order,
     support,
 )
 from torstab.errors import DimensionMismatchError, InputError, ZeroSectionError
@@ -159,17 +161,16 @@ def scaled_coordinates(problem, p, lam, t: Fraction):
     """Exact coordinates of lambda(t).p with the fiber renormalized by the
     minimal attained degree (projective chart of a surviving coordinate)."""
     pattern = support(p)
-    minimal = min(
-        sum(a * b for a, b in zip(lam, problem.shifted_fiber_weight(n)))
-        for n in pattern.fiber
-    )
+
+    def degree(name):
+        return sum(a * b for a, b in zip(lam, problem.weights[problem.positions[name]]))
+
+    minimal = min(degree(n) for n in pattern.fiber)
     values = {}
     for name, value in p.base_values:
-        degree = sum(a * b for a, b in zip(lam, problem.base_weight(name)))
-        values[name] = value * t**degree
+        values[name] = value * t ** degree(name)
     for name, value in p.fiber_values:
-        degree = sum(a * b for a, b in zip(lam, problem.shifted_fiber_weight(name)))
-        values[name] = value * t ** (degree - minimal)
+        values[name] = value * t ** (degree(name) - minimal)
     return values
 
 
@@ -224,11 +225,32 @@ SEEDED_TABLE = Path(__file__).parent / "tables" / "rank4_4x4_seed1.problem"
 
 
 def test_mu_from_pattern_rejects_unknown_names():
+    # Every name-taking entry point resolves names through
+    # `GitProblem.support_indices`, which refuses a name that is not a
+    # declared variable of its kind: undeclared, or declared as the other.
     problem = parse_problem(SEEDED_TABLE.read_text())
-    with pytest.raises(InputError, match="unknown base variable 'y'"):
-        mu_from_pattern(problem, SupportPattern(frozenset({"y"}), frozenset({"u0"})), (0,) * 4)
-    with pytest.raises(InputError, match="unknown fiber variable 'v'"):
-        mu_from_pattern(problem, SupportPattern(frozenset(), frozenset({"u0", "v"})), (0,) * 4)
+
+    def at_point(pattern):
+        one = Fraction(1)
+        return PointSample(
+            tuple((n, one) for n in sorted(pattern.base)),
+            tuple((n, one) for n in sorted(pattern.fiber)),
+        )
+
+    lookups = [
+        lambda pattern: mu_from_pattern(problem, pattern, (0,) * 4),
+        lambda pattern: classify_pattern(problem, pattern),
+        lambda pattern: stabilizer_order(problem, at_point(pattern)),
+    ]
+    for base, fiber, refused in (
+        ({"y"}, {"u0"}, "unknown base variable 'y'"),
+        ((), {"u0", "v"}, "unknown fiber variable 'v'"),
+        ({"x0", "u1"}, {"u0"}, "unknown base variable 'u1'"),
+        ({"x0"}, {"u0", "x1"}, "unknown fiber variable 'x1'"),
+    ):
+        for lookup in lookups:
+            with pytest.raises(InputError, match=refused):
+                lookup(SupportPattern(frozenset(base), frozenset(fiber)))
 
 
 @pytest.mark.parametrize("lam", [(), (1, 0, 0), (1, 0, 0, 0, 0)])
