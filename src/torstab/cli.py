@@ -125,11 +125,12 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _mono_dict(mono, names) -> dict:
-    """An invariant monomial as its report dict; `names` are the problem's
-    `var_names`, the variables its exponent vector is over."""
+def _mono_dict(mono, names, **extra) -> dict:
+    """An invariant monomial as its report dict, with the `extra` keys;
+    `names` are the problem's `var_names`, the variables its exponent
+    vector is over."""
     monomial = {n: e for n, e in zip(names, mono.exponents) if e}
-    return {"monomial": monomial, "l_degree": mono.l_degree}
+    return {"monomial": monomial, "l_degree": mono.l_degree, **extra}
 
 
 def _degree_bounded(max_degree: int) -> list[str]:
@@ -150,10 +151,9 @@ def _cmd_mu(args) -> tuple[dict, list[str]]:
 
 def _cmd_limit(args):
     limit = limit_point(args.problem, args.point, _parse_ints(args.lam, "lambda"))
-    if limit is None:
-        return {"limit": None}, []
-    values = {n: format_rational(v) for n, v in limit.base_values + limit.fiber_values}
-    return {"limit": values}, []
+    if limit is not None:
+        limit = {n: format_rational(v) for n, v in limit.as_dict().items()}
+    return {"limit": limit, "variables": list(args.problem.var_names)}, []
 
 
 def _cmd_classify(args):
@@ -187,6 +187,7 @@ def _cmd_invariants(args):
     result = {
         "invariant_monomials": [_mono_dict(m, variables) for m in monos],
         "max_degree": args.max_degree,
+        "variables": list(variables),
     }
     return result, _degree_bounded(args.max_degree)
 
@@ -198,8 +199,9 @@ def _cmd_relations(args):
     rels = relations(gens, args.syzygy_degree, names, warnings=warnings)
     variables = args.problem.var_names
     result = {
-        "generators": [dict(_mono_dict(m, variables), name=n) for n, m in zip(names, gens)],
+        "generators": [_mono_dict(m, variables, name=n) for n, m in zip(names, gens)],
         "relations": [p.term_dicts() for p in rels],
+        "variables": list(variables),
     }
     return result, warnings
 
@@ -208,15 +210,12 @@ def _cmd_quotient(args):
     pres = quotient_presentation(args.problem, args.max_degree, args.syzygy_degree)
     variables = args.problem.var_names
     result = {
-        "base_generators": [
-            dict(_mono_dict(m, variables), name=n) for n, m in pres.base_generators
-        ],
-        "proj_generators": [
-            dict(_mono_dict(m, variables), name=n) for n, m, _ in pres.proj_generators
-        ],
+        "base_generators": [_mono_dict(m, variables, name=n) for n, m in pres.base_generators],
+        "proj_generators": [_mono_dict(m, variables, name=n) for n, m, _ in pres.proj_generators],
         "relations": [p.term_dicts() for p in pres.relations],
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
+        "variables": list(variables),
     }
     return result, _degree_bounded(args.max_degree) + list(pres.warnings)
 
@@ -230,6 +229,7 @@ def _cmd_sections(args):
     result = {
         "section": None if section is None else _mono_dict(section, args.problem.var_names),
         "max_degree": args.max_degree,
+        "variables": list(args.problem.var_names),
     }
     # A section found certifies semistability whatever the bound.
     return result, _degree_bounded(args.max_degree) if section is None else []
@@ -293,7 +293,6 @@ def _weight_table_dict(table, stratum, sign: int) -> dict:
         "twists": list(table.multipliers[:-1]),
         "a0": 1000,
         "sign": sign,
-        "shift_applied": None,
         "intervals": _interval_weights(table, stratum),
     }
 
@@ -335,8 +334,6 @@ def _cmd_conic(args):
                     "lengths": row.config.lengths,
                     "admissible": row.admissible,
                     "verdict": verdicts[row.verdict],
-                    # The equivalence holds, so every row agrees.
-                    "agreement": True,
                 }
             )
         result = {

@@ -25,6 +25,7 @@ empty `__slots__`.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -48,18 +49,27 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The written form of a rational: an optional sign, then digits, optionally
+# followed by "/" and digits.  `Fraction` alone also takes decimal, exponent
+# and underscore forms, and builds 10**100000000 for "1e100000000".
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or "n" into an exact rational."""
+    """Parse "p/q" or "n" into an exact rational; any other string, such as
+    "0.5", "1e3" or "1_000", is refused."""
     if _is_int(text):
         return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except ValueError as exc:
-            raise InputError(f"invalid rational {text!r}: {exc}") from exc
-        except ZeroDivisionError as exc:
-            raise InputError(f"invalid rational {text!r}: zero denominator") from exc
-    raise InputError(f"rationals must be strings or integers, got {type(text).__name__}")
+    if not isinstance(text, str):
+        raise InputError(f"rationals must be strings or integers, got {type(text).__name__}")
+    if not _RATIONAL.fullmatch(text):
+        raise InputError(f"invalid rational {text!r}: expected an integer n or a fraction p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise InputError(f"invalid rational {text!r}: zero denominator") from exc
+    except ValueError as exc:  # more digits than `int` converts
+        raise InputError(f"invalid rational {text!r}: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -386,7 +396,7 @@ def parse_point(problem: GitProblem, source: str | Mapping[str, object]) -> Poin
     if isinstance(source, Mapping):
         return PointSample.for_problem(problem, source)  # type: ignore[arg-type]
     text = source.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         data = _loads_strict(text)
         if not isinstance(data, dict):
             raise InputError("point file must contain a JSON object")

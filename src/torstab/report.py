@@ -4,8 +4,12 @@ Every CLI subcommand computes one JSON-ready result dict, and `build_report`
 wraps it with the schema tag, the subcommand, the input digest and any
 warnings.  `to_json` renders that report as canonical JSON, byte for byte
 `json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)` plus a
-newline, and `to_text` as the human-readable text; `to_text` reads nothing
-but the report dict, so the two views cannot disagree.  `to_json` is written
+newline, and `to_text` as the human-readable text.  `to_text` reads nothing
+but what the JSON carries: names are printed in the order of the result's
+`variables` list (the problem's `var_names`), a relation's generator names
+and the pattern counts in sorted order, never in a dict's insertion order,
+which `to_json` sorts away.  So `to_text(json.loads(to_json(r)))` equals
+`to_text(r)`, and the two views cannot disagree.  `to_json` is written
 out by hand because the standard library runs its C encoder only without
 `indent`, and falls back to a generator-based pure-Python encoder with it.
 It renders a row list, a list of dicts with one non-empty key set, one
@@ -198,14 +202,17 @@ def _verdict(verdict: dict) -> str:
     return f"{verdict['status']} witness={_vec(verdict['witness'])} mu={verdict['witness_mu']}"
 
 
-def _monomial(powers: dict) -> str:
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in powers.items()) or "1"
+def _monomial(powers: dict, order) -> str:
+    """The name -> exponent dict `powers` as a product, its names taken in
+    `order`, which lists every name it holds."""
+    return "*".join([n if e == 1 else f"{n}^{e}" for n in order if (e := powers.get(n))]) or "1"
 
 
 def _poly(terms: list[dict]) -> str:
     parts = []
     for term in sorted(terms, key=lambda t: t["coeff"].startswith("-")):
-        coeff, text = term["coeff"], _monomial(term["monomial"])
+        # A relation's factors are generator names, taken in sorted order.
+        coeff, text = term["coeff"], _monomial(term["monomial"], sorted(term["monomial"]))
         if coeff == "1":
             parts.append(f"+ {text}")
         elif coeff == "-1":
@@ -220,10 +227,10 @@ def _relations(polys: list[list[dict]]) -> list[str]:
     return [f"  {_poly(p)} = 0" for p in polys] or ["  (none)"]
 
 
-def _generators(gens: list[dict], degree: bool = False) -> list[str]:
+def _generators(gens: list[dict], order, degree: bool = False) -> list[str]:
     """One line per named generator, with its fiber degree if asked."""
     return [
-        f"  {g['name']} = {_monomial(g['monomial'])}"
+        f"  {g['name']} = {_monomial(g['monomial'], order)}"
         + (f"  (degree {g['l_degree']})" if degree else "")
         for g in gens
     ] or ["  (none)"]
@@ -254,7 +261,7 @@ def _text_mu(r: dict) -> list[str]:
 def _text_limit(r: dict) -> list[str]:
     if r["limit"] is None:
         return ["limit does not exist (mu is infinite)"]
-    return ["limit point: " + ", ".join(f"{n}={v}" for n, v in r["limit"].items())]
+    return ["limit point: " + ", ".join(f"{n}={r['limit'][n]}" for n in r["variables"])]
 
 
 def _text_classify(r: dict) -> list[str]:
@@ -271,26 +278,27 @@ def _text_patterns(r: dict) -> list[str]:
         f"base={text[id(row['base'])]} fiber={text[id(row['fiber'])]}: {text[id(row['verdict'])]}"
         for row in rows
     ]
-    lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in r["counts"].items()))
+    lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(r["counts"].items())))
     return lines
 
 
 def _text_invariants(r: dict) -> list[str]:
     monos = r["invariant_monomials"]
     lines = [f"{len(monos)} invariant monomials up to total degree {r['max_degree']}:"]
-    lines += [f"  {_monomial(m['monomial'])}  (l_degree {m['l_degree']})" for m in monos]
+    order = r["variables"]
+    lines += [f"  {_monomial(m['monomial'], order)}  (l_degree {m['l_degree']})" for m in monos]
     return lines
 
 
 def _text_relations(r: dict) -> list[str]:
-    lines = ["generators:"] + _generators(r["generators"])
+    lines = ["generators:"] + _generators(r["generators"], r["variables"])
     return lines + ["relations:"] + _relations(r["relations"])
 
 
 def _text_quotient(r: dict) -> list[str]:
-    lines = ["base coordinates (degree 0):"] + _generators(r["base_generators"])
+    lines = ["base coordinates (degree 0):"] + _generators(r["base_generators"], r["variables"])
     lines.append("projective coordinates (degree > 0):")
-    lines += _generators(r["proj_generators"], degree=True)
+    lines += _generators(r["proj_generators"], r["variables"], degree=True)
     lines += ["relations:"] + _relations(r["relations"])
     lines.append(f"ambient: {r['ambient']}")
     if r["veronese_divisor"]:
@@ -310,7 +318,7 @@ def _text_sections(r: dict) -> list[str]:
     if section is None:
         return [f"no nonvanishing invariant section up to degree {r['max_degree']}"]
     return [
-        f"nonvanishing invariant section: {_monomial(section['monomial'])} "
+        f"nonvanishing invariant section: {_monomial(section['monomial'], r['variables'])} "
         f"(degree {section['l_degree']})"
     ]
 

@@ -89,6 +89,96 @@ def test_a_zero_denominator_exits_1_in_plain_words(capture, spec):
     assert err == "error: invalid rational '1/0': zero denominator\n"
 
 
+@pytest.mark.parametrize("value", ["0.5", "1e3", "1_000", "1e100000000"])
+@pytest.mark.parametrize("route", ["point", "marked", "ideal"])
+def test_only_integers_and_fractions_are_rationals(capture, tmp_path, route, value):
+    # `Fraction` alone takes decimal, exponent and underscore forms, and
+    # "1e100000000" would build a hundred-million-digit integer.
+    if route == "point":
+        argv = ("classify", "--problem", "builtin:conic-bundle", "--point", f"x={value},y=0,u=1,v=0")
+    elif route == "marked":
+        argv = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0",
+                "--marked", f"1:{value}")
+    else:
+        path = tmp_path / "p.problem"
+        path.write_text(json.dumps({
+            "torus_rank": 1, "base_vars": {"x": [1]}, "fiber_vars": {"u": [-1]},
+            "ideal": [[{"coeff": value, "monomial": {"x": 1}}]],
+        }))
+        argv = ("patterns", "--problem", str(path))
+    start = time.perf_counter()
+    code, out, err = capture(*argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid rational {value!r}: expected an integer n or a fraction p/q\n"
+
+
+@pytest.mark.parametrize(
+    "value, expected", [("-3", "-3"), ("+4/6", "2/3"), (" 7 ", "7"), ("-0/5", "0")]
+)
+def test_integers_and_fractions_keep_their_value(capture, value, expected):
+    code, out, _ = capture(
+        "limit", "--problem", "builtin:conic-bundle", "--point", f"x={value},y=0,u=1,v=0",
+        "--lambda", "0", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["limit"]["x"] == expected
+
+
+# Problem files that break one rule each, for `patterns --problem`.
+BAD_PROBLEMS = {
+    "not-an-object": "[]",
+    "unknown-key": '{"torus_rank": 1, "fiber_vars": {"u": [0]}, "extra": 1}',
+    "duplicate-key": '{"torus_rank": 1, "torus_rank": 1, "fiber_vars": {"u": [0]}}',
+    "rank-0": '{"torus_rank": 0, "fiber_vars": {"u": []}}',
+    "negative-exponent": (
+        '{"torus_rank": 1, "fiber_vars": {"u": [0]}, '
+        '"ideal": [[{"coeff": "1", "monomial": {"u": -1}}]]}'
+    ),
+}
+
+POINT = ("classify", "--problem", "builtin:conic-bundle", "--point")
+CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--problem", "builtin:nope", "--point", "x=1"),
+        ("conic", "--n", "2", "--lengths", "0,2,0"),
+        ("conic", "--n", "2", "--stratum", "1,3"),
+        ("conic", "--n", "2", "--stratum", "a", "--lengths", "2"),
+        ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,-2,0"),
+        (*CONIC, "--marked", "7:1"),
+        (*CONIC, "--marked", "1:0"),
+        (*CONIC, "--marked", "1:1,1:2,1:3"),
+        ("conic", "--n", "3", "--sweep", "--twists", "5"),
+        *[("patterns", "--problem", f"{{{name}}}") for name in BAD_PROBLEMS],
+        (*POINT, "[1, 2]"),
+        (*POINT, "{point-file}"),
+        (*POINT, "x=1;y=0"),
+        (*POINT, "x=1,x=0,y=0,u=1,v=0"),
+    ],
+    ids=[
+        "unknown-builtin", "conic-no-stratum", "conic-no-lengths", "non-integer-stratum",
+        "negative-length", "marked-unknown-component", "marked-zero", "marked-too-many",
+        "twist-count", *BAD_PROBLEMS, "point-json-list", "point-file-list",
+        "point-semicolon", "point-repeated-variable",
+    ],
+)
+def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
+    files = {f"{{{name}}}": text for name, text in BAD_PROBLEMS.items()}
+    files["{point-file}"] = "[1, 2]"
+    for placeholder, text in files.items():
+        (tmp_path / placeholder.strip("{}")).write_text(text)
+    argv = [str(tmp_path / a.strip("{}")) if a in files else a for a in argv]
+    code, out, err = capture(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_patterns_refuses_a_cap_below_one(capture, cap):
     code, out, err = capture("patterns", "--problem", "builtin:conic-bundle", "--max-vars", cap)
@@ -404,6 +494,27 @@ def test_empty_sections_print_none(capture, tmp_path):
         "projective coordinates (degree > 0):", "  (none)",
         "relations:", "  (none)",
         "ambient: point",
+    ]
+
+
+def test_quotient_text_notes_a_common_degree_divisor(capture, tmp_path):
+    # Rank 1, fiber a (1) and b (-1): the one projective coordinate a*b has
+    # fiber degree 2.
+    path = tmp_path / "p.problem"
+    path.write_text('{"torus_rank": 1, "fiber_vars": {"a": [1], "b": [-1]}}')
+    code, out, _ = capture("quotient", "--problem", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "warning: degree-bounded: invariant monomials of total degree > 4 were not enumerated",
+        "base coordinates (degree 0):",
+        "  (none)",
+        "projective coordinates (degree > 0):",
+        "  Z0 = a*b  (degree 2)",
+        "relations:",
+        "  (none)",
+        "ambient: P(2)",
+        "projective degrees share the common divisor 2; "
+        "a Veronese re-grading is available but not applied",
     ]
 
 
@@ -787,6 +898,7 @@ def test_sweep_json_gives_every_stratum_weights(capture):
 def test_text_renders_non_unit_coefficients():
     report = build_report("relations", None, {
         "generators": [],
+        "variables": [],
         "relations": [[
             {"coeff": "-2", "monomial": {"x": 1}},
             {"coeff": "2/3", "monomial": {"y": 2}},

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from torstab.cli import main
+from torstab.cli import _run, main
 from torstab.golden import GOLDEN_REPORTS
+from torstab.report import to_json, to_text
 
 # Seeded tables of 240-992 patterns with stable and strictly semistable
 # rows, large enough that `classify_patterns` skips solves a smaller support
@@ -59,7 +60,7 @@ TABLES = [
             "relations", "--problem", "tests/tables/p40.problem",
             "--max-degree", "10", "--syzygy-degree", "4",
         ),
-        "819ec1a0099f9de826da7dc17ff2c32101d29ac7d123c03242517ebab7957702",
+        "ed3ac35067894d349a76b413b9b58bee1e1b4aafda9209c4a368963f608f041a",
         "80262fa8860d3b5a14d5ef86d72ccd275ce5322f479f8dfca75dc765426b283f",
     ),
 ]
@@ -117,3 +118,38 @@ def test_report_digest(capsys, argv, fmt, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The text view is a function of what the JSON carries: rendered from the
+# parsed JSON report, every report prints the same text as in process.
+
+
+def assert_text_renders_from_json(report) -> None:
+    text, parsed = to_text(report), to_text(json.loads(to_json(report)))
+    same = text == parsed  # no pytest diff of two texts of megabytes
+    assert same, next(
+        (pair for pair in zip(text.splitlines(), parsed.splitlines()) if pair[0] != pair[1]),
+        "line counts differ",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=" ".join(argv)) for argv, _, _ in list(GOLDEN_REPORTS) + TABLES],
+)
+def test_text_renders_from_the_json_alone(argv):
+    _, report = _run([str(ROOT / a) if a.startswith("tests/") else a for a in argv])
+    assert_text_renders_from_json(report)
+
+
+@pytest.mark.parametrize("workload", ["pattern-table", "invariant-ring", "chain-sweep"])
+def test_benchmark_tasks_render_their_text_from_their_json(monkeypatch, tmp_path, workload):
+    # One round of the benchmark's seed-1 pool, problem files included.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    tasks = workloads.build_pool(workloads.WORKLOADS[workload], 1, tmp_path, rounds=1)
+    assert tasks
+    for task in tasks:
+        _, report = _run(task.argv)
+        assert_text_renders_from_json(report)

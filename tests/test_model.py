@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from torstab import (
     PointSample,
     Polynomial,
     SupportPattern,
+    builtin_problem,
     check_on_ideal,
     parse_point,
     parse_problem,
@@ -123,6 +125,13 @@ def test_parse_point_rejects_json_booleans(conic):
 def test_round_trip(conic, king, conic_surface):
     for problem in (conic, king, conic_surface):
         assert parse_problem(serialize_problem(problem)) == problem
+
+
+@pytest.mark.parametrize("name", ["conic-bundle", "degenerating-conic", "king-theta1"])
+def test_problem_files_equal_the_builtins(name):
+    # problems/*.problem ship the builtins as files; the two copies must agree.
+    path = Path(__file__).resolve().parent.parent / "problems" / f"{name.replace('-', '_')}.problem"
+    assert parse_problem(path.read_text(encoding="utf-8")) == builtin_problem(name)
 
 
 def test_weight_lookup_is_not_part_of_the_problem():
