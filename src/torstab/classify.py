@@ -92,16 +92,13 @@ class Verdict(namedtuple("Verdict", "status witness witness_mu")):
         return self
 
 
-class _Certificate(
-    namedtuple("_Certificate", "inside verdict base_pairs pairs by_weight by_fiber")
-):
+class _Certificate(namedtuple("_Certificate", "inside verdict base_pairs pairs by_fiber")):
     """A non-stable support's solved witness, as `classify_patterns` reuses it."""
 
     inside: int  # the rows inside its covered set
     verdict: Verdict  # the solved row's verdict
     base_pairs: list[int]  # its pairings with the covered base variables
     pairs: list[int]  # its pairings with every variable, from `pairings`
-    by_weight: dict[int, Verdict]  # shared by every certificate of one witness
     by_fiber: dict[int, Verdict]  # the verdict of each fiber subset's rows
     __slots__ = ()
 
@@ -235,11 +232,11 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     that fiber subset's pairings; a row's base pairings are a subset of
     the covered ones, so this is each row's own weight.  The `Verdict`
     constructor rejects it unless it is < 0 (unstable) or 0 (strictly
-    semistable).  Stable rows share one `Verdict`, and each witness one per
-    distinct weight, so the table holds one `Verdict` object per distinct
-    verdict.  The statuses are those of classifying every pattern on its
-    own; a witness may be another checked lambda than `classify_pattern`
-    gives.  Nothing is kept past the call.
+    semistable).  Stable rows share one `Verdict`, and every other verdict
+    is interned in one dict keyed by its value, so the table holds one
+    `Verdict` object per distinct verdict.  The statuses are those of
+    classifying every pattern on its own; a witness may be another checked
+    lambda than `classify_pattern` gives.  Nothing is kept past the call.
     """
     names = problem.var_names
     if max_vars < 1:
@@ -265,6 +262,10 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     width = len(fiber_subsets)
     inherited = Verdict(StabilityStatus.STABLE)
     verdicts = [inherited] * (len(base_subsets) * width)
+    # Each distinct non-stable verdict, keyed by its value: its witness and
+    # weight, which fix its status (< 0 unstable, 0 strictly semistable).
+    # So equal verdicts are one object.
+    interned: dict[tuple[OnePS, int], Verdict] = {}
     # holding[i]: the rows whose support has variable i, as a spread set of
     # base subsets (bit b * width for subset b) times a set of fiber subsets
     # (bits below width), so the product has no carries.
@@ -303,12 +304,10 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
                 weight = weight_of_pairings(
                     cert.base_pairs, map(cert.pairs.__getitem__, fiber_subsets[f][1])
                 )
-                verdict = cert.by_weight.get(weight)
+                key = (cert.verdict.witness, weight)
+                verdict = interned.get(key)
                 if verdict is None:
-                    solved = cert.verdict
-                    verdict = cert.by_weight[weight] = Verdict(
-                        solved.status, solved.witness, weight
-                    )
+                    verdict = interned[key] = Verdict(cert.verdict.status, *key)
                 cert.by_fiber[f] = verdict
             verdicts[row] = verdict
             row = text.find("1", row + 1)
@@ -317,9 +316,6 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
     covered = 0  # rows inside some certificate's covered set
     marked = 0  # rows containing a support solved strictly semistable
     blockers: list[_Certificate] = []
-    # One weight dict per witness, since supports solved apart may return
-    # the same strictly semistable one.
-    by_witness: dict[tuple[StabilityStatus, OnePS], dict[int, Verdict]] = {}
     while undecided:
         row = (undecided & -undecided).bit_length() - 1
         undecided ^= 1 << row
@@ -334,8 +330,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
                 )
             undecided &= ~rows_with(base + fiber, [])
             continue
-        by_weight = by_witness.setdefault(verdict[:2], {})
-        verdict = verdicts[row] = by_weight.setdefault(verdict.witness_mu, verdict)
+        verdict = verdicts[row] = interned.setdefault(verdict[1:], verdict)
         unstable = verdict.status is StabilityStatus.UNSTABLE
         fiber_floor = 1 if unstable else 0
         inside = rows_with(
@@ -344,7 +339,7 @@ def classify_patterns(problem: GitProblem, max_vars: int = 16) -> PatternTable:
         )
         covered |= inside
         base_pairs = [p for p in pairs[:base_count] if p >= 0]
-        cert = _Certificate(inside, verdict, base_pairs, pairs, by_weight, {})
+        cert = _Certificate(inside, verdict, base_pairs, pairs, {})
         if unstable:
             taken = undecided & inside
             settle(taken, cert)

@@ -163,9 +163,9 @@ def _cmd_classify(args):
 def _cmd_patterns(args):
     table = classify_patterns(args.problem, max_vars=args.max_vars)
     # The table is the product of its base and fiber subsets, each a name
-    # tuple in declared order, and holds one `Verdict` object per distinct
-    # verdict, so every row shares its subsets' tuples and each verdict
-    # object's dict, built once.
+    # tuple in declared order, and interns its verdicts, so keying by id
+    # here gives every row its subsets' tuples and one dict per distinct
+    # verdict, which `to_json` renders once per row list.
     ids = list(map(id, table.verdicts))
     objects = dict(zip(ids, table.verdicts))
     shown = {key: _verdict_dict(verdict) for key, verdict in objects.items()}
@@ -284,16 +284,17 @@ def _interval_weights(table, stratum) -> list[dict]:
     ]
 
 
-def _weight_table_dict(table, stratum, sign: int) -> dict:
-    """The table as printed, with the orientation `sign` of `--sign` and
-    a0 = 1000, the ample twist pulled back from the original surface, which
-    is echoed although it contributes no weight."""
+def _weight_table_dict(table, intervals: list[dict], sign: int) -> dict:
+    """The table as printed, with one stratum's `_interval_weights`, the
+    orientation `sign` of `--sign` and a0 = 1000, the ample twist pulled
+    back from the original surface, which is echoed although it contributes
+    no weight."""
     return {
         "n": table.n,
         "twists": list(table.multipliers[:-1]),
         "a0": 1000,
         "sign": sign,
-        "intervals": _interval_weights(table, stratum),
+        "intervals": intervals,
     }
 
 
@@ -336,11 +337,12 @@ def _cmd_conic(args):
                     "verdict": verdicts[row.verdict],
                 }
             )
+        # The weight table carries the deepest stratum's weights, the last
+        # entry, since the sweep runs in `strata(n)` order.
+        weights = list(stratum_weights.values())
         result = {
-            "weight_table": _weight_table_dict(
-                table, Stratum(args.n, frozenset(range(1, args.n + 2))), sign
-            ),
-            "stratum_weights": list(stratum_weights.values()),
+            "weight_table": _weight_table_dict(table, weights[-1]["intervals"], sign),
+            "stratum_weights": weights,
             "rows": rows,
             "equivalence_holds": True,
             "strictly_semistable_rows": report.strictly_semistable_count,
@@ -353,7 +355,7 @@ def _cmd_conic(args):
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
     result = {
-        "weight_table": _weight_table_dict(table, stratum, sign),
+        "weight_table": _weight_table_dict(table, _interval_weights(table, stratum), sign),
         "intervals": [list(i) for i in stratum.intervals],
         "lengths": list(lengths),
         "admissible": admissible(config),

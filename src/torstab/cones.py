@@ -97,9 +97,7 @@ def _normalize_row(coeffs: list[int], rhs: int) -> _Row | None:
     integers).  Trivially true rows are dropped; an all-zero row with a
     positive rhs is kept, as ``0 >= 1``, as an infeasibility certificate.
     """
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
+    g = gcd(*coeffs)
     if g == 0:
         return None if rhs <= 0 else (tuple(coeffs), 1)
     if g > 1:

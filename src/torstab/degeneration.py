@@ -77,6 +77,10 @@ from .model import OnePS
 
 Interval = tuple[int, ...]
 
+# The largest chain length n that `build_weight_table` and
+# `hilbert_components` accept.
+MAX_N = 3
+
 
 class Stratum(namedtuple("Stratum", "n vanishing")):
     """Locus of A^{n+1} where t_i = 0 exactly for i in `vanishing`.
@@ -226,8 +230,8 @@ def build_weight_table(n: int, a: tuple[int, ...] | list[int] | None = None) -> 
     that every twist strictly dominates the next one, which the equivalence
     of admissibility and stability requires (a_i >> a_{i+1}, a_{n-1} > 1).
     """
-    if not 1 <= n <= 3:
-        raise InputError(f"n must be between 1 and 3, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise InputError(f"n must be between 1 and {MAX_N}, got {n}")
     if a is None:
         a = tuple(10 ** (n - i) for i in range(1, n))
     a = tuple(int(x) for x in a)
@@ -436,8 +440,8 @@ def in_component_closure(config: ChainConfiguration, component: HilbertComponent
 def hilbert_components(n: int) -> HilbertIncidence:
     """Components indexed by point splits i + j = n, with their pairwise and
     deeper intersections realized by admissible configurations."""
-    if not 1 <= n <= 3:
-        raise InputError(f"n must be between 1 and 3, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise InputError(f"n must be between 1 and {MAX_N}, got {n}")
     components = tuple(
         HilbertComponent(
             i=i,

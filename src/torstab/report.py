@@ -15,9 +15,14 @@ out by hand because the standard library runs its C encoder only without
 It renders a row list, a list of dicts with one non-empty key set, one
 string per row, and a list, tuple or dict that several of its rows hold,
 such as the name tuples and verdict dicts of a `patterns` report, once per
-list.  Nothing time- or environment-dependent goes into a report, so
-repeated runs on identical inputs are byte-identical; timing is printed to
-stderr by the CLI instead.
+list.  That cache, keyed by object id, is the one place the views rely on
+shared objects, which the CLI's row builders make once per distinct value.
+`to_text` formats each distinct name list and verdict of a `patterns`
+table once, keyed by value, so a report parsed back from JSON, whose rows
+share nothing, takes no more formatting than the one built in process.
+Nothing time- or environment-dependent goes into a report, so repeated
+runs on identical inputs are byte-identical; timing is printed to stderr by
+the CLI instead.
 """
 
 from __future__ import annotations
@@ -269,15 +274,22 @@ def _text_classify(r: dict) -> list[str]:
 
 
 def _text_patterns(r: dict) -> list[str]:
-    # Rows share their name tuples and verdict dicts (see `cli._cmd_patterns`),
-    # so each distinct object is formatted once, keyed by its id.
-    rows = r["rows"]
-    pieces = {id(v): v for row in rows for v in (row["base"], row["fiber"], row["verdict"])}
-    text = {i: _verdict(v) if type(v) is dict else _braced(v) for i, v in pieces.items()}
-    lines = [
-        f"base={text[id(row['base'])]} fiber={text[id(row['fiber'])]}: {text[id(row['verdict'])]}"
-        for row in rows
-    ]
+    """One line per row.  The rows repeat a few hundred distinct name lists
+    and verdicts, so each distinct value is formatted once: a name list
+    keyed as a tuple, a verdict by its three fields.  Whether the rows
+    share objects, as in process, or not, as when parsed from JSON, does
+    not matter."""
+    braced: dict[tuple, str] = {}
+    shown: dict[tuple, str] = {}
+    lines = []
+    for row in r["rows"]:
+        base, fiber, verdict = tuple(row["base"]), tuple(row["fiber"]), row["verdict"]
+        key = (verdict["status"], tuple(verdict["witness"] or ()), verdict["witness_mu"])
+        lines.append(
+            f"base={braced.get(base) or braced.setdefault(base, _braced(base))} "
+            f"fiber={braced.get(fiber) or braced.setdefault(fiber, _braced(fiber))}: "
+            f"{shown.get(key) or shown.setdefault(key, _verdict(verdict))}"
+        )
     lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(r["counts"].items())))
     return lines
 

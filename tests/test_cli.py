@@ -669,8 +669,8 @@ P40 = str(TABLES / "p40.problem")
 
 
 def test_pattern_rows_share_one_list_per_subset_and_one_dict_per_verdict(monkeypatch):
-    # Both views render a shared object once: `to_json` by id in a row list,
-    # `to_text` by id in `_text_patterns`.
+    # `to_json` renders a shared object once per row list, keyed by id;
+    # `to_text` formats each distinct value once, shared or not.
     problem = parse_problem((TABLES / "rank4_4x4_seed2.problem").read_text())
     table = torstab.classify_patterns(problem)
     monkeypatch.setattr(cli, "classify_patterns", lambda problem, max_vars: table)
