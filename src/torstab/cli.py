@@ -211,7 +211,7 @@ def _cmd_quotient(args):
     variables = args.problem.var_names
     result = {
         "base_generators": [_mono_dict(m, variables, name=n) for n, m in pres.base_generators],
-        "proj_generators": [_mono_dict(m, variables, name=n) for n, m, _ in pres.proj_generators],
+        "proj_generators": [_mono_dict(m, variables, name=n) for n, m in pres.proj_generators],
         "relations": [p.term_dicts() for p in pres.relations],
         "ambient": pres.ambient,
         "veronese_divisor": pres.veronese_divisor,
@@ -269,12 +269,12 @@ def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
     return tuple(out)
 
 
-def _interval_weights(table, stratum) -> list[dict]:
-    """The limit weight vectors of every chain component of the stratum:
-    toward the start of the chain (every subgroup coordinate positive) and
-    toward its end (every coordinate negative)."""
+def _stratum_weights(table, stratum) -> dict:
+    """The stratum's vanishing set and the limit weight vectors of every
+    chain component of it: toward the start of the chain (every subgroup
+    coordinate positive) and toward its end (every coordinate negative)."""
     toward_start, toward_end = (1,) * table.n, (-1,) * table.n
-    return [
+    intervals = [
         {
             "interval": list(interval),
             "weight_toward_start": list(table.limit_weights(interval, toward_start)),
@@ -282,25 +282,16 @@ def _interval_weights(table, stratum) -> list[dict]:
         }
         for interval in stratum.intervals
     ]
-
-
-def _weight_table_dict(table, intervals: list[dict], sign: int) -> dict:
-    """The table as printed, with one stratum's `_interval_weights`, the
-    orientation `sign` of `--sign` and a0 = 1000, the ample twist pulled
-    back from the original surface, which is echoed although it contributes
-    no weight."""
-    return {
-        "n": table.n,
-        "twists": list(table.multipliers[:-1]),
-        "a0": 1000,
-        "sign": sign,
-        "intervals": intervals,
-    }
+    return {"stratum": sorted(stratum.vanishing), "intervals": intervals}
 
 
 def _cmd_conic(args):
-    sign = 1 if args.sign == "engine" else -1
+    """A sweep of every configuration, or one configuration.  Either report
+    gives the table as `weight_table`, its size and twists, and each
+    stratum's limit weights once, in `stratum_weights`: every stratum of a
+    sweep, in `strata(n)` order, or the configuration's one stratum."""
     table = build_weight_table(args.n, a=_parse_twists(args))
+    weight_table = {"n": table.n, "twists": list(table.multipliers[:-1])}
     if args.sweep:
         for flag, value in (
             ("--stratum", args.stratum),
@@ -323,10 +314,7 @@ def _cmd_conic(args):
         for row in report.rows:
             stratum = row.config.stratum
             if stratum not in stratum_weights:
-                stratum_weights[stratum] = {
-                    "stratum": sorted(stratum.vanishing),
-                    "intervals": _interval_weights(table, stratum),
-                }
+                stratum_weights[stratum] = _stratum_weights(table, stratum)
             if row.verdict not in verdicts:
                 verdicts[row.verdict] = _verdict_dict(row.verdict)
             rows.append(
@@ -337,12 +325,9 @@ def _cmd_conic(args):
                     "verdict": verdicts[row.verdict],
                 }
             )
-        # The weight table carries the deepest stratum's weights, the last
-        # entry, since the sweep runs in `strata(n)` order.
-        weights = list(stratum_weights.values())
         result = {
-            "weight_table": _weight_table_dict(table, weights[-1]["intervals"], sign),
-            "stratum_weights": weights,
+            "weight_table": weight_table,
+            "stratum_weights": list(stratum_weights.values()),
             "rows": rows,
             "equivalence_holds": True,
             "strictly_semistable_rows": report.strictly_semistable_count,
@@ -355,8 +340,8 @@ def _cmd_conic(args):
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
     result = {
-        "weight_table": _weight_table_dict(table, _interval_weights(table, stratum), sign),
-        "intervals": [list(i) for i in stratum.intervals],
+        "weight_table": weight_table,
+        "stratum_weights": [_stratum_weights(table, stratum)],
         "lengths": list(lengths),
         "admissible": admissible(config),
         "verdict": _verdict_dict(classify_config(table, config)),
@@ -365,7 +350,7 @@ def _cmd_conic(args):
         lam = _parse_ints(args.lam, "lambda")
         weight = mu_config(table, config, lam)
         result["lambda"] = list(lam)
-        result["mu"] = "inf" if weight is None else str(sign * weight)
+        result["mu"] = "inf" if weight is None else str(weight)
     if config.marked_points:
         result["stabilizer_order"] = config_stabilizer(config)
     if args.components:
@@ -483,7 +468,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--marked", help="marked points as component:coordinate,...")
     p.add_argument("--lambda", dest="lam", help="evaluate the weight at this subgroup")
     p.add_argument("--twists", help="override twist parameters a_1,...,a_{n-1}")
-    p.add_argument("--sign", choices=("engine", "opposite"), default="engine")
     p.add_argument("--sweep", action="store_true", help="full equivalence sweep")
     p.add_argument("--components", action="store_true",
                    help="report component incidence")

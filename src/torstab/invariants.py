@@ -286,7 +286,7 @@ class QuotientPresentation(namedtuple(
     `warnings` holds the `relations` warning of an incomplete relation set."""
 
     base_generators: tuple[tuple[str, MonomialInvariant], ...]
-    proj_generators: tuple[tuple[str, MonomialInvariant, int], ...]
+    proj_generators: tuple[tuple[str, MonomialInvariant], ...]
     relations: tuple[Polynomial, ...]
     ambient: str
     veronese_divisor: int | None
@@ -325,7 +325,7 @@ def quotient_presentation(
 
     return QuotientPresentation(
         base_generators=tuple(zip(names, base)),
-        proj_generators=tuple((n, m, m.l_degree) for n, m in zip(names[len(base) :], proj)),
+        proj_generators=tuple(zip(names[len(base) :], proj)),
         relations=tuple(rels),
         ambient=" x ".join(parts) if parts else "point",
         veronese_divisor=common if common > 1 else None,
@@ -339,15 +339,23 @@ def semistable_via_sections(
     """First positive-fiber-degree invariant monomial nonvanishing at the lift.
 
     Finding one certifies the point is not unstable; not finding one at this
-    bound proves nothing.
+    bound proves nothing.  The monomials are listed up to bounds 1, 2, 4, ...,
+    the last one `max_degree`, and the search stops at the first bound that
+    finds a section.  Each listing is the part of total degree <= its bound
+    of the next, in the same canonical order, so the section found is the
+    one a single listing up to `max_degree` would give first.
     """
     base, fiber = problem.support_indices(support(point))
     vanishing = [True] * len(problem.var_names)
     for i in base + fiber:
         vanishing[i] = False
-    for mono in invariant_monomials(problem, max_degree):
-        if mono.l_degree < 1:
-            continue
-        if not any(e and zero for e, zero in zip(mono.exponents, vanishing)):
-            return mono
-    return None
+    bound = min(1, max_degree)
+    while True:
+        for mono in invariant_monomials(problem, bound):
+            if mono.l_degree < 1:
+                continue
+            if not any(e and zero for e, zero in zip(mono.exponents, vanishing)):
+                return mono
+        if bound >= max_degree:
+            return None
+        bound = min(2 * bound, max_degree)

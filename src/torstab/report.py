@@ -242,11 +242,9 @@ def _generators(gens: list[dict], order, degree: bool = False) -> list[str]:
 
 
 def _weight_table(table: dict, intervals: list[dict]) -> list[str]:
-    sign = "engine(+1)" if table["sign"] == 1 else "opposite(-1)"
-    lines = [
-        f"weight table: n={table['n']} twists={table['twists']} "
-        f"a0={table['a0']} sign={sign} shift=none"
-    ]
+    """The table's header line, then the limit weights of each chain
+    component of one stratum, `intervals` of its `stratum_weights` entry."""
+    lines = [f"weight table: n={table['n']} twists={table['twists']} shift=none"]
     for k, entry in enumerate(intervals):
         lines.append(
             f"  component {k} {set(entry['interval']) or '{}'}: "
@@ -357,8 +355,9 @@ def _text_sweep(r: dict) -> list[str]:
 def _text_conic(r: dict) -> list[str]:
     if "rows" in r:
         return _text_sweep(r)
-    lines = _weight_table(r["weight_table"], r["weight_table"]["intervals"])
-    lines.append(f"chain components: {r['intervals']}")
+    (weights,) = r["stratum_weights"]
+    lines = _weight_table(r["weight_table"], weights["intervals"])
+    lines.append(f"chain components: {[entry['interval'] for entry in weights['intervals']]}")
     lines.append(f"admissible: {_yes_no(r['admissible'])}")
     lines.append(f"verdict: {_verdict(r['verdict'])}")
     if "lambda" in r:

@@ -88,7 +88,7 @@ def test_criterion_2_invariant_theory():
         return tuple((n, e) for n, e in zip(problem.var_names, mono.exponents) if e)
 
     generators = {named(m) for _, m in pres.base_generators}
-    generators |= {named(m) for _, m, _ in pres.proj_generators}
+    generators |= {named(m) for _, m in pres.proj_generators}
     assert generators == {
         (("x", 1), ("y", 1)),
         (("x", 1), ("v", 1)),
@@ -96,11 +96,11 @@ def test_criterion_2_invariant_theory():
         (("u", 1), ("v", 1)),
     }
     assert [named(m) for _, m in pres.base_generators] == [(("x", 1), ("y", 1))]
-    assert [d for _, _, d in pres.proj_generators] == [1, 1, 2]
+    assert [m.l_degree for _, m in pres.proj_generators] == [1, 1, 2]
     assert pres.ambient == "A^1 x P(1,1,2)"
     assert len(pres.relations) == 1
     by_name = {n: m for n, m in pres.base_generators}
-    by_name.update({n: m for n, m, _ in pres.proj_generators})
+    by_name.update({n: m for n, m in pres.proj_generators})
     (rel,) = pres.relations
     sides = {}
     for coeff, mono in rel.terms:

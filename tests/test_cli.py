@@ -153,6 +153,7 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
         (*CONIC, "--marked", "1:0"),
         (*CONIC, "--marked", "1:1,1:2,1:3"),
         ("conic", "--n", "3", "--sweep", "--twists", "5"),
+        (*CONIC, "--sign", "opposite"),
         *[("patterns", "--problem", f"{{{name}}}") for name in BAD_PROBLEMS],
         (*POINT, "[1, 2]"),
         (*POINT, "{point-file}"),
@@ -162,7 +163,7 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
     ids=[
         "unknown-builtin", "conic-no-stratum", "conic-no-lengths", "non-integer-stratum",
         "negative-length", "marked-unknown-component", "marked-zero", "marked-too-many",
-        "twist-count", *BAD_PROBLEMS, "point-json-list", "point-file-list",
+        "twist-count", "sign-removed", *BAD_PROBLEMS, "point-json-list", "point-file-list",
         "point-semicolon", "point-repeated-variable",
     ],
 )
@@ -479,6 +480,31 @@ def test_a_syzygy_degree_below_1_exits_1_without_generators(capture, tmp_path, s
     assert err == f"error: syzygy degree bound must be >= 1, got {syzygy}\n"
 
 
+def test_sections_stop_at_the_first_bound_that_finds_one(capture, monkeypatch):
+    # The section u*v has degree 2, so no listing past degree 4 is needed;
+    # the spy refuses before listing, so a search that lists up to
+    # --max-degree at once fails here without spending any time.
+    from torstab import invariants
+
+    listing = invariants.invariant_monomials
+    asked = []
+
+    def spy(problem, bound):
+        asked.append(bound)
+        if bound > 4:
+            raise AssertionError(f"listed invariant monomials up to degree {bound}")
+        return listing(problem, bound)
+
+    monkeypatch.setattr(invariants, "invariant_monomials", spy)
+    code, out, _ = capture(
+        "sections", "--problem", "builtin:conic-bundle", "--point", "x=0,y=0,u=1,v=1",
+        "--max-degree", "100000",
+    )
+    assert code == 0
+    assert out == "nonvanishing invariant section: u*v (degree 2)\n"
+    assert asked == [1, 2]
+
+
 def test_empty_sections_print_none(capture, tmp_path):
     path = tmp_path / "p.problem"
     path.write_text(NO_GENERATOR)
@@ -791,22 +817,18 @@ def test_conic_refuses_a_repeated_vanishing_index(capture, stratum):
     assert err == f"error: duplicate vanishing index {stratum[0]} in --stratum\n"
 
 
-@pytest.mark.parametrize("sign", ["engine", "opposite"])
-def test_conic_mu_is_inf_where_the_base_limit_fails(capture, sign):
+def test_conic_mu_is_inf_where_the_base_limit_fails(capture):
     # On the smooth n = 2 stratum t_1 = 1 has weight s_1 = -1 < 0.
     code, out, _ = capture(
-        "conic", "--n", "2", "--stratum", "smooth", "--lengths", "2", "--lambda=-1,0",
-        "--sign", sign,
+        "conic", "--n", "2", "--stratum", "smooth", "--lengths", "2", "--lambda=-1,0"
     )
     assert code == 0
     assert "mu(lambda=(-1,0)) = inf" in out
     # With t_3 = 0 the subgroup (1, 2) keeps its limit and its finite weight.
     finite = _conic_json(
-        capture, "--n", "2", "--stratum", "3", "--lengths", "2,0", "--lambda", "1,2",
-        "--sign", sign,
+        capture, "--n", "2", "--stratum", "3", "--lengths", "2,0", "--lambda", "1,2"
     )
-    mu = int(finite["result"]["mu"])
-    assert mu != 0 and (mu > 0) == (sign == "engine")
+    assert int(finite["result"]["mu"]) > 0
 
 
 def _conic_json(capture, *argv) -> dict:
@@ -815,33 +837,18 @@ def _conic_json(capture, *argv) -> dict:
     return json.loads(out)
 
 
-@pytest.mark.parametrize("n", ["1", "2", "3"])
-def test_sign_opposite_sweep_changes_only_the_printed_sign(capture, n):
-    engine = _conic_json(capture, "--n", n, "--sweep")
-    opposite = _conic_json(capture, "--n", n, "--sweep", "--sign", "opposite")
-    assert engine["result"]["weight_table"]["sign"] == 1
-    assert opposite["result"]["weight_table"]["sign"] == -1
-    opposite["result"]["weight_table"]["sign"] = 1
-    assert opposite == engine
-
-
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("--n", "2", "--stratum", "1,3", "--lengths", "0,2,0", "--lambda", "1,1"),
-        ("--n", "2", "--stratum", "1,2,3", "--lengths", "0,2,0,0", "--lambda=2,-1"),
-    ],
-    ids=["stable", "unstable"],
+    "n, stratum, lengths",
+    [("1", "1", "1,0"), ("2", "1,3", "0,2,0"), ("3", "smooth", "3")],
 )
-def test_sign_opposite_negates_the_printed_mu_and_keeps_the_verdict(capture, argv):
-    engine = _conic_json(capture, *argv)
-    opposite = _conic_json(capture, *argv, "--sign", "opposite")
-    assert engine["result"]["mu"] != "0"
-    assert opposite["result"]["mu"] == str(-int(engine["result"]["mu"]))
-    assert opposite["result"]["weight_table"]["sign"] == -1
-    opposite["result"]["weight_table"]["sign"] = 1
-    opposite["result"]["mu"] = engine["result"]["mu"]
-    assert opposite == engine
+def test_single_config_gives_its_stratum_entry_of_the_sweep(capture, n, stratum, lengths):
+    sweep = _conic_json(capture, "--n", n, "--sweep")["result"]
+    single = _conic_json(capture, "--n", n, "--stratum", stratum, "--lengths", lengths)["result"]
+    assert single["weight_table"] == sweep["weight_table"]
+    vanishing = [] if stratum == "smooth" else [int(x) for x in stratum.split(",")]
+    matching = [e for e in sweep["stratum_weights"] if e["stratum"] == vanishing]
+    assert len(matching) == 1
+    assert single["stratum_weights"] == matching
 
 
 def test_input_digest_ignores_path_spelling_and_formatting(capture, tmp_path, monkeypatch):
@@ -887,8 +894,8 @@ def test_sweep_json_gives_every_stratum_weights(capture):
     strata = [tuple(entry["stratum"]) for entry in result["stratum_weights"]]
     assert sorted(strata) == sorted({tuple(row["stratum"]) for row in result["rows"]})
     assert len(strata) == len(set(strata)) == 2 ** 3
+    assert result["weight_table"] == {"n": 2, "twists": [10]}
     by_stratum = {tuple(e["stratum"]): e["intervals"] for e in result["stratum_weights"]}
-    assert by_stratum[(1, 2, 3)] == result["weight_table"]["intervals"]
     assert by_stratum[()] == [
         {"interval": [0, 1, 2, 3], "weight_toward_start": [-20, -1],
          "weight_toward_end": [10, 2]}

@@ -132,7 +132,7 @@ def test_relations_conic(conic):
     assert len(pres.relations) == 1
     rel = pres.relations[0]
     by_name = {n: m for n, m in pres.base_generators}
-    by_name.update({n: m for n, m, _ in pres.proj_generators})
+    by_name.update({n: m for n, m in pres.proj_generators})
     positive = [mono for c, mono in rel.terms if c == 1]
     negative = [mono for c, mono in rel.terms if c == -1]
     assert len(positive) == 1 and len(negative) == 1
@@ -182,7 +182,7 @@ def test_quotient_presentation_conic(conic):
     pres = quotient_presentation(conic, max_degree=4)
     assert len(pres.base_generators) == 1
     assert exps(conic, pres.base_generators[0][1]) == {"x": 1, "y": 1}
-    assert [d for _, _, d in pres.proj_generators] == [1, 1, 2]
+    assert [m.l_degree for _, m in pres.proj_generators] == [1, 1, 2]
     assert pres.ambient == "A^1 x P(1,1,2)"
     assert pres.veronese_divisor is None
 
@@ -193,16 +193,18 @@ def test_quotient_presentation_trivial_weights():
     )
     pres = quotient_presentation(problem, max_degree=4)
     assert [exps(problem, m) for _, m in pres.base_generators] == [{"t": 1}]
-    assert [exps(problem, m) for _, m, _ in pres.proj_generators] == [{"u": 1}]
+    assert [exps(problem, m) for _, m in pres.proj_generators] == [{"u": 1}]
     assert pres.relations == ()
     assert pres.ambient == "A^1 x P(1)"
 
 
 def test_quotient_presentation_king(king):
     pres = quotient_presentation(king, max_degree=4)
-    proj = [exps(king, m) for _, m, _ in pres.proj_generators]
+    proj = [exps(king, m) for _, m in pres.proj_generators]
     assert {"x": 1, "e": 1} in proj
-    degree = next(d for _, m, d in pres.proj_generators if exps(king, m) == {"x": 1, "e": 1})
+    degree = next(
+        m.l_degree for _, m in pres.proj_generators if exps(king, m) == {"x": 1, "e": 1}
+    )
     assert degree == 1
 
 
@@ -214,14 +216,14 @@ def test_quotient_veronese_note():
         fiber_vars=(("a", (1,)), ("b", (-1,))),
     )
     pres = quotient_presentation(problem, max_degree=4)
-    assert [d for _, _, d in pres.proj_generators] == [2]
+    assert [m.l_degree for _, m in pres.proj_generators] == [2]
     assert pres.veronese_divisor == 2
 
 
 def test_relations_expand_to_zero(conic):
     pres = quotient_presentation(conic, max_degree=4, syzygy_degree=6)
     by_name = {n: m for n, m in pres.base_generators}
-    by_name.update({n: m for n, m, _ in pres.proj_generators})
+    by_name.update({n: m for n, m in pres.proj_generators})
     values = {"x": Fraction(2), "y": Fraction(3), "u": Fraction(5), "v": Fraction(7)}
     for rel in pres.relations:
         total = Fraction(0)
@@ -287,6 +289,27 @@ def weight_problems(draw):
 @given(weight_problems(), st.integers(1, 8))
 def test_invariant_monomials_equal_the_full_descent(problem, degree):
     assert invariant_monomials(problem, degree) == invariant_monomials_oracle(problem, degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_problems(), st.data(), st.integers(1, 10))
+def test_sections_give_the_first_section_of_one_listing(problem, data, degree):
+    # The search widens its bound 1, 2, 4, ... up to `degree`; its answer is
+    # the first section of the one listing up to `degree`.
+    # A lift off the zero section: at least one fiber value is nonzero.
+    support = data.draw(st.sets(st.sampled_from(problem.var_names)))
+    support.add(data.draw(st.sampled_from(problem.fiber_names)))
+    sample = point(problem, **{n: int(n in support) for n in problem.var_names})
+    expected = next(
+        (
+            m
+            for m in invariant_monomials(problem, degree)
+            if m.l_degree >= 1
+            and all(n in support for n, e in zip(problem.var_names, m.exponents) if e)
+        ),
+        None,
+    )
+    assert semistable_via_sections(problem, sample, degree) == expected
 
 
 @st.composite

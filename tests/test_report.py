@@ -281,7 +281,7 @@ def test_text_view_formats_each_shared_pattern_piece_once(monkeypatch):
     [
         (
             ["conic", "--n", "3", "--sweep"],
-            lambda r: [r["rows"], r["stratum_weights"], r["weight_table"]["intervals"]]
+            lambda r: [r["rows"], r["stratum_weights"]]
             + [s["intervals"] for s in r["stratum_weights"]],
         ),
         (
