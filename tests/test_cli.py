@@ -154,6 +154,7 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
         (*CONIC, "--marked", "1:1,1:2,1:3"),
         ("conic", "--n", "3", "--sweep", "--twists", "5"),
         (*CONIC, "--sign", "opposite"),
+        (*CONIC, "--sign", "engine"),
         *[("patterns", "--problem", f"{{{name}}}") for name in BAD_PROBLEMS],
         (*POINT, "[1, 2]"),
         (*POINT, "{point-file}"),
@@ -163,8 +164,8 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
     ids=[
         "unknown-builtin", "conic-no-stratum", "conic-no-lengths", "non-integer-stratum",
         "negative-length", "marked-unknown-component", "marked-zero", "marked-too-many",
-        "twist-count", "sign-removed", *BAD_PROBLEMS, "point-json-list", "point-file-list",
-        "point-semicolon", "point-repeated-variable",
+        "twist-count", "sign-removed", "sign-engine-removed", *BAD_PROBLEMS,
+        "point-json-list", "point-file-list", "point-semicolon", "point-repeated-variable",
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
@@ -505,6 +506,37 @@ def test_sections_stop_at_the_first_bound_that_finds_one(capture, monkeypatch):
     assert asked == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "point, max_degree, asked",
+    [
+        ("x=1,y=0,u=0,v=1", "1", [1]),
+        ("x=1,y=0,u=1,v=0", "3", [1, 2, 3]),
+        ("x=1,y=0,u=1,v=0", "6", [1, 2, 4, 6]),
+    ],
+)
+def test_sections_double_the_bound_up_to_max_degree(
+    capture, monkeypatch, point, max_degree, asked
+):
+    # The bounds double from 1 and the last one is --max-degree itself, so a
+    # point with no section is still searched up to the bound it was given.
+    from torstab import invariants
+
+    listing = invariants.invariant_monomials
+    seen = []
+
+    def spy(problem, bound):
+        seen.append(bound)
+        return listing(problem, bound)
+
+    monkeypatch.setattr(invariants, "invariant_monomials", spy)
+    code, _, _ = capture(
+        "sections", "--problem", "builtin:conic-bundle", "--point", point,
+        "--max-degree", max_degree,
+    )
+    assert code == 0
+    assert seen == asked
+
+
 def test_empty_sections_print_none(capture, tmp_path):
     path = tmp_path / "p.problem"
     path.write_text(NO_GENERATOR)
@@ -550,6 +582,17 @@ def test_conic_sweep_prints_weight_table(capture):
     assert "weight table:" in out
     assert "shift=none" in out
     assert "equivalence holds: True" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--sweep",), ("--stratum", "1,3", "--lengths", "0,2,0")],
+    ids=["sweep", "single"],
+)
+def test_conic_text_header_states_n_twists_and_shift_only(capture, argv):
+    code, out, _ = capture("conic", "--n", "2", *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "weight table: n=2 twists=[10] shift=none"
 
 
 def test_conic_single_config(capture):
@@ -839,7 +882,12 @@ def _conic_json(capture, *argv) -> dict:
 
 @pytest.mark.parametrize(
     "n, stratum, lengths",
-    [("1", "1", "1,0"), ("2", "1,3", "0,2,0"), ("3", "smooth", "3")],
+    [
+        ("1", "1", "1,0"),
+        ("2", "1,3", "0,2,0"),
+        ("2", "1,2,3", "0,2,0,0"),
+        ("3", "smooth", "3"),
+    ],
 )
 def test_single_config_gives_its_stratum_entry_of_the_sweep(capture, n, stratum, lengths):
     sweep = _conic_json(capture, "--n", n, "--sweep")["result"]
