@@ -43,6 +43,7 @@ from .degeneration import (
     hilbert_components,
     mu_config,
     admissible,
+    SweepRow,
     sweep_equivalence,
 )
 from .errors import InputError, InternalInvariantError
@@ -269,29 +270,53 @@ def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
     return tuple(out)
 
 
-def _stratum_weights(table, stratum) -> dict:
-    """The stratum's vanishing set and the limit weight vectors of every
-    chain component of it: toward the start of the chain (every subgroup
-    coordinate positive) and toward its end (every coordinate negative)."""
+def _conic_result(table, sweep_rows) -> dict:
+    """The part of every `conic` report: the table as `weight_table`, its
+    size and twists; the limit weights of each distinct chain interval of
+    the rows' strata once, in `interval_weights`, in order of first
+    appearance, toward the start of the chain (every subgroup coordinate
+    positive) and toward its end (every coordinate negative); and one dict
+    per `SweepRow`, in `rows`."""
+    # As in `_cmd_patterns`, each distinct stratum list and verdict dict is
+    # built once and shared by the rows that have it, and so is each
+    # lengths tuple, which the sweep shares across strata.
     toward_start, toward_end = (1,) * table.n, (-1,) * table.n
-    intervals = [
-        {
-            "interval": list(interval),
-            "weight_toward_start": list(table.limit_weights(interval, toward_start)),
-            "weight_toward_end": list(table.limit_weights(interval, toward_end)),
-        }
-        for interval in stratum.intervals
-    ]
-    return {"stratum": sorted(stratum.vanishing), "intervals": intervals}
+    vanishing: dict[Stratum, list[int]] = {}
+    interval_weights: dict[tuple[int, ...], dict] = {}
+    verdicts: dict[Verdict, dict] = {}
+    rows = []
+    for row in sweep_rows:
+        stratum = row.config.stratum
+        if stratum not in vanishing:
+            vanishing[stratum] = sorted(stratum.vanishing)
+            for interval in stratum.intervals:
+                if interval not in interval_weights:
+                    interval_weights[interval] = {
+                        "interval": list(interval),
+                        "weight_toward_start": list(table.limit_weights(interval, toward_start)),
+                        "weight_toward_end": list(table.limit_weights(interval, toward_end)),
+                    }
+        if row.verdict not in verdicts:
+            verdicts[row.verdict] = _verdict_dict(row.verdict)
+        rows.append(
+            {
+                "stratum": vanishing[stratum],
+                "lengths": row.config.lengths,
+                "admissible": row.admissible,
+                "verdict": verdicts[row.verdict],
+            }
+        )
+    return {
+        "weight_table": {"n": table.n, "twists": list(table.multipliers[:-1])},
+        "interval_weights": list(interval_weights.values()),
+        "rows": rows,
+    }
 
 
 def _cmd_conic(args):
-    """A sweep of every configuration, or one configuration.  Either report
-    gives the table as `weight_table`, its size and twists, and each
-    stratum's limit weights once, in `stratum_weights`: every stratum of a
-    sweep, in `strata(n)` order, or the configuration's one stratum."""
+    """A sweep of every configuration, with its summary, or one
+    configuration as one row, with what its flags ask for."""
     table = build_weight_table(args.n, a=_parse_twists(args))
-    weight_table = {"n": table.n, "twists": list(table.multipliers[:-1])}
     if args.sweep:
         for flag, value in (
             ("--stratum", args.stratum),
@@ -302,36 +327,12 @@ def _cmd_conic(args):
         ):
             if value not in (None, False):
                 raise InputError(f"{flag} does not apply with --sweep")
-        report = sweep_equivalence(table)
-        if not report.equivalence_holds:
+        sweep = sweep_equivalence(table)
+        if not sweep.equivalence_holds:
             raise InternalInvariantError("sweep disagrees with the admissibility criterion")
-        rows = []
-        # As in `_cmd_patterns`, each distinct stratum list and verdict dict
-        # is built once and shared by the rows that have it, and so is each
-        # lengths tuple, which the sweep shares across strata.
-        stratum_weights: dict[Stratum, dict] = {}
-        verdicts: dict[Verdict, dict] = {}
-        for row in report.rows:
-            stratum = row.config.stratum
-            if stratum not in stratum_weights:
-                stratum_weights[stratum] = _stratum_weights(table, stratum)
-            if row.verdict not in verdicts:
-                verdicts[row.verdict] = _verdict_dict(row.verdict)
-            rows.append(
-                {
-                    "stratum": stratum_weights[stratum]["stratum"],
-                    "lengths": row.config.lengths,
-                    "admissible": row.admissible,
-                    "verdict": verdicts[row.verdict],
-                }
-            )
-        result = {
-            "weight_table": weight_table,
-            "stratum_weights": list(stratum_weights.values()),
-            "rows": rows,
-            "equivalence_holds": True,
-            "strictly_semistable_rows": report.strictly_semistable_count,
-        }
+        result = _conic_result(table, sweep.rows)
+        result["equivalence_holds"] = True
+        result["strictly_semistable_rows"] = sweep.strictly_semistable_count
         return result, []
 
     stratum = _parse_stratum(args)
@@ -339,13 +340,8 @@ def _cmd_conic(args):
         raise InputError("--lengths is required unless --sweep is given")
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
-    result = {
-        "weight_table": weight_table,
-        "stratum_weights": [_stratum_weights(table, stratum)],
-        "lengths": list(lengths),
-        "admissible": admissible(config),
-        "verdict": _verdict_dict(classify_config(table, config)),
-    }
+    row = SweepRow(config, admissible(config), classify_config(table, config))
+    result = _conic_result(table, [row])
     if args.lam is not None:
         lam = _parse_ints(args.lam, "lambda")
         weight = mu_config(table, config, lam)

@@ -373,19 +373,17 @@ def _multiset_stabilizer_order(coords: list[Fraction]) -> int:
 # --- Hilbert scheme components and incidence -------------------------------
 
 
-class HilbertComponent(namedtuple("HilbertComponent", "i j stratum lengths")):
-    """Irreducible component whose generic configuration puts i points on the
-    first and j points on the last chain component."""
+class HilbertComponent(namedtuple("HilbertComponent", "stratum lengths")):
+    """Irreducible component whose generic configuration puts lengths[0]
+    points on the first and lengths[1] on the last chain component."""
 
-    i: int
-    j: int
     stratum: Stratum
-    lengths: tuple[int, ...]
+    lengths: tuple[int, int]
     __slots__ = ()
 
     @property
     def label(self) -> str:
-        return f"H{self.i}{self.j}"
+        return "H{}{}".format(*self.lengths)
 
 
 class HilbertIncidence(namedtuple("HilbertIncidence", "components intersections")):
@@ -443,12 +441,7 @@ def hilbert_components(n: int) -> HilbertIncidence:
     if not 1 <= n <= MAX_N:
         raise InputError(f"n must be between 1 and {MAX_N}, got {n}")
     components = tuple(
-        HilbertComponent(
-            i=i,
-            j=n - i,
-            stratum=Stratum(n, frozenset({i + 1})),
-            lengths=(i, n - i),
-        )
+        HilbertComponent(Stratum(n, frozenset({i + 1})), (i, n - i))
         for i in range(n, -1, -1)
     )
     configs = admissible_configs(n)
@@ -471,8 +464,7 @@ class SweepRow(namedtuple("SweepRow", "config admissible verdict")):
     __slots__ = ()
 
 
-class SweepReport(namedtuple("SweepReport", "table rows")):
-    table: WeightTable
+class SweepReport(namedtuple("SweepReport", "rows")):
     rows: tuple[SweepRow, ...]
     __slots__ = ()
 
@@ -517,4 +509,4 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
             config = ChainConfiguration(stratum, lengths)
             verdict = _verdict_at_points(table, config, points, pairings)
             rows.append(SweepRow(config, admissible(config), verdict))
-    return SweepReport(table, tuple(rows))
+    return SweepReport(tuple(rows))

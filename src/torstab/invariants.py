@@ -297,21 +297,18 @@ class QuotientPresentation(namedtuple(
 def quotient_presentation(
     problem: GitProblem,
     max_degree: int = 4,
-    syzygy_degree: int | None = None,
+    syzygy_degree: int = 8,
 ) -> QuotientPresentation:
     """Assemble generators and relations into a quotient presentation.
 
-    syzygy_degree counts generator factors and defaults to twice the largest
-    generator total degree.  Pass an explicit bound to search for longer
-    coincidences.  A bound below 1 is refused by `relations`, also when
-    there is no generator.
+    syzygy_degree counts generator factors; its default, 8, is the CLI's.
+    Pass a larger bound to search for longer coincidences.  A bound below 1
+    is refused by `relations`, also when there is no generator.
     """
     gens = minimal_generators(invariant_monomials(problem, max_degree))
     base = [m for m in gens if m.l_degree == 0]
     proj = [m for m in gens if m.l_degree > 0]
     names = [f"T{i}" for i in range(len(base))] + [f"Z{i}" for i in range(len(proj))]
-    if syzygy_degree is None:
-        syzygy_degree = max((2 * m.total_degree for m in gens), default=1)
     warnings: list[str] = []
     rels = relations(base + proj, syzygy_degree, names, warnings=warnings)
 

@@ -179,10 +179,28 @@ class GitProblem(namedtuple("GitProblem", "torus_rank base_vars fiber_vars shift
             raise DimensionMismatchError(
                 f"linearization shift has length {len(shift)}, expected rank {r}"
             )
+        # Each generator must be homogeneous, its terms of one fiber degree
+        # and one torus weight: then the ideal is torus-stable, and whether
+        # a point lies on it does not depend on which representative of the
+        # projective point is given.
+        weight_of = dict(base_vars + fiber_vars)
+        fiber_names = {name for name, _ in fiber_vars}
         for poly in ideal:
             undeclared = poly.variables() - seen
             if undeclared:
                 raise InputError(f"ideal uses undeclared variables {sorted(undeclared)}")
+            grades = {
+                (
+                    sum(e for name, e in mono if name in fiber_names),
+                    tuple(sum(e * weight_of[name][k] for name, e in mono) for k in range(r)),
+                )
+                for _, mono in poly.terms
+            }
+            if len(grades) > 1:
+                raise InputError(
+                    f"ideal generator {json.dumps(poly.term_dicts())} is not homogeneous: "
+                    "its terms differ in fiber degree or in torus weight"
+                )
         return tuple.__new__(cls, (torus_rank, base_vars, fiber_vars, shift, ideal))
 
     @property

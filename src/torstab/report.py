@@ -241,19 +241,6 @@ def _generators(gens: list[dict], order, degree: bool = False) -> list[str]:
     ] or ["  (none)"]
 
 
-def _weight_table(table: dict, intervals: list[dict]) -> list[str]:
-    """The table's header line, then the limit weights of each chain
-    component of one stratum, `intervals` of its `stratum_weights` entry."""
-    lines = [f"weight table: n={table['n']} twists={table['twists']} shift=none"]
-    for k, entry in enumerate(intervals):
-        lines.append(
-            f"  component {k} {set(entry['interval']) or '{}'}: "
-            f"toward-start {_vec(entry['weight_toward_start'])}, "
-            f"toward-end {_vec(entry['weight_toward_end'])}"
-        )
-    return lines
-
-
 # --- one renderer per subcommand ----------------------------------------------
 
 
@@ -333,33 +320,28 @@ def _text_sections(r: dict) -> list[str]:
     ]
 
 
-def _text_sweep(r: dict) -> list[str]:
-    # Each stratum's weights are printed once, before its first row.
-    unprinted = {tuple(s["stratum"]): s["intervals"] for s in r["stratum_weights"]}
-    lines = []
-    for row in r["rows"]:
-        stratum = tuple(row["stratum"])
-        if stratum in unprinted:
-            lines += _weight_table(r["weight_table"], unprinted.pop(stratum))
-        lines.append(
-            f"stratum {_braced(stratum)} lengths {_vec(row['lengths'])}: "
-            f"admissible={_yes_no(row['admissible'])} verdict={_verdict(row['verdict'])}"
-        )
-    lines.append(
-        f"equivalence holds: {r['equivalence_holds']}; "
-        f"strictly semistable rows: {r['strictly_semistable_rows']}"
-    )
-    return lines
-
-
 def _text_conic(r: dict) -> list[str]:
-    if "rows" in r:
-        return _text_sweep(r)
-    (weights,) = r["stratum_weights"]
-    lines = _weight_table(r["weight_table"], weights["intervals"])
-    lines.append(f"chain components: {[entry['interval'] for entry in weights['intervals']]}")
-    lines.append(f"admissible: {_yes_no(r['admissible'])}")
-    lines.append(f"verdict: {_verdict(r['verdict'])}")
+    """The table's header line, each chain interval's limit weights, one
+    line per row, then a sweep's summary or a single configuration's
+    extras."""
+    table = r["weight_table"]
+    lines = [f"weight table: n={table['n']} twists={table['twists']} shift=none"]
+    lines += [
+        f"  interval {_braced(entry['interval'])}: "
+        f"toward-start {_vec(entry['weight_toward_start'])}, "
+        f"toward-end {_vec(entry['weight_toward_end'])}"
+        for entry in r["interval_weights"]
+    ]
+    lines += [
+        f"stratum {_braced(row['stratum'])} lengths {_vec(row['lengths'])}: "
+        f"admissible={_yes_no(row['admissible'])} verdict={_verdict(row['verdict'])}"
+        for row in r["rows"]
+    ]
+    if "equivalence_holds" in r:
+        lines.append(
+            f"equivalence holds: {r['equivalence_holds']}; "
+            f"strictly semistable rows: {r['strictly_semistable_rows']}"
+        )
     if "lambda" in r:
         lines.append(f"mu(lambda={_vec(r['lambda'])}) = {r['mu']}")
     if "stabilizer_order" in r:

@@ -360,7 +360,7 @@ def test_a_huge_power_in_the_ideal_exits_1_before_it_is_computed(capture, tmp_pa
         "fiber_vars": {"u": [1], "v": [-1]},
         "ideal": [
             [
-                {"coeff": "1", "monomial": {"x": 10**10}},
+                {"coeff": "1", "monomial": {"x": 10**10, "u": 1}},
                 {"coeff": "-1", "monomial": {"u": 1}},
             ]
         ],
@@ -378,6 +378,32 @@ def test_a_huge_power_in_the_ideal_exits_1_before_it_is_computed(capture, tmp_pa
     assert err == "error: x^10000000000 at x = 2 would take more than 65536 bits\n"
     code, out, _ = capture("classify", "--problem", str(path), "--point", "x=1,u=1,v=1")
     assert (code, out) == (0, "stable\n")
+
+
+@pytest.mark.parametrize(
+    "other", ["y", "u"], ids=["weight-differs", "fiber-degree-differs"]
+)
+def test_a_generator_that_is_not_homogeneous_exits_1(capture, tmp_path, other):
+    # On the conic bundle x has weight 1 and fiber degree 0, y weight -1
+    # and fiber degree 0, and u weight 1 and fiber degree 1.  Whether
+    # (x, y, u, v) = (1, 1, 1, 1) lies on x - u would depend on the
+    # representative of the fiber point.
+    path = tmp_path / "inhomogeneous.problem"
+    path.write_text(json.dumps({
+        "torus_rank": 1,
+        "base_vars": {"x": [1], "y": [-1]},
+        "fiber_vars": {"u": [1], "v": [-1]},
+        "ideal": [[
+            {"coeff": "1", "monomial": {"x": 1}},
+            {"coeff": "-1", "monomial": {other: 1}},
+        ]],
+    }))
+    code, out, err = capture("classify", "--problem", str(path), "--point", "x=1,y=1,u=1,v=1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ideal generator [")
+    assert err.endswith(
+        "] is not homogeneous: its terms differ in fiber degree or in torus weight\n"
+    )
 
 
 def test_patterns_warns_about_ideal(capture):
@@ -610,8 +636,13 @@ def test_conic_single_config(capture):
         "1,1",
     )
     assert code == 0
-    assert "admissible: yes" in out
-    assert "verdict: stable" in out
+    assert out.splitlines()[:5] == [
+        "weight table: n=2 twists=[10] shift=none",
+        "  interval {0}: toward-start (-20,-1), toward-end (-20,-1)",
+        "  interval {1,2}: toward-start (-20,-1), toward-end (10,2)",
+        "  interval {3}: toward-start (10,2), toward-end (10,2)",
+        "stratum {1,3} lengths (0,2,0): admissible=yes verdict=stable",
+    ]
     assert "stabilizer order: 2" in out
 
 
@@ -889,14 +920,21 @@ def _conic_json(capture, *argv) -> dict:
         ("3", "smooth", "3"),
     ],
 )
-def test_single_config_gives_its_stratum_entry_of_the_sweep(capture, n, stratum, lengths):
+def test_single_config_is_its_row_of_the_sweep(capture, n, stratum, lengths):
     sweep = _conic_json(capture, "--n", n, "--sweep")["result"]
     single = _conic_json(capture, "--n", n, "--stratum", stratum, "--lengths", lengths)["result"]
     assert single["weight_table"] == sweep["weight_table"]
+    (row,) = single["rows"]
     vanishing = [] if stratum == "smooth" else [int(x) for x in stratum.split(",")]
-    matching = [e for e in sweep["stratum_weights"] if e["stratum"] == vanishing]
-    assert len(matching) == 1
-    assert single["stratum_weights"] == matching
+    key = (vanishing, [int(x) for x in lengths.split(",")])
+    matching = [r for r in sweep["rows"] if (r["stratum"], r["lengths"]) == key]
+    assert matching == [row]
+    # Its intervals are its stratum's chain, in chain order, each with the
+    # sweep's entry for it.
+    chain = torstab.Stratum(int(n), frozenset(vanishing)).intervals
+    assert [tuple(e["interval"]) for e in single["interval_weights"]] == list(chain)
+    by_interval = {tuple(e["interval"]): e for e in sweep["interval_weights"]}
+    assert single["interval_weights"] == [by_interval[interval] for interval in chain]
 
 
 def test_input_digest_ignores_path_spelling_and_formatting(capture, tmp_path, monkeypatch):
@@ -935,19 +973,27 @@ def test_json_carries_what_the_text_prints(capture, argv, key, value):
     assert json.loads(out)["result"][key] == value
 
 
-def test_sweep_json_gives_every_stratum_weights(capture):
+def test_sweep_json_gives_each_interval_weights_once(capture):
     code, out, _ = capture("conic", "--n", "2", "--sweep", "--format", "json")
     assert code == 0
     result = json.loads(out)["result"]
-    strata = [tuple(entry["stratum"]) for entry in result["stratum_weights"]]
-    assert sorted(strata) == sorted({tuple(row["stratum"]) for row in result["rows"]})
-    assert len(strata) == len(set(strata)) == 2 ** 3
     assert result["weight_table"] == {"n": 2, "twists": [10]}
-    by_stratum = {tuple(e["stratum"]): e["intervals"] for e in result["stratum_weights"]}
-    assert by_stratum[()] == [
-        {"interval": [0, 1, 2, 3], "weight_toward_start": [-20, -1],
-         "weight_toward_end": [10, 2]}
-    ]
+    intervals = [tuple(entry["interval"]) for entry in result["interval_weights"]]
+    in_rows = {
+        interval
+        for row in result["rows"]
+        for interval in torstab.Stratum(2, frozenset(row["stratum"])).intervals
+    }
+    # Every interval {a, ..., b - 1} with 0 <= a < b <= 4 bounds a component.
+    assert len(intervals) == len(set(intervals)) == len(in_rows) == 10
+    assert set(intervals) == in_rows
+    table = torstab.build_weight_table(2)
+    for interval, entry in zip(intervals, result["interval_weights"]):
+        assert entry["weight_toward_start"] == list(table.limit_weights(interval, (1, 1)))
+        assert entry["weight_toward_end"] == list(table.limit_weights(interval, (-1, -1)))
+    assert result["interval_weights"][0] == {
+        "interval": [0, 1, 2, 3], "weight_toward_start": [-20, -1], "weight_toward_end": [10, 2]
+    }
 
 
 def test_text_renders_non_unit_coefficients():

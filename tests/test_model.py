@@ -102,15 +102,17 @@ def test_parse_rejects_json_booleans(old, new):
 @pytest.mark.parametrize(
     "term",
     [
-        '{"coeff": "1", "monomial": {"x": true}}',
-        '{"coeff": true, "monomial": {"x": 1}}',
+        '{"coeff": "1", "monomial": {"x": true, "y": 1}}',
+        '{"coeff": true, "monomial": {"x": 1, "y": 1}}',
     ],
     ids=["exponent", "coefficient"],
 )
 def test_parse_rejects_json_booleans_in_ideal(term):
+    # With the boolean read as 1 the generator is x*y - 1, homogeneous of
+    # fiber degree 0 and weight 0.
     text = CONIC_TEXT.replace(
         '"linearization_shift": [0]',
-        f'"linearization_shift": [0], "ideal": [[{term}, {{"coeff": "-1", "monomial": {{"y": 1}}}}]]',
+        f'"linearization_shift": [0], "ideal": [[{term}, {{"coeff": "-1", "monomial": {{}}}}]]',
     )
     with pytest.raises(InputError):
         parse_problem(text)
@@ -176,14 +178,15 @@ def test_record_fields_are_read_only(conic):
     pattern, verdict = table.rows[0]
     quotient = ts.quotient_presentation(conic)
     cone = ts.ConeProblem([(1, 0)], [(0, 1)], 2)
-    sweep = ts.sweep_equivalence(ts.build_weight_table(1))
+    weight_table = ts.build_weight_table(1)
+    sweep = ts.sweep_equivalence(weight_table)
     config = sweep.rows[0].config
     incidence = ts.hilbert_components(2)
     records = [
         conic, point(conic, x=1, y=0, u=1, v=0), pattern, verdict, table,
         quotient, quotient.base_generators[0][1],
         quotient.relations[0], cone, ts.solve_cone(cone), sweep, sweep.rows[0],
-        sweep.table, config, config.stratum, incidence, incidence.components[0],
+        weight_table, config, config.stratum, incidence, incidence.components[0],
     ]
     assert len({type(record) for record in records}) == 17
     conic.positions  # fills a cached property of the instance dict

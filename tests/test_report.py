@@ -228,17 +228,15 @@ def _unshared(value):
 
 
 def test_sweep_report_shares_and_renders_each_fragment_once(monkeypatch):
-    # `conic --sweep` builds one stratum list per stratum (the one in
-    # `stratum_weights`) and one verdict dict per distinct verdict, and its
-    # rows hold the sweep's lengths tuples, one per distinct lengths; both
-    # views equal those of an unshared copy.
+    # `conic --sweep` builds one stratum list per stratum and one verdict
+    # dict per distinct verdict, and its rows hold the sweep's lengths
+    # tuples, one per distinct lengths; both views equal those of an
+    # unshared copy.
     _, report = _run(["conic", "--n", "3", "--sweep", "--format", "json"])
-    result = report["result"]
-    rows = result["rows"]
+    rows = report["result"]["rows"]
     assert {type(row["lengths"]) for row in rows} == {tuple}
-    strata = {tuple(s["stratum"]): s["stratum"] for s in result["stratum_weights"]}
-    assert all(row["stratum"] is strata[tuple(row["stratum"])] for row in rows)
-    for key in ("lengths", "verdict"):
+    keys = ("stratum", "lengths", "verdict")
+    for key in keys:
         values = [row[key] for row in rows]
         assert len({id(v) for v in values}) == len({json.dumps(v) for v in values}) < len(rows)
     plain = _unshared(report)
@@ -246,10 +244,8 @@ def test_sweep_report_shares_and_renders_each_fragment_once(monkeypatch):
     assert to_text(report) == to_text(plain)
     counts = _count_renders(monkeypatch)
     to_json(report)
-    shared = {id(row[key]) for row in rows for key in ("lengths", "verdict")}
+    shared = {id(row[key]) for row in rows for key in keys}
     assert {counts[i] for i in shared} == {1}
-    # A stratum list goes out once in `stratum_weights` and once in `rows`.
-    assert {counts[id(row["stratum"])] for row in rows} == {2}
 
 
 def test_text_view_formats_each_shared_pattern_piece_once(monkeypatch):
@@ -281,8 +277,7 @@ def test_text_view_formats_each_shared_pattern_piece_once(monkeypatch):
     [
         (
             ["conic", "--n", "3", "--sweep"],
-            lambda r: [r["rows"], r["stratum_weights"]]
-            + [s["intervals"] for s in r["stratum_weights"]],
+            lambda r: [r["interval_weights"], r["rows"]],
         ),
         (
             ["invariants", "--problem", "builtin:conic-bundle", "--max-degree", "3"],
