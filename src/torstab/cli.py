@@ -279,11 +279,12 @@ def _conic_result(table, sweep_rows) -> dict:
     per `SweepRow`, in `rows`."""
     # As in `_cmd_patterns`, each distinct stratum list and verdict dict is
     # built once and shared by the rows that have it, and so is each
-    # lengths tuple, which the sweep shares across strata.
+    # lengths tuple, which the sweep shares across strata.  The sweep
+    # interns its verdicts, so they are keyed by id.
     toward_start, toward_end = (1,) * table.n, (-1,) * table.n
     vanishing: dict[Stratum, list[int]] = {}
     interval_weights: dict[tuple[int, ...], dict] = {}
-    verdicts: dict[Verdict, dict] = {}
+    verdicts: dict[int, dict] = {}
     rows = []
     for row in sweep_rows:
         stratum = row.config.stratum
@@ -296,14 +297,15 @@ def _conic_result(table, sweep_rows) -> dict:
                         "weight_toward_start": list(table.limit_weights(interval, toward_start)),
                         "weight_toward_end": list(table.limit_weights(interval, toward_end)),
                     }
-        if row.verdict not in verdicts:
-            verdicts[row.verdict] = _verdict_dict(row.verdict)
+        key = id(row.verdict)
+        if key not in verdicts:
+            verdicts[key] = _verdict_dict(row.verdict)
         rows.append(
             {
                 "stratum": vanishing[stratum],
                 "lengths": row.config.lengths,
                 "admissible": row.admissible,
-                "verdict": verdicts[row.verdict],
+                "verdict": verdicts[key],
             }
         )
     return {

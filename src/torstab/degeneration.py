@@ -44,7 +44,7 @@ point of it iff it is so on one of those rays.  So a stratum's cube
 points, every nonzero lambda in {-1, 0, 1}^n that satisfies its base-limit
 rows, decide each configuration over it: the first of weight < 0 is an
 unstable witness, else one of weight 0 a strictly semistable one (see
-`_verdict_at_points` for which), else it is stable.  The points run by
+`_witness_at_points` for which), else it is stable.  The points run by
 sign orthant, in product((1, -1)) order with a zero counting as +, then
 lexicographically.
 
@@ -59,8 +59,11 @@ table, the point and the component's interval, so a configuration's weight
 there is one dot product with its lengths.  `sweep_equivalence` walks the
 cube once and computes each (interval, point) pairing once for all strata;
 its rows and witnesses are those of `classify_config` on each
-configuration alone, and every witness's weight is still recomputed by
-`mu_config`.
+configuration alone.  A witness's weight is re-checked apart from those
+shared pairings: `_witness_pairings` recomputes each component's pairing
+from `limit_weights` at the witness, once per (stratum, witness), and a
+row's weight is that dotted with its own lengths, as `mu_config` does for
+one configuration.  A sweep's equal verdicts are one object.
 """
 
 from __future__ import annotations
@@ -257,14 +260,26 @@ def mu_config(table: WeightTable, config: ChainConfiguration, lam: OnePS) -> int
     lam = tuple(int(x) for x in lam)
     if len(lam) != table.n:
         raise InputError(f"lambda {lam} has length {len(lam)}, expected {table.n}")
-    stratum = config.stratum
+    return _weight(config.lengths, _witness_pairings(table, config.stratum, lam))
+
+
+def _witness_pairings(
+    table: WeightTable, stratum: Stratum, lam: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """None when lambda breaks a base-limit row of the stratum, and
+    otherwise, per component, the pairing of lambda with that component's
+    `limit_weights` at lambda, computed afresh."""
     if any(sum(map(mul, row, lam)) < 0 for row in stratum.limit_rows):
         return None
-    total = 0
-    for interval, count in zip(stratum.intervals, config.lengths):
-        if count:
-            total += count * sum(map(mul, table.limit_weights(interval, lam), lam))
-    return -total
+    return tuple(
+        sum(map(mul, table.limit_weights(interval, lam), lam))
+        for interval in stratum.intervals
+    )
+
+
+def _weight(lengths: tuple[int, ...], pairings: tuple[int, ...] | None) -> int | None:
+    """Minus the lengths dotted with `_witness_pairings`; None stays None."""
+    return None if pairings is None else -sum(map(mul, lengths, pairings))
 
 
 def _point_pairings(
@@ -290,40 +305,42 @@ def _point_pairings(
 
 def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     """Stability verdict read off the stratum's cube points (see the module
-    docstring); each witness's weight is recomputed by `mu_config`."""
+    docstring); the witness's weight is re-checked by `mu_config`, from
+    `limit_weights` at the witness."""
     if config.stratum.n != table.n:
         raise InputError("configuration and weight table have different n")
     points = _points_on(_tagged_cube(table.n), config.stratum.vanishing)
-    return _verdict_at_points(
-        table, config, points, _point_pairings(table, config.stratum, points, {})
-    )
+    pairings = _point_pairings(table, config.stratum, points, {})
+    status, witness = _witness_at_points(config.lengths, points, pairings)
+    if witness is None:
+        return Verdict(status)
+    return Verdict(status, witness, mu_config(table, config, witness))
 
 
-def _verdict_at_points(
-    table: WeightTable,
-    config: ChainConfiguration,
+def _witness_at_points(
+    lengths: tuple[int, ...],
     points: tuple[tuple[int, ...], ...],
     pairings: list[tuple[int, ...]],
-) -> Verdict:
-    """Read the verdict off the stratum's cube points `points`, with their
-    `_point_pairings`.  The first point of weight < 0 destabilizes.
-    Otherwise a point of weight 0 blocks stability: of those in the first
-    sign orthant holding one, the one whose first nonzero coordinate comes
-    first, then the first in list order; that is the point
+) -> tuple[StabilityStatus, tuple[int, ...] | None]:
+    """The status and witness read off the stratum's cube points `points`,
+    with their `_point_pairings`.  The first point of weight < 0
+    destabilizes.  Otherwise a point of weight 0 blocks stability: of those
+    in the first sign orthant holding one, the one whose first nonzero
+    coordinate comes first, then the first in list order; that is the point
     `cones.cone_has_nonzero` returns on the orthant's cone of weight <= 0."""
     zeros = []
     for v, row in zip(points, pairings):
-        negated = sum(map(mul, config.lengths, row))
+        negated = sum(map(mul, lengths, row))
         if negated > 0:
-            return Verdict(StabilityStatus.UNSTABLE, v, mu_config(table, config, v))
+            return StabilityStatus.UNSTABLE, v
         if negated == 0:
             zeros.append(v)
     if not zeros:
-        return Verdict(StabilityStatus.STABLE)
+        return StabilityStatus.STABLE, None
     blocker = min(
         zeros, key=lambda v: (tuple(x < 0 for x in v), next(i for i, x in enumerate(v) if x))
     )
-    return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, mu_config(table, config, blocker))
+    return StabilityStatus.STRICTLY_SEMISTABLE, blocker
 
 
 def config_stabilizer(config: ChainConfiguration) -> int | None:
@@ -490,23 +507,42 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
     The sweep walks the cube once, computes each (interval, point) pairing
     once for every stratum holding both, and lists the compositions once
     per component count, so configurations over strata with as many
-    components share their lengths tuples.  Rows come with strata in
-    `strata` order and lengths in `compositions` order, and rows and
-    witnesses are those of `classify_config` on every configuration alone.
+    components share their lengths tuples.  Each (stratum, witness) is
+    re-checked once from `limit_weights`, never from the shared pairings,
+    and each witnessed row's weight is that re-check dotted with its
+    lengths.  Rows holding equal verdicts share one `Verdict` object.
+    Rows come with strata in `strata` order and lengths in `compositions`
+    order, and rows and witnesses are those of `classify_config` on every
+    configuration alone.
     """
     n = table.n
     tagged = _tagged_cube(n)
     known: dict[tuple[Interval, tuple[int, ...]], int] = {}
     splits: dict[int, list[tuple[int, ...]]] = {}
+    # Each distinct verdict, keyed by its value, so equal verdicts are one
+    # object and the constructor checks each value once.
+    interned: dict[tuple[StabilityStatus, tuple[int, ...] | None, int | None], Verdict] = {}
     rows = []
     for stratum in strata(n):
         points = _points_on(tagged, stratum.vanishing)
         pairings = _point_pairings(table, stratum, points, known)
+        # Each witness's `_witness_pairings` over this stratum, from
+        # `limit_weights` and not from `known`.
+        rechecked: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         parts = len(stratum.intervals)
         if parts not in splits:
             splits[parts] = compositions(n, parts)
         for lengths in splits[parts]:
             config = ChainConfiguration(stratum, lengths)
-            verdict = _verdict_at_points(table, config, points, pairings)
+            status, witness = _witness_at_points(lengths, points, pairings)
+            weight = None
+            if witness is not None:
+                if witness not in rechecked:
+                    rechecked[witness] = _witness_pairings(table, stratum, witness)
+                weight = _weight(lengths, rechecked[witness])
+            key = (status, witness, weight)
+            verdict = interned.get(key)
+            if verdict is None:
+                verdict = interned[key] = Verdict(*key)
             rows.append(SweepRow(config, admissible(config), verdict))
     return SweepReport(tuple(rows))

@@ -25,7 +25,7 @@ from torstab.degeneration import (
     strata,
     sweep_equivalence,
 )
-from torstab.errors import InputError
+from torstab.errors import InputError, InternalInvariantError
 
 from conftest import brute_force_config_status, config_verdict_oracle
 
@@ -440,8 +440,9 @@ def test_sweep_beyond_the_table_cap():
 
 def test_a_sweep_pairs_each_interval_and_cube_point_once(monkeypatch):
     # A pairing depends on the interval and the point alone, so a sweep
-    # computes each once for all strata; `mu_config` still recomputes every
-    # witness's weight from `limit_weights` on its own.
+    # computes each once for all strata.  Each (stratum, witness) is
+    # re-checked once, from `limit_weights` on its own, and each witnessed
+    # row's weight is its lengths dotted with that re-check.
     table = build_weight_table(3, (500, 20))
     distinct = {
         (interval, v)
@@ -449,32 +450,63 @@ def test_a_sweep_pairs_each_interval_and_cube_point_once(monkeypatch):
         for interval in stratum.intervals
         for v in cube_points(stratum)
     }
-    pairings = Counter()
-    inside, rechecked = [], []
-    real_limit_weights, real_mu_config = WeightTable.limit_weights, degeneration.mu_config
+    pairings, inner = Counter(), Counter()
+    inside, rechecked = [], Counter()
+    real_limit_weights = WeightTable.limit_weights
+    real_witness_pairings = degeneration._witness_pairings
 
     def limit_weights(self, interval, signs):
-        if not inside:
-            pairings[interval, signs] += 1
+        (inner if inside else pairings)[interval, signs] += 1
         return real_limit_weights(self, interval, signs)
 
-    def mu_config(*args):
+    def witness_pairings(table, stratum, lam):
+        rechecked[stratum, lam] += 1
         inside.append(True)
         try:
-            rechecked.append(real_mu_config(*args))
+            return real_witness_pairings(table, stratum, lam)
         finally:
             inside.pop()
-        return rechecked[-1]
 
     monkeypatch.setattr(WeightTable, "limit_weights", limit_weights)
-    monkeypatch.setattr(degeneration, "mu_config", mu_config)
+    monkeypatch.setattr(degeneration, "_witness_pairings", witness_pairings)
     report = sweep_equivalence(table)
+    monkeypatch.undo()
     assert len(distinct) == 229
     assert set(pairings) == distinct
     assert set(pairings.values()) == {1}
-    witnessed = [row.verdict for row in report.rows if row.verdict.witness is not None]
+    witnessed = [row for row in report.rows if row.verdict.witness is not None]
     assert len(witnessed) == 176
-    assert rechecked == [verdict.witness_mu for verdict in witnessed]
+    assert set(rechecked) == {(row.config.stratum, row.verdict.witness) for row in witnessed}
+    assert len(rechecked) == 48
+    assert set(rechecked.values()) == {1}
+    assert sum(inner.values()) == sum(len(stratum.intervals) for stratum, _ in rechecked)
+    for row in witnessed:
+        assert row.verdict.witness_mu == mu_config(table, row.config, row.verdict.witness)
+
+
+def test_a_sweep_rechecks_witnesses_without_the_shared_pairings(monkeypatch):
+    # Shared pairings corrupted on one stratum pick witnesses whose weights,
+    # re-checked from `limit_weights`, contradict their verdicts.
+    real_point_pairings = degeneration._point_pairings
+
+    def point_pairings(table, stratum, points, known):
+        found = real_point_pairings(table, stratum, points, known)
+        if stratum.vanishing == {2}:
+            return [tuple(x + 10**6 for x in row) for row in found]
+        return found
+
+    monkeypatch.setattr(degeneration, "_point_pairings", point_pairings)
+    with pytest.raises(InternalInvariantError):
+        sweep_equivalence(build_weight_table(3, (500, 20)))
+
+
+@pytest.mark.parametrize("n, twists, distinct", [(3, None, 13), (2, (500,), 7)])
+def test_a_sweep_holds_one_verdict_object_per_distinct_value(n, twists, distinct):
+    verdicts = [row.verdict for row in sweep_equivalence(build_weight_table(n, twists)).rows]
+    assert len(set(verdicts)) == distinct
+    assert len(set(map(id, verdicts))) == distinct
+    stable = [v for v in verdicts if v.status is StabilityStatus.STABLE]
+    assert stable and len(set(map(id, stable))) == 1
 
 
 def test_classify_matches_box_scan_everywhere():
