@@ -23,7 +23,9 @@ import os
 import sys
 import time
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from . import __version__
 from .builtin import builtin_problem
@@ -126,6 +128,17 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
+def _verdict_dicts(verdicts: Sequence[Verdict]) -> list[dict]:
+    """Each verdict's report dict, in order.  Tables and sweeps intern
+    their verdicts (equal verdicts are one object), so keying by id builds
+    one dict per distinct verdict, shared by every row that holds it, which
+    `to_json` renders once per row list; the sequence keeps every object
+    alive, so no id is reused meanwhile."""
+    ids = list(map(id, verdicts))
+    shown = {key: _verdict_dict(verdict) for key, verdict in dict(zip(ids, verdicts)).items()}
+    return list(map(shown.__getitem__, ids))
+
+
 def _mono_dict(mono, names, **extra) -> dict:
     """An invariant monomial as its report dict, with the `extra` keys;
     `names` are the problem's `var_names`, the variables its exponent
@@ -163,17 +176,12 @@ def _cmd_classify(args):
 
 def _cmd_patterns(args):
     table = classify_patterns(args.problem, max_vars=args.max_vars)
-    # The table is the product of its base and fiber subsets, each a name
-    # tuple in declared order, and interns its verdicts, so keying by id
-    # here gives every row its subsets' tuples and one dict per distinct
-    # verdict, which `to_json` renders once per row list.
-    ids = list(map(id, table.verdicts))
-    objects = dict(zip(ids, table.verdicts))
-    shown = {key: _verdict_dict(verdict) for key, verdict in objects.items()}
-    counts = {status.value: 0 for status in StabilityStatus}
-    for key, count in Counter(ids).items():
-        counts[shown[key]["status"]] += count
-    row_verdicts = map(shown.__getitem__, ids)
+    # Every row gets its subsets' name tuples, in declared order, and its
+    # verdict's shared dict.
+    verdicts = _verdict_dicts(table.verdicts)
+    counted = Counter(map(itemgetter("status"), verdicts))
+    counts = {status.value: counted[status.value] for status in StabilityStatus}
+    row_verdicts = iter(verdicts)
     rows = [
         {"base": base, "fiber": fiber, "verdict": next(row_verdicts)}
         for base in table.bases
@@ -277,41 +285,27 @@ def _conic_result(table, sweep_rows) -> dict:
     appearance, toward the start of the chain (every subgroup coordinate
     positive) and toward its end (every coordinate negative); and one dict
     per `SweepRow`, in `rows`."""
-    # As in `_cmd_patterns`, each distinct stratum list and verdict dict is
-    # built once and shared by the rows that have it, and so is each
-    # lengths tuple, which the sweep shares across strata.  The sweep
-    # interns its verdicts, so they are keyed by id.
+    # Each distinct stratum list and verdict dict is built once and shared
+    # by the rows that have it, and so is each lengths tuple, which the
+    # sweep shares across strata.
     toward_start, toward_end = (1,) * table.n, (-1,) * table.n
-    vanishing: dict[Stratum, list[int]] = {}
-    interval_weights: dict[tuple[int, ...], dict] = {}
-    verdicts: dict[int, dict] = {}
-    rows = []
-    for row in sweep_rows:
-        stratum = row.config.stratum
-        if stratum not in vanishing:
-            vanishing[stratum] = sorted(stratum.vanishing)
-            for interval in stratum.intervals:
-                if interval not in interval_weights:
-                    interval_weights[interval] = {
-                        "interval": list(interval),
-                        "weight_toward_start": list(table.limit_weights(interval, toward_start)),
-                        "weight_toward_end": list(table.limit_weights(interval, toward_end)),
-                    }
-        key = id(row.verdict)
-        if key not in verdicts:
-            verdicts[key] = _verdict_dict(row.verdict)
-        rows.append(
-            {
-                "stratum": vanishing[stratum],
-                "lengths": row.config.lengths,
-                "admissible": row.admissible,
-                "verdict": verdicts[key],
-            }
-        )
+    vanishing = {s: sorted(s.vanishing) for s in dict.fromkeys(row.stratum for row in sweep_rows)}
+    intervals = dict.fromkeys(i for stratum in vanishing for i in stratum.intervals)
+    verdicts = _verdict_dicts([row.verdict for row in sweep_rows])
     return {
         "weight_table": {"n": table.n, "twists": list(table.multipliers[:-1])},
-        "interval_weights": list(interval_weights.values()),
-        "rows": rows,
+        "interval_weights": [
+            {
+                "interval": list(interval),
+                "weight_toward_start": list(table.limit_weights(interval, toward_start)),
+                "weight_toward_end": list(table.limit_weights(interval, toward_end)),
+            }
+            for interval in intervals
+        ],
+        "rows": [
+            {"stratum": vanishing[s], "lengths": lengths, "admissible": ok, "verdict": verdict}
+            for (s, lengths, ok, _), verdict in zip(sweep_rows, verdicts)
+        ],
     }
 
 
@@ -342,7 +336,7 @@ def _cmd_conic(args):
         raise InputError("--lengths is required unless --sweep is given")
     lengths = _parse_ints(args.lengths, "--lengths")
     config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
-    row = SweepRow(config, admissible(config), classify_config(table, config))
+    row = SweepRow(stratum, lengths, admissible(config), classify_config(table, config))
     result = _conic_result(table, [row])
     if args.lam is not None:
         lam = _parse_ints(args.lam, "lambda")
@@ -421,15 +415,15 @@ def _build_parser() -> _Parser:
         if point:
             p.add_argument("--point", required=True, help='point file, JSON, or "x=1,y=0"')
         if lam:
-            p.add_argument("--lambda", dest="lam", required=lam == "required",
+            p.add_argument("--lambda", dest="lam", required=True,
                            help="one-parameter subgroup, comma-separated integers")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("mu", help="subgroup weight at a point")
-    common(p, point=True, lam="required")
+    common(p, point=True, lam=True)
 
     p = sub.add_parser("limit", help="limit point under a subgroup")
-    common(p, point=True, lam="required")
+    common(p, point=True, lam=True)
 
     p = sub.add_parser("classify", help="stability verdict for a point")
     common(p, point=True)

@@ -56,14 +56,18 @@ stratum; a sweep walks it once for all of them.
 
 A point's pairing with a component's limit weights depends only on the
 table, the point and the component's interval, so a configuration's weight
-there is one dot product with its lengths.  `sweep_equivalence` walks the
-cube once and computes each (interval, point) pairing once for all strata;
-its rows and witnesses are those of `classify_config` on each
-configuration alone.  A witness's weight is re-checked apart from those
-shared pairings: `_witness_pairings` recomputes each component's pairing
-from `limit_weights` at the witness, once per (stratum, witness), and a
-row's weight is that dotted with its own lengths, as `mu_config` does for
-one configuration.  A sweep's equal verdicts are one object.
+there is one dot product with its lengths.  One step classifies the
+configurations over a stratum, `_stratum_rows`: it pairs the cube
+points with the components once, reads each lengths tuple's status and
+witness off those pairings, re-checks each witness once apart from them
+(`_witness_pairings` recomputes each component's pairing from
+`limit_weights` at the witness, and a row's weight is that dotted with its
+own lengths, as `mu_config` does for one configuration), builds one
+`Verdict` per distinct value and gives each configuration as a
+`SweepRow(stratum, lengths, admissible, verdict)`.  `classify_config` is
+that step over one lengths tuple.  `sweep_equivalence` takes it for every
+stratum, sharing the (interval, point) pairings and the verdicts across
+strata, and builds no `ChainConfiguration`.
 """
 
 from __future__ import annotations
@@ -305,16 +309,49 @@ def _point_pairings(
 
 def classify_config(table: WeightTable, config: ChainConfiguration) -> Verdict:
     """Stability verdict read off the stratum's cube points (see the module
-    docstring); the witness's weight is re-checked by `mu_config`, from
-    `limit_weights` at the witness."""
+    docstring): the step a sweep takes for every stratum, `_stratum_rows`,
+    over the configuration's one lengths tuple."""
     if config.stratum.n != table.n:
         raise InputError("configuration and weight table have different n")
-    points = _points_on(_tagged_cube(table.n), config.stratum.vanishing)
-    pairings = _point_pairings(table, config.stratum, points, {})
-    status, witness = _witness_at_points(config.lengths, points, pairings)
-    if witness is None:
-        return Verdict(status)
-    return Verdict(status, witness, mu_config(table, config, witness))
+    tagged = _tagged_cube(table.n)
+    return _stratum_rows(table, config.stratum, tagged, [config.lengths], {}, {})[0].verdict
+
+
+def _stratum_rows(
+    table: WeightTable,
+    stratum: Stratum,
+    tagged: list[tuple[tuple[int, ...], frozenset[int]]],
+    splits: list[tuple[int, ...]],
+    known: dict[tuple[Interval, tuple[int, ...]], int],
+    interned: dict[tuple[StabilityStatus, tuple[int, ...] | None, int | None], Verdict],
+) -> list[SweepRow]:
+    """The `SweepRow` of each lengths tuple in `splits` over the stratum, in
+    order.  The status and witness are read off the stratum's cube points,
+    found in the `_tagged_cube` `tagged`, with their `_point_pairings`
+    (`known` holds the pairings already computed and gains the rest).  Each
+    witness is re-checked once by `_witness_pairings`, from `limit_weights`
+    and not from `known`, and a row's weight is that dotted with its
+    lengths.  `interned` holds each distinct verdict by its fields and
+    gains the new ones, so equal verdicts are one object and the
+    constructor checks each value once.  A row is admissible when its
+    lengths are the stratum's inner counts, as `admissible` asks."""
+    points = _points_on(tagged, stratum.vanishing)
+    pairings = _point_pairings(table, stratum, points, known)
+    rechecked: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    rows = []
+    for lengths in splits:
+        status, witness = _witness_at_points(lengths, points, pairings)
+        weight = None
+        if witness is not None:
+            if witness not in rechecked:
+                rechecked[witness] = _witness_pairings(table, stratum, witness)
+            weight = _weight(lengths, rechecked[witness])
+        key = (status, witness, weight)
+        verdict = interned.get(key)
+        if verdict is None:
+            verdict = interned[key] = Verdict(*key)
+        rows.append(SweepRow(stratum, lengths, lengths == stratum.inner_counts, verdict))
+    return rows
 
 
 def _witness_at_points(
@@ -474,8 +511,12 @@ def hilbert_components(n: int) -> HilbertIncidence:
     return HilbertIncidence(components, tuple(intersections))
 
 
-class SweepRow(namedtuple("SweepRow", "config admissible verdict")):
-    config: ChainConfiguration
+class SweepRow(namedtuple("SweepRow", "stratum lengths admissible verdict")):
+    """One configuration of a sweep: its stratum and lengths, whether they
+    are admissible, and its verdict."""
+
+    stratum: Stratum
+    lengths: tuple[int, ...]
     admissible: bool
     verdict: Verdict
     __slots__ = ()
@@ -504,45 +545,23 @@ def sweep_equivalence(table: WeightTable) -> SweepReport:
     """Classify every configuration over every stratum and compare with the
     admissibility criterion.
 
-    The sweep walks the cube once, computes each (interval, point) pairing
-    once for every stratum holding both, and lists the compositions once
-    per component count, so configurations over strata with as many
-    components share their lengths tuples.  Each (stratum, witness) is
-    re-checked once from `limit_weights`, never from the shared pairings,
-    and each witnessed row's weight is that re-check dotted with its
-    lengths.  Rows holding equal verdicts share one `Verdict` object.
-    Rows come with strata in `strata` order and lengths in `compositions`
-    order, and rows and witnesses are those of `classify_config` on every
-    configuration alone.
+    Each stratum is one `_stratum_rows` step, the one `classify_config`
+    takes.  The sweep walks the cube once, computes each (interval, point)
+    pairing once for every stratum holding both, lists the compositions
+    once per component count, so strata with as many components share
+    their lengths tuples, and interns verdicts across strata; it builds no
+    `ChainConfiguration`.  Rows come with strata in `strata` order and
+    lengths in `compositions` order, and rows and witnesses are those of
+    `classify_config` on every configuration alone.
     """
     n = table.n
     tagged = _tagged_cube(n)
+    # Strata have 1 to n + 2 components.
+    splits = {parts: compositions(n, parts) for parts in range(1, n + 3)}
     known: dict[tuple[Interval, tuple[int, ...]], int] = {}
-    splits: dict[int, list[tuple[int, ...]]] = {}
-    # Each distinct verdict, keyed by its value, so equal verdicts are one
-    # object and the constructor checks each value once.
     interned: dict[tuple[StabilityStatus, tuple[int, ...] | None, int | None], Verdict] = {}
     rows = []
     for stratum in strata(n):
-        points = _points_on(tagged, stratum.vanishing)
-        pairings = _point_pairings(table, stratum, points, known)
-        # Each witness's `_witness_pairings` over this stratum, from
-        # `limit_weights` and not from `known`.
-        rechecked: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         parts = len(stratum.intervals)
-        if parts not in splits:
-            splits[parts] = compositions(n, parts)
-        for lengths in splits[parts]:
-            config = ChainConfiguration(stratum, lengths)
-            status, witness = _witness_at_points(lengths, points, pairings)
-            weight = None
-            if witness is not None:
-                if witness not in rechecked:
-                    rechecked[witness] = _witness_pairings(table, stratum, witness)
-                weight = _weight(lengths, rechecked[witness])
-            key = (status, witness, weight)
-            verdict = interned.get(key)
-            if verdict is None:
-                verdict = interned[key] = Verdict(*key)
-            rows.append(SweepRow(config, admissible(config), verdict))
+        rows += _stratum_rows(table, stratum, tagged, splits[parts], known, interned)
     return SweepReport(tuple(rows))

@@ -65,11 +65,20 @@ def parse_rational(text: str | int) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise InputError(f"invalid rational {text!r}: expected an integer n or a fraction p/q")
     try:
-        return Fraction(text)
+        return Fraction(*map(_parse_int, text.split("/")))
     except ZeroDivisionError as exc:
         raise InputError(f"invalid rational {text!r}: zero denominator") from exc
-    except ValueError as exc:  # more digits than `int` converts
-        raise InputError(f"invalid rational {text!r}: {exc}") from exc
+
+
+def _parse_int(literal: str) -> int:
+    """The value of an integer literal, of JSON or of a written rational;
+    one with more digits than `int` converts is an input error that gives
+    its size."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = len(literal.strip().lstrip("+-"))
+        raise InputError(f"integer of {digits} digits is too long") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -332,6 +341,8 @@ def _loads_strict(text: str) -> object:
         return json.loads(text, object_pairs_hook=no_duplicates)
     except json.JSONDecodeError as exc:
         raise InputError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # an integer past the digit limit: parse again to name its size
+        return json.loads(text, object_pairs_hook=no_duplicates, parse_int=_parse_int)
 
 
 def _parse_weight(raw: object, what: str) -> WeightVector:
@@ -409,16 +420,14 @@ def serialize_problem(problem: GitProblem) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def parse_point(problem: GitProblem, source: str | Mapping[str, object]) -> PointSample:
-    """Parse a point from JSON text, an inline "x=1,y=0" string, or a mapping."""
-    if isinstance(source, Mapping):
-        return PointSample.for_problem(problem, source)  # type: ignore[arg-type]
+def parse_point(problem: GitProblem, source: str) -> PointSample:
+    """Parse a point from JSON text or an inline "x=1,y=0" string."""
     text = source.strip()
     if text.startswith(("{", "[")):
         data = _loads_strict(text)
         if not isinstance(data, dict):
             raise InputError("point file must contain a JSON object")
-        return PointSample.for_problem(problem, data)  # type: ignore[arg-type]
+        return PointSample.for_problem(problem, data)
     values: dict[str, str] = {}
     for chunk in text.split(","):
         if "=" not in chunk:

@@ -271,7 +271,7 @@ def test_criterion_10_property_suite():
             verdict = row.verdict
             if verdict.status is not StabilityStatus.UNSTABLE:
                 continue
-            drop = -mu_config(table, row.config, verdict.witness)
+            drop = -mu_config(table, ChainConfiguration(row.stratum, row.lengths), verdict.witness)
             assert drop > 0
             profile = decay_profile(Fraction(1), int(drop))
             assert all(a > b for a, b in zip(profile, profile[1:]))

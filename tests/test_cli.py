@@ -139,6 +139,9 @@ BAD_PROBLEMS = {
 
 POINT = ("classify", "--problem", "builtin:conic-bundle", "--point")
 CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
+# An integer with more digits than `int` converts by default (4 300).
+BIG = "1" * 5000
+BIG_PROBLEM = f'{{"torus_rank": 1, "base_vars": {{"x": [{BIG}]}}, "fiber_vars": {{"u": [1]}}}}'
 
 
 @pytest.mark.parametrize(
@@ -160,17 +163,24 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
         (*POINT, "{point-file}"),
         (*POINT, "x=1;y=0"),
         (*POINT, "x=1,x=0,y=0,u=1,v=0"),
+        (*POINT, "foo"),
+        ("conic", "--n", "2", "--stratum", "1", "--lengths", "1,1", "--lambda", "1"),
+        ("classify", "--problem", "{big-problem}", "--point", "x=1,u=1"),
+        (*POINT, f'{{"x": {BIG}, "y": 0, "u": 1, "v": 0}}'),
     ],
     ids=[
         "unknown-builtin", "conic-no-stratum", "conic-no-lengths", "non-integer-stratum",
         "negative-length", "marked-unknown-component", "marked-zero", "marked-too-many",
         "twist-count", "sign-removed", "sign-engine-removed", *BAD_PROBLEMS,
         "point-json-list", "point-file-list", "point-semicolon", "point-repeated-variable",
+        "point-not-name-value", "conic-lambda-length", "oversized-problem-integer",
+        "oversized-point-integer",
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
     files = {f"{{{name}}}": text for name, text in BAD_PROBLEMS.items()}
     files["{point-file}"] = "[1, 2]"
+    files["{big-problem}"] = BIG_PROBLEM
     for placeholder, text in files.items():
         (tmp_path / placeholder.strip("{}")).write_text(text)
     argv = [str(tmp_path / a.strip("{}")) if a in files else a for a in argv]
@@ -179,6 +189,25 @@ def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "problem, point",
+    [
+        ("{big-problem}", "x=1,u=1"),
+        ("builtin:conic-bundle", f'{{"x": {BIG}, "y": 0, "u": 1, "v": 0}}'),
+        ("builtin:conic-bundle", f"x={BIG},y=0,u=1,v=0"),
+        ("builtin:conic-bundle", f"x=-1/{BIG},y=0,u=1,v=0"),
+    ],
+    ids=["problem-file", "json-point", "inline-point", "inline-denominator"],
+)
+def test_an_oversized_integer_is_refused_by_its_size(capture, tmp_path, problem, point):
+    if problem == "{big-problem}":
+        problem = tmp_path / "big.problem"
+        problem.write_text(BIG_PROBLEM)
+    code, out, err = capture("classify", "--problem", str(problem), "--point", point)
+    assert (code, out) == (1, "")
+    assert err == "error: integer of 5000 digits is too long\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -810,7 +839,7 @@ def test_relation_scan_over_the_cap_exits_1(capture, monkeypatch):
 
 
 def test_reported_witnesses_reverify(capture):
-    from torstab import builtin_problem, mu, parse_point
+    from torstab import PointSample, builtin_problem, mu
 
     code, out, _ = capture(
         "patterns", "--problem", "builtin:conic-bundle", "--format", "json"
@@ -825,7 +854,7 @@ def test_reported_witnesses_reverify(capture):
             name: "1" if name in row["base"] + row["fiber"] else "0"
             for name in problem.var_names
         }
-        realized = parse_point(problem, values)
+        realized = PointSample.for_problem(problem, values)
         lam = tuple(row["verdict"]["witness"])
         assert str(mu(problem, realized, lam)) == row["verdict"]["witness_mu"]
 

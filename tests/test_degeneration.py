@@ -366,7 +366,9 @@ SWEEP_CASES = [
 
 def oracle_rows(table):
     return tuple(
-        SweepRow(config, admissible(config), config_verdict_oracle(table, config))
+        SweepRow(
+            config.stratum, config.lengths, admissible(config), config_verdict_oracle(table, config)
+        )
         for config in every_config(table.n)
     )
 
@@ -380,7 +382,13 @@ def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, s
     # The sweep and `classify_config` read weights at the cube points and ask
     # no cone question (a `solve_cone` or a `cone_has_nonzero` call); their
     # rows, witnesses included, must be those of the orthant-cone oracle.
+    # Both re-check witnesses through one step, which `mu_config` is not.
     expected = oracle_rows(table)
+
+    def no_mu_config(*args):
+        raise AssertionError("mu_config called")
+
+    monkeypatch.setattr(degeneration, "mu_config", no_mu_config)
     # The package attribute `torstab.classify` is the function of that name.
     classify_module = sys.modules["torstab.classify"]
     questions = []
@@ -394,7 +402,7 @@ def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, s
     report = sweep_equivalence(table)
     assert len(questions) == 0
     alone = tuple(
-        SweepRow(config, admissible(config), classify_config(table, config))
+        SweepRow(config.stratum, config.lengths, admissible(config), classify_config(table, config))
         for config in every_config(table.n)
     )
     assert len(questions) == 0
@@ -423,7 +431,8 @@ def test_sweep_statuses_equal_the_box_scan(twists):
     # Every cube point lies in the box [-3, 3]^n, so the scan is exact here.
     table = WeightTable(len(twists) + 1, twists + (1,))
     for row in sweep_equivalence(table).rows:
-        assert row.verdict.status is brute_force_config_status(table, row.config, bound=3)
+        config = ChainConfiguration(row.stratum, row.lengths)
+        assert row.verdict.status is brute_force_config_status(table, config, bound=3)
 
 
 def test_sweep_beyond_the_table_cap():
@@ -476,12 +485,33 @@ def test_a_sweep_pairs_each_interval_and_cube_point_once(monkeypatch):
     assert set(pairings.values()) == {1}
     witnessed = [row for row in report.rows if row.verdict.witness is not None]
     assert len(witnessed) == 176
-    assert set(rechecked) == {(row.config.stratum, row.verdict.witness) for row in witnessed}
+    assert set(rechecked) == {(row.stratum, row.verdict.witness) for row in witnessed}
     assert len(rechecked) == 48
     assert set(rechecked.values()) == {1}
     assert sum(inner.values()) == sum(len(stratum.intervals) for stratum, _ in rechecked)
     for row in witnessed:
-        assert row.verdict.witness_mu == mu_config(table, row.config, row.verdict.witness)
+        config = ChainConfiguration(row.stratum, row.lengths)
+        assert row.verdict.witness_mu == mu_config(table, config, row.verdict.witness)
+
+
+def test_a_sweep_builds_no_chain_configuration(monkeypatch):
+    # A sweep's lengths come from `compositions`, valid by construction, so
+    # its rows carry the stratum and lengths without the checking
+    # constructor.
+    built = []
+    real_new = ChainConfiguration.__new__
+
+    def new(cls, *args):
+        built.append(args)
+        return real_new(cls, *args)
+
+    monkeypatch.setattr(ChainConfiguration, "__new__", new)
+    ChainConfiguration(origin(3), (0, 1, 1, 1, 0))
+    assert len(built) == 1
+    built.clear()
+    report = sweep_equivalence(build_weight_table(3))
+    assert len(report.rows) == 192
+    assert built == []
 
 
 def test_a_sweep_rechecks_witnesses_without_the_shared_pairings(monkeypatch):

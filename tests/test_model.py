@@ -180,7 +180,7 @@ def test_record_fields_are_read_only(conic):
     cone = ts.ConeProblem([(1, 0)], [(0, 1)], 2)
     weight_table = ts.build_weight_table(1)
     sweep = ts.sweep_equivalence(weight_table)
-    config = sweep.rows[0].config
+    config = ts.ChainConfiguration(sweep.rows[0].stratum, sweep.rows[0].lengths)
     incidence = ts.hilbert_components(2)
     records = [
         conic, point(conic, x=1, y=0, u=1, v=0), pattern, verdict, table,
