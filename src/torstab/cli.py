@@ -3,9 +3,13 @@
 `_run` parses a command line, loads its `--problem` and `--point` into
 `args.problem` (a `GitProblem`) and `args.point` (a `PointSample`),
 refusing a point off the problem's declared ideal, and hands `args` to the
-subcommand's handler.  Each handler computes one JSON-ready result dict and
-its warnings; `_run` wraps them in a report with the problem's digest, and
-`main` prints it as text or JSON (see `report`).
+subcommand's handler.  The parser reads every other valued flag but
+`--format` through a `type=` reader built on `model.parse_int`, the one
+integer reader, so a malformed value is refused as `argument --<flag>: ...`
+and handlers receive parsed values, never text.  Each handler computes one JSON-ready
+result dict and its warnings; `_run` wraps them in a report with the
+problem's digest, and `main` renders it as text or JSON (see `report`)
+and prints it.
 The argument parser is built once per process, on the first call, and holds
 no handler: the handler of subcommand `name` is the function `_cmd_<name>`,
 looked up by that name when the command runs.  Exit codes: 0 success, 1
@@ -62,6 +66,7 @@ from .model import (
     PointSample,
     check_on_ideal,
     format_rational,
+    parse_int,
     parse_point,
     parse_problem,
     parse_rational,
@@ -85,6 +90,53 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# --- flag values: every integer is read by `model.parse_int` ------------------
+
+
+def _flag(parse):
+    """`parse` as an argparse `type=`: its InputError becomes the parser's
+    error, which names the flag, as in `argument --n: ...`."""
+
+    def read(text: str):
+        try:
+            return parse(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank text is the empty list, as a
+    `conic --n 1` has no twists."""
+    return tuple(map(parse_int, text.split(","))) if text.strip() else ()
+
+
+def _vanishing(text: str) -> frozenset[int]:
+    """A stratum's vanishing indices, comma-separated, or none for "smooth",
+    "none" or a blank text; an index given twice is refused."""
+    indices = () if text.strip() in ("smooth", "none") else _ints(text)
+    vanishing = frozenset(indices)
+    if len(vanishing) != len(indices):
+        repeated = next(i for k, i in enumerate(indices) if i in indices[:k])
+        raise InputError(f"duplicate vanishing index {repeated} in {text!r}")
+    return vanishing
+
+
+def _marked(text: str) -> tuple[tuple[int, Fraction], ...]:
+    """Marked points as comma-separated component:coordinate pairs."""
+    out = []
+    for chunk in text.split(","):
+        component, colon, coordinate = chunk.partition(":")
+        if not colon:
+            raise InputError(f"marked points use component:coordinate, got {chunk!r}")
+        out.append((parse_int(component), parse_rational(coordinate)))
+    return tuple(out)
+
+
+_INT, _INTS = _flag(parse_int), _flag(_ints)
+
+
 def _load_problem(spec: str) -> tuple[GitProblem, str]:
     """The problem and its digest, the sha256 of its canonical serialization,
     so the digest depends neither on how the file is named nor on how it is
@@ -99,13 +151,6 @@ def _load_problem(spec: str) -> tuple[GitProblem, str]:
             raise InputError(f"cannot read problem file {spec!r}: {exc}") from exc
         problem = parse_problem(text)
     return problem, sha256_hex(serialize_problem(problem).encode())
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"{what} must be comma-separated integers, got {text!r}") from exc
 
 
 def _load_point(problem: GitProblem, spec: str) -> PointSample:
@@ -158,13 +203,12 @@ def _degree_bounded(max_degree: int) -> list[str]:
 
 
 def _cmd_mu(args) -> tuple[dict, list[str]]:
-    lam = _parse_ints(args.lam, "lambda")
-    weight = mu(args.problem, args.point, lam)
-    return {"mu": "inf" if weight is None else str(weight), "lambda": list(lam)}, []
+    weight = mu(args.problem, args.point, args.lam)
+    return {"mu": "inf" if weight is None else str(weight), "lambda": list(args.lam)}, []
 
 
 def _cmd_limit(args):
-    limit = limit_point(args.problem, args.point, _parse_ints(args.lam, "lambda"))
+    limit = limit_point(args.problem, args.point, args.lam)
     if limit is not None:
         limit = {n: format_rational(v) for n, v in limit.as_dict().items()}
     return {"limit": limit, "variables": list(args.problem.var_names)}, []
@@ -244,40 +288,6 @@ def _cmd_sections(args):
     return result, _degree_bounded(args.max_degree) if section is None else []
 
 
-def _parse_stratum(args) -> Stratum:
-    if args.stratum is None:
-        raise InputError("--stratum is required unless --sweep is given")
-    text = args.stratum.strip()
-    if text in ("", "none", "smooth"):
-        vanishing: frozenset[int] = frozenset()
-    else:
-        try:
-            indices = [int(x) for x in text.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad stratum {args.stratum!r}: {exc}") from exc
-        vanishing = frozenset(indices)
-        if len(vanishing) != len(indices):
-            repeated = next(i for k, i in enumerate(indices) if i in indices[:k])
-            raise InputError(f"duplicate vanishing index {repeated} in --stratum")
-    return Stratum(args.n, vanishing)
-
-
-def _parse_marked(text: str | None) -> tuple[tuple[int, Fraction], ...]:
-    if text is None:
-        return ()
-    out = []
-    for chunk in text.split(","):
-        if ":" not in chunk:
-            raise InputError(f"marked points use component:coordinate, got {chunk!r}")
-        idx, _, coord = chunk.partition(":")
-        try:
-            component = int(idx)
-        except ValueError as exc:
-            raise InputError(f"marked point component must be an integer, got {idx!r}") from exc
-        out.append((component, parse_rational(coord)))
-    return tuple(out)
-
-
 def _conic_result(table, sweep_rows) -> dict:
     """The part of every `conic` report: the table as `weight_table`, its
     size and twists; the limit weights of each distinct chain interval of
@@ -312,7 +322,7 @@ def _conic_result(table, sweep_rows) -> dict:
 def _cmd_conic(args):
     """A sweep of every configuration, with its summary, or one
     configuration as one row, with what its flags ask for."""
-    table = build_weight_table(args.n, a=_parse_twists(args))
+    table = build_weight_table(args.n, a=args.twists)
     if args.sweep:
         for flag, value in (
             ("--stratum", args.stratum),
@@ -331,17 +341,16 @@ def _cmd_conic(args):
         result["strictly_semistable_rows"] = sweep.strictly_semistable_count
         return result, []
 
-    stratum = _parse_stratum(args)
-    if args.lengths is None:
-        raise InputError("--lengths is required unless --sweep is given")
-    lengths = _parse_ints(args.lengths, "--lengths")
-    config = ChainConfiguration(stratum, lengths, _parse_marked(args.marked))
-    row = SweepRow(stratum, lengths, admissible(config), classify_config(table, config))
+    for flag, value in (("--stratum", args.stratum), ("--lengths", args.lengths)):
+        if value is None:
+            raise InputError(f"{flag} is required unless --sweep is given")
+    stratum = Stratum(args.n, args.stratum)
+    config = ChainConfiguration(stratum, args.lengths, args.marked or ())
+    row = SweepRow(stratum, args.lengths, admissible(config), classify_config(table, config))
     result = _conic_result(table, [row])
     if args.lam is not None:
-        lam = _parse_ints(args.lam, "lambda")
-        weight = mu_config(table, config, lam)
-        result["lambda"] = list(lam)
+        weight = mu_config(table, config, args.lam)
+        result["lambda"] = list(args.lam)
         result["mu"] = "inf" if weight is None else str(weight)
     if config.marked_points:
         result["stabilizer_order"] = config_stabilizer(config)
@@ -362,15 +371,6 @@ def _cmd_conic(args):
             for labels, witnesses in incidence.intersections
         ]
     return result, []
-
-
-def _parse_twists(args) -> tuple[int, ...] | None:
-    if args.twists is None:
-        return None
-    text = args.twists.strip()
-    if not text:
-        return ()
-    return _parse_ints(text, "--twists")
 
 
 def _cmd_selftest(args):
@@ -415,7 +415,7 @@ def _build_parser() -> _Parser:
         if point:
             p.add_argument("--point", required=True, help='point file, JSON, or "x=1,y=0"')
         if lam:
-            p.add_argument("--lambda", dest="lam", required=True,
+            p.add_argument("--lambda", dest="lam", required=True, type=_INTS,
                            help="one-parameter subgroup, comma-separated integers")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -430,36 +430,39 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("patterns", help="verdicts for all support patterns")
     common(p)
-    p.add_argument("--max-vars", type=int, default=16)
+    p.add_argument("--max-vars", type=_INT, default=16)
 
     p = sub.add_parser("invariants", help="invariant monomials up to a degree bound")
     common(p)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_INT, default=4)
 
     p = sub.add_parser("relations", help="binomial relations among minimal generators")
     common(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--syzygy-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_INT, default=4)
+    p.add_argument("--syzygy-degree", type=_INT, default=8)
 
     p = sub.add_parser("quotient", help="quotient presentation")
     common(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--syzygy-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_INT, default=4)
+    p.add_argument("--syzygy-degree", type=_INT, default=8)
 
     p = sub.add_parser("stabilizer", help="order of the torus stabilizer at a point")
     common(p, point=True)
 
     p = sub.add_parser("sections", help="nonvanishing invariant section at a point")
     common(p, point=True)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_INT, default=4)
 
     p = sub.add_parser("conic", help="degenerating-conic case study")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stratum", help='comma-separated vanishing indices, or "smooth"')
-    p.add_argument("--lengths", help="per-component lengths, comma-separated")
-    p.add_argument("--marked", help="marked points as component:coordinate,...")
-    p.add_argument("--lambda", dest="lam", help="evaluate the weight at this subgroup")
-    p.add_argument("--twists", help="override twist parameters a_1,...,a_{n-1}")
+    p.add_argument("--n", type=_INT, required=True)
+    p.add_argument("--stratum", type=_flag(_vanishing),
+                   help='comma-separated vanishing indices, or "smooth"')
+    p.add_argument("--lengths", type=_INTS, help="per-component lengths, comma-separated")
+    p.add_argument("--marked", type=_flag(_marked),
+                   help="marked points as component:coordinate,...")
+    p.add_argument("--lambda", dest="lam", type=_INTS,
+                   help="evaluate the weight at this subgroup")
+    p.add_argument("--twists", type=_INTS, help="override twist parameters a_1,...,a_{n-1}")
     p.add_argument("--sweep", action="store_true", help="full equivalence sweep")
     p.add_argument("--components", action="store_true",
                    help="report component incidence")
@@ -508,15 +511,23 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args, report = _run(argv)
+        rendered = to_json(report) if args.format == "json" else to_text(report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # Valid inputs can still make an integer too long for `str`.
+        if "for integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result integer has more than {limit} digits", file=sys.stderr)
+        return 1
 
     try:
-        sys.stdout.write(to_json(report) if args.format == "json" else to_text(report))
+        sys.stdout.write(rendered)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader went away, as with `| head`
         _discard_stdout()

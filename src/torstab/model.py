@@ -14,7 +14,9 @@ place: the cached map `GitProblem.positions`, and
 and fiber positions and refuses a name that is not a variable of its kind.
 
 File format: JSON with integer weight vectors and rationals as "p/q" or "n"
-strings (never floats).  See the README for the full grammar.
+strings (never floats).  See the README for the full grammar.  `parse_int`
+is the one integer reader: of the command line's integer flags, of a JSON
+integer too long for `int`, and of a rational's numerator and denominator.
 
 The value types here and across the package are `collections.namedtuple`
 subclasses: equal by value, hashable, with read-only fields.  A type with
@@ -49,10 +51,28 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The written form of a rational: an optional sign, then digits, optionally
-# followed by "/" and digits.  `Fraction` alone also takes decimal, exponent
-# and underscore forms, and builds 10**100000000 for "1e100000000".
+# The written form of an integer: an optional sign and ASCII digits, with
+# blanks around them.  `int` alone also takes underscores and non-ASCII
+# digits, reading "1_1" as 11 and an Arabic-Indic one (U+0661) as 1.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+# The written form of a rational: an integer, optionally followed by "/" and
+# digits.  `Fraction` alone also takes decimal, exponent and underscore
+# forms, and builds 10**100000000 for "1e100000000".
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
+def parse_int(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits.  Any other
+    text, such as "1_0" or "1.0", is refused, and so is an integer with
+    more digits than `int` converts, by its size."""
+    if not _INTEGER.fullmatch(text):
+        raise InputError(f"invalid integer {text!r}: expected an optional sign and ASCII digits")
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.strip().lstrip("+-"))
+        raise InputError(f"integer of {digits} digits is too long") from None
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -65,20 +85,9 @@ def parse_rational(text: str | int) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise InputError(f"invalid rational {text!r}: expected an integer n or a fraction p/q")
     try:
-        return Fraction(*map(_parse_int, text.split("/")))
+        return Fraction(*map(parse_int, text.split("/")))
     except ZeroDivisionError as exc:
         raise InputError(f"invalid rational {text!r}: zero denominator") from exc
-
-
-def _parse_int(literal: str) -> int:
-    """The value of an integer literal, of JSON or of a written rational;
-    one with more digits than `int` converts is an input error that gives
-    its size."""
-    try:
-        return int(literal)
-    except ValueError:
-        digits = len(literal.strip().lstrip("+-"))
-        raise InputError(f"integer of {digits} digits is too long") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -342,7 +351,7 @@ def _loads_strict(text: str) -> object:
     except json.JSONDecodeError as exc:
         raise InputError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError:  # an integer past the digit limit: parse again to name its size
-        return json.loads(text, object_pairs_hook=no_duplicates, parse_int=_parse_int)
+        return json.loads(text, object_pairs_hook=no_duplicates, parse_int=parse_int)
 
 
 def _parse_weight(raw: object, what: str) -> WeightVector:

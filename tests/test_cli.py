@@ -110,7 +110,9 @@ def test_only_integers_and_fractions_are_rationals(capture, tmp_path, route, val
     code, out, err = capture(*argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert err == f"error: invalid rational {value!r}: expected an integer n or a fraction p/q\n"
+    # The parser reads --marked, so its refusal names the flag.
+    flag = "argument --marked: " if route == "marked" else ""
+    assert err == f"error: {flag}invalid rational {value!r}: expected an integer n or a fraction p/q\n"
 
 
 @pytest.mark.parametrize(
@@ -142,6 +144,35 @@ CONIC = ("conic", "--n", "2", "--stratum", "1,3", "--lengths", "0,2,0")
 # An integer with more digits than `int` converts by default (4 300).
 BIG = "1" * 5000
 BIG_PROBLEM = f'{{"torus_rank": 1, "base_vars": {{"x": [{BIG}]}}, "fiber_vars": {{"u": [1]}}}}'
+NOT_ASCII = "expected an optional sign and ASCII digits"
+# Flag values that `int` alone would read, or refuse with a traceback or an
+# echo of every digit, and the one line each is refused with.
+FLAG_REFUSALS = {
+    "max-degree-underscore": (
+        ("invariants", "--problem", "builtin:conic-bundle", "--max-degree", "1_0"),
+        f"argument --max-degree: invalid integer '1_0': {NOT_ASCII}",
+    ),
+    "max-degree-arabic-indic": (
+        ("invariants", "--problem", "builtin:conic-bundle", "--max-degree", "\u0661\u0660"),
+        f"argument --max-degree: invalid integer '\u0661\u0660': {NOT_ASCII}",
+    ),
+    "lambda-arabic-indic": (
+        ("mu", *POINT[1:], "x=1,y=0,u=1,v=1", "--lambda", "\u0661"),
+        f"argument --lambda: invalid integer '\u0661': {NOT_ASCII}",
+    ),
+    "stratum-underscore": (
+        ("conic", "--n", "2", "--stratum", "1_1", "--lengths", "1,1"),
+        f"argument --stratum: invalid integer '1_1': {NOT_ASCII}",
+    ),
+    "oversized-n": (
+        ("conic", "--n", BIG, "--sweep"),
+        "argument --n: integer of 5000 digits is too long",
+    ),
+    "oversized-twist": (
+        ("conic", "--n", "3", "--sweep", "--twists", f"3,{BIG}"),
+        "argument --twists: integer of 5000 digits is too long",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -167,6 +198,7 @@ BIG_PROBLEM = f'{{"torus_rank": 1, "base_vars": {{"x": [{BIG}]}}, "fiber_vars": 
         ("conic", "--n", "2", "--stratum", "1", "--lengths", "1,1", "--lambda", "1"),
         ("classify", "--problem", "{big-problem}", "--point", "x=1,u=1"),
         (*POINT, f'{{"x": {BIG}, "y": 0, "u": 1, "v": 0}}'),
+        *[argv for argv, _ in FLAG_REFUSALS.values()],
     ],
     ids=[
         "unknown-builtin", "conic-no-stratum", "conic-no-lengths", "non-integer-stratum",
@@ -174,7 +206,7 @@ BIG_PROBLEM = f'{{"torus_rank": 1, "base_vars": {{"x": [{BIG}]}}, "fiber_vars": 
         "twist-count", "sign-removed", "sign-engine-removed", *BAD_PROBLEMS,
         "point-json-list", "point-file-list", "point-semicolon", "point-repeated-variable",
         "point-not-name-value", "conic-lambda-length", "oversized-problem-integer",
-        "oversized-point-integer",
+        "oversized-point-integer", *FLAG_REFUSALS,
     ],
 )
 def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
@@ -188,7 +220,20 @@ def test_malformed_input_exits_1_with_one_error_line(capture, tmp_path, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", FLAG_REFUSALS.values(), ids=FLAG_REFUSALS)
+def test_a_refused_flag_value_names_its_flag(capture, argv, line):
+    assert capture(*argv) == (1, "", f"error: {line}\n")
+
+
+def test_a_blank_twist_list_is_the_empty_list(capture):
+    # A weight table with n = 1 has no twists, and chain sweeps pass "".
+    code, out, _ = capture("conic", "--n", "1", "--sweep", "--twists", "")
+    assert code == 0
+    assert "equivalence holds: True" in out
 
 
 @pytest.mark.parametrize(
@@ -208,6 +253,38 @@ def test_an_oversized_integer_is_refused_by_its_size(capture, tmp_path, problem,
     code, out, err = capture("classify", "--problem", str(problem), "--point", point)
     assert (code, out) == (1, "")
     assert err == "error: integer of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["mu", "sweep", "conic-lambda"])
+def test_a_result_integer_past_the_digit_limit_exits_1(capture, tmp_path, command, fmt):
+    # Every input passes its checks; only the report's integer is too long
+    # for `str`.
+    nines = "9" * 4299
+    if command == "mu":
+        path = tmp_path / "p.problem"
+        path.write_text(
+            f'{{"torus_rank": 1, "fiber_vars": {{"u": [{"7" * 4000}], "v": [1]}}}}'
+        )
+        argv = ("mu", "--problem", str(path), "--point", "u=1,v=0", "--lambda", "9" * 1000)
+    elif command == "sweep":
+        argv = ("conic", "--n", "3", "--sweep", "--twists", f"9{nines},{nines}")
+    else:
+        argv = ("conic", "--n", "2", "--stratum", "1,2,3", "--lengths", "0,1,1,0",
+                "--twists", nines, f"--lambda={nines},-1")
+    code, out, err = capture(*argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: a result integer has more than 4300 digits\n"
+
+
+def test_any_other_value_error_still_raises(capture, monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(cli, "_cmd_mu", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["mu", "--problem", "builtin:conic-bundle", "--point", "x=1,y=0,u=1,v=1",
+              "--lambda", "1"])
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -721,7 +798,9 @@ def test_lambda_validation(capture):
         "one",
     )
     assert code == 1
-    assert "comma-separated integers" in err
+    assert err == (
+        "error: argument --lambda: invalid integer 'one': expected an optional sign and ASCII digits\n"
+    )
 
 
 def test_internal_invariant_violation_exit_code(capture, monkeypatch):
@@ -862,11 +941,11 @@ def test_reported_witnesses_reverify(capture):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--stratum", "1", "--lengths", "1,x"), "--lengths must be comma-separated integers"),
-        (("--sweep", "--twists", "10,x"), "--twists must be comma-separated integers"),
+        (("--stratum", "1", "--lengths", "1,x"), "argument --lengths: invalid integer 'x'"),
+        (("--sweep", "--twists", "10,x"), "argument --twists: invalid integer 'x'"),
         (
             ("--stratum", "1,3", "--lengths", "0,2,0", "--marked", "one:1/2,1:-1/2"),
-            "marked point component must be an integer",
+            "argument --marked: invalid integer 'one'",
         ),
     ],
     ids=["lengths", "twists", "marked"],
@@ -877,6 +956,7 @@ def test_conic_non_integer_flags_exit_1(capture, argv, message):
     assert out == ""
     assert err.startswith("error: ")
     assert message in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 
@@ -899,7 +979,8 @@ def test_conic_refuses_an_empty_lambda(capture):
     )
     assert code == 1
     assert out == ""
-    assert err == "error: lambda must be comma-separated integers, got ''\n"
+    # A blank list flag is the empty list, which has the wrong length.
+    assert err == "error: lambda () has length 0, expected 1\n"
 
 
 def test_conic_refuses_an_empty_marked(capture):
@@ -908,7 +989,7 @@ def test_conic_refuses_an_empty_marked(capture):
     )
     assert code == 1
     assert out == ""
-    assert err == "error: marked points use component:coordinate, got ''\n"
+    assert err == "error: argument --marked: marked points use component:coordinate, got ''\n"
 
 
 @pytest.mark.parametrize("stratum", ["1,1", "3,1,3"])
@@ -917,7 +998,7 @@ def test_conic_refuses_a_repeated_vanishing_index(capture, stratum):
     code, out, err = capture("conic", "--n", "2", "--stratum", stratum, "--lengths", "1,1")
     assert code == 1
     assert out == ""
-    assert err == f"error: duplicate vanishing index {stratum[0]} in --stratum\n"
+    assert err == f"error: argument --stratum: duplicate vanishing index {stratum[0]} in {stratum!r}\n"
 
 
 def test_conic_mu_is_inf_where_the_base_limit_fails(capture):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,10 +14,12 @@ from torstab import (
     check_on_ideal,
     parse_point,
     parse_problem,
+    parse_rational,
     serialize_problem,
     support,
 )
 from torstab.errors import DimensionMismatchError, InputError, ZeroSectionError
+from torstab.model import parse_int
 
 from conftest import point
 
@@ -264,6 +267,24 @@ def test_parse_point_inline_and_json(conic):
 def test_parse_point_rejects_floats(conic):
     with pytest.raises(InputError):
         parse_point(conic, '{"x": 0.5, "y": "0", "u": "1", "v": "0"}')
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" -3 ", -3), ("+4", 4), ("-0", 0)])
+def test_parse_int_reads_a_sign_and_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "+", "1_0", "1.0", "1e3", "0x10", "\u0661", "1,2"])
+def test_parse_int_refuses_any_other_text(text):
+    with pytest.raises(InputError, match=re.escape(f"invalid integer {text!r}")):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000])
+def test_parse_int_and_parse_rational_refuse_a_long_integer_by_its_size(text):
+    parse = parse_rational if "/" in text else parse_int
+    with pytest.raises(InputError, match="^integer of 5000 digits is too long$"):
+        parse(text)
 
 
 def test_polynomial_normalization():

@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import io
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -86,3 +89,16 @@ def test_readme_library_example_returns_what_its_comments_say(monkeypatch):
     assert said["stabilizer_order"] == "2" and returned["stabilizer_order"] == 2
     assert said["classify_config"] == "stable"
     assert returned["classify_config"].status is torstab.StabilityStatus.STABLE
+
+
+def test_readme_cli_commands_exit_0(monkeypatch):
+    from torstab.cli import main
+
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("torstab ")]
+    assert commands
+    monkeypatch.chdir(README.parent)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv[1:]) == 0, argv
