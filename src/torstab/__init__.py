@@ -35,6 +35,7 @@ from .cones import (
     ConeProblem,
     FeasibilityResult,
     cone_has_nonzero,
+    decide_cone,
     solve_cone,
 )
 from .degeneration import (

@@ -14,13 +14,14 @@ answered by one system of rows and its relaxation:
                      integral point (weight <= 0, and 0 when the first
                      system has no point).
 
-The first system is one `cones.ConeProblem` for `solve_cone`, and the
-second asks `cone_has_nonzero` of the same rows, both at the torus rank.
-One private `_solve` asks them, for a support given as positions in
-`var_names`: `classify_pattern` resolves a pattern's names once, through
-`GitProblem.support_indices`, and `classify_patterns` passes each row's
-own position tuples.  A support's rows follow declaration order; the cone
-answers depend only on the set of rows.
+The two systems are one `cones.ConeProblem` at the torus rank, and one
+`cones.decide_cone` call answers both on one simplex tableau: a point of
+the first, else a nonzero point of the second.  One private `_solve` asks
+it, for a support given as positions in `var_names`: `classify_pattern`
+resolves a pattern's names once, through `GitProblem.support_indices`, and
+`classify_patterns` passes each row's own position tuples.  A support's
+rows follow declaration order; the cone answers depend only on the set of
+rows.
 Chain configurations need no cone at all (see `degeneration`).
 
 A nonzero subgroup acting trivially on every declared variable still blocks
@@ -60,7 +61,7 @@ import enum
 from collections import namedtuple
 from itertools import combinations
 
-from .cones import ConeProblem, cone_has_nonzero, solve_cone
+from .cones import ConeProblem, decide_cone
 from .errors import InputError, InternalInvariantError, ZeroSectionError
 from .model import GitProblem, OnePS, PointSample, SupportPattern, support
 from .mu import pairings, weight_of_pairings
@@ -146,17 +147,11 @@ def _solve(
     over the witness's pairings with the support, and the `Verdict`
     constructor checks it."""
     weights = problem.weights
-    base_rows = [weights[i] for i in base]
-    fiber_rows = [weights[i] for i in fiber]
-    status = StabilityStatus.UNSTABLE
-    lam = None
-    if first:
-        lam = solve_cone(ConeProblem(base_rows, fiber_rows, problem.torus_rank)).witness
+    cone = ConeProblem([weights[i] for i in base], [weights[i] for i in fiber], problem.torus_rank)
+    unstable, lam = decide_cone(cone, first)
     if lam is None:
-        status = StabilityStatus.STRICTLY_SEMISTABLE
-        lam = cone_has_nonzero(base_rows + fiber_rows, problem.torus_rank)
-        if lam is None:
-            return Verdict(StabilityStatus.STABLE), None
+        return Verdict(StabilityStatus.STABLE), None
+    status = StabilityStatus.UNSTABLE if unstable else StabilityStatus.STRICTLY_SEMISTABLE
     pairs = pairings(problem, lam)
     weight = weight_of_pairings(map(pairs.__getitem__, base), map(pairs.__getitem__, fiber))
     return Verdict(status, lam, weight), pairs

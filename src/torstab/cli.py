@@ -70,6 +70,7 @@ from .model import (
     parse_point,
     parse_problem,
     parse_rational,
+    quoted,
     serialize_problem,
 )
 from .mu import limit_point, mu
@@ -119,7 +120,7 @@ def _vanishing(text: str) -> frozenset[int]:
     vanishing = frozenset(indices)
     if len(vanishing) != len(indices):
         repeated = next(i for k, i in enumerate(indices) if i in indices[:k])
-        raise InputError(f"duplicate vanishing index {repeated} in {text!r}")
+        raise InputError(f"duplicate vanishing index {repeated} in {quoted(text)}")
     return vanishing
 
 
@@ -129,7 +130,7 @@ def _marked(text: str) -> tuple[tuple[int, Fraction], ...]:
     for chunk in text.split(","):
         component, colon, coordinate = chunk.partition(":")
         if not colon:
-            raise InputError(f"marked points use component:coordinate, got {chunk!r}")
+            raise InputError(f"marked points use component:coordinate, got {quoted(chunk)}")
         out.append((parse_int(component), parse_rational(coordinate)))
     return tuple(out)
 

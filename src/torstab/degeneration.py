@@ -364,7 +364,9 @@ def _witness_at_points(
     destabilizes.  Otherwise a point of weight 0 blocks stability: of those
     in the first sign orthant holding one, the one whose first nonzero
     coordinate comes first, then the first in list order; that is the point
-    `cones.cone_has_nonzero` returns on the orthant's cone of weight <= 0."""
+    that Fourier-Motzkin elimination, solving the axis systems of the
+    orthant's cone of weight <= 0 in turn, returns (the reference solver in
+    the tests)."""
     zeros = []
     for v, row in zip(points, pairings):
         negated = sum(map(mul, lengths, row))

@@ -62,12 +62,22 @@ _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
+def quoted(text: str) -> str:
+    """`text` as `repr` writes it, or, past 40 characters, its first 40 and
+    its length, so that an error line quoting input stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_int(text: str) -> int:
     """An integer written as an optional sign and ASCII digits.  Any other
     text, such as "1_0" or "1.0", is refused, and so is an integer with
     more digits than `int` converts, by its size."""
     if not _INTEGER.fullmatch(text):
-        raise InputError(f"invalid integer {text!r}: expected an optional sign and ASCII digits")
+        raise InputError(
+            f"invalid integer {quoted(text)}: expected an optional sign and ASCII digits"
+        )
     try:
         return int(text)
     except ValueError:
@@ -83,11 +93,13 @@ def parse_rational(text: str | int) -> Fraction:
     if not isinstance(text, str):
         raise InputError(f"rationals must be strings or integers, got {type(text).__name__}")
     if not _RATIONAL.fullmatch(text):
-        raise InputError(f"invalid rational {text!r}: expected an integer n or a fraction p/q")
+        raise InputError(
+            f"invalid rational {quoted(text)}: expected an integer n or a fraction p/q"
+        )
     try:
         return Fraction(*map(parse_int, text.split("/")))
     except ZeroDivisionError as exc:
-        raise InputError(f"invalid rational {text!r}: zero denominator") from exc
+        raise InputError(f"invalid rational {quoted(text)}: zero denominator") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -440,7 +452,7 @@ def parse_point(problem: GitProblem, source: str) -> PointSample:
     values: dict[str, str] = {}
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise InputError(f"expected name=value, got {chunk!r}")
+            raise InputError(f"expected name=value, got {quoted(chunk)}")
         name, _, raw = chunk.partition("=")
         name = name.strip()
         if name in values:

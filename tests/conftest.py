@@ -5,13 +5,18 @@ subgroups in a box, interpreting the weight thresholds directly.  They share
 no code path with the cone-based classifiers they validate.  `mu_oracle`
 re-computes the subgroup weight by enumerating lifted monomials up to a
 degree bound instead of trusting the pure-generator argument of `torstab.mu`.
-`solve_cone_oracle` and `cone_has_nonzero_oracle` are the Fourier-Motzkin
-solver as it was before its integer-only back-substitution: every stage is
-eliminated, and the witness is back-substituted with `Fraction`s.
+`solve_cone_oracle` and `cone_has_nonzero_oracle` are Fourier-Motzkin
+elimination, the package's solver before its integer simplex: every stage
+is eliminated (`_eliminate`, `_normalize_row`, under the `MAX_STAGE_PAIRS`
+cap), and the witness is back-substituted with `Fraction`s.  They share no
+code with the simplex, so they check its feasibility answers; its
+witnesses are checked by substitution.
 `config_verdict_oracle` is the chain classifier as it was before it read
 weights at the cube points of a stratum: one cone per sign orthant, solved
 by `verdict_over_pieces`, the multi-piece verdict walk that the package's
-pattern core used before it became one system per support.
+pattern core used before it became one system per support, over the
+Fourier-Motzkin oracles, whose orthant witnesses the chain classifier
+reproduces.
 `pattern_table_oracle` is `classify_patterns` as it was before it decided
 rows by sets: one row at a time, scanning the supports solved stable and
 strictly semistable and then the certificates in solve order.
@@ -47,13 +52,7 @@ from torstab import (
     support,
 )
 from torstab.classify import Verdict, classify_pattern
-from torstab.cones import (
-    ConeProblem,
-    FeasibilityResult,
-    _eliminate,
-    cone_has_nonzero,
-    solve_cone,
-)
+from torstab.cones import ConeProblem, FeasibilityResult
 from torstab.degeneration import ChainConfiguration, WeightTable, mu_config
 from torstab.errors import InputError
 from torstab.mu import pairings, weight_of_pairings
@@ -144,10 +143,68 @@ def mu_oracle(
     return -best
 
 
-def solve_cone_oracle(problem: ConeProblem) -> FeasibilityResult:
-    """`torstab.solve_cone` with rational back-substitution and no early exit.
+MAX_STAGE_PAIRS = 10**6
 
-    Every variable is eliminated (`torstab.cones._eliminate`); the system is
+# (coefficients, right-hand side), meaning sum(c*x) >= rhs.
+_Row = tuple[tuple[int, ...], int]
+
+
+def _normalize_row(coeffs: list[int], rhs: int) -> _Row | None:
+    """Divide a derived row by the gcd of its coefficients.
+
+    Derived right-hand sides are always >= 0, so ceil-dividing the rhs keeps
+    exactly the integral solutions (row values at integral points are
+    integers).  Trivially true rows are dropped; an all-zero row with a
+    positive rhs is kept, as ``0 >= 1``, as an infeasibility certificate.
+    """
+    g = gcd(*coeffs)
+    if g == 0:
+        return None if rhs <= 0 else (tuple(coeffs), 1)
+    if g > 1:
+        coeffs = [c // g for c in coeffs]
+        rhs = -((-rhs) // g)
+    return tuple(coeffs), rhs
+
+
+def _eliminate(rows: list[_Row], j: int) -> list[_Row]:
+    """Fourier-Motzkin step removing variable j from the system: each row
+    with a positive coefficient of x_j is combined with each row with a
+    negative one, by positive integer multipliers, so every derived row
+    stays integral.  A stage that would form more than `MAX_STAGE_PAIRS`
+    combinations is refused with an InputError."""
+    zero: list[_Row] = []
+    pos: list[_Row] = []
+    neg: list[_Row] = []
+    for coeffs, rhs in rows:
+        c = coeffs[j]
+        if c == 0:
+            zero.append((coeffs[:j] + coeffs[j + 1 :], rhs))
+        elif c > 0:
+            pos.append((coeffs, rhs))
+        else:
+            neg.append((coeffs, rhs))
+    if len(pos) * len(neg) > MAX_STAGE_PAIRS:
+        raise InputError(
+            f"eliminating coordinate {j} of {len(rows)} rows would combine "
+            f"{len(pos)} x {len(neg)} row pairs, over the cap of {MAX_STAGE_PAIRS}"
+        )
+    out = zero
+    for pc, prhs in pos:
+        for nc, nrhs in neg:
+            a, b = pc[j], -nc[j]
+            combined = [b * pc[i] + a * nc[i] for i in range(len(pc)) if i != j]
+            norm = _normalize_row(combined, b * prhs + a * nrhs)
+            if norm is not None:
+                out.append(norm)
+    # Deduplicate; FM can blow up quadratically per stage otherwise.
+    return list(dict.fromkeys(out))
+
+
+def solve_cone_oracle(problem: ConeProblem) -> FeasibilityResult:
+    """`torstab.solve_cone` by Fourier-Motzkin elimination with rational
+    back-substitution.
+
+    Every variable is eliminated (`_eliminate`); the system is
     infeasible iff the last stage holds a positive constant.  Otherwise each
     variable, in order, takes its largest lower bound, else the smaller of
     its upper bound and 0, else 0, and the values are scaled to the
@@ -187,7 +244,9 @@ def solve_cone_oracle(problem: ConeProblem) -> FeasibilityResult:
 
 
 def cone_has_nonzero_oracle(rows, dim: int):
-    """`torstab.cone_has_nonzero` solving all 2*dim axis systems in turn."""
+    """`torstab.cone_has_nonzero` solving all 2*dim axis systems in turn,
+    {rows >= 0, s*x_i >= 1} for i ascending and s = +1 first, by
+    `solve_cone_oracle`: the first feasible one's witness, or None."""
     for i in range(dim):
         for sign in (1, -1):
             axis = tuple(sign if k == i else 0 for k in range(dim))
@@ -290,11 +349,11 @@ def verdict_over_pieces(pieces, dim: int, weight) -> Verdict:
     seen = []
     for weak, strict in pieces:
         seen.append((weak, strict))
-        destab = solve_cone(ConeProblem(weak, strict, dim))
+        destab = solve_cone_oracle(ConeProblem(weak, strict, dim))
         if destab.feasible:
             return Verdict(StabilityStatus.UNSTABLE, destab.witness, weight(destab.witness))
     for weak, strict in seen:
-        blocker = cone_has_nonzero(list(weak) + list(strict), dim)
+        blocker = cone_has_nonzero_oracle(list(weak) + list(strict), dim)
         if blocker is not None:
             return Verdict(StabilityStatus.STRICTLY_SEMISTABLE, blocker, weight(blocker))
     return Verdict(StabilityStatus.STABLE)

@@ -1,6 +1,7 @@
 import importlib
 import random
 import sys
+import time
 import types
 from collections import Counter
 from itertools import combinations
@@ -20,6 +21,7 @@ from torstab import (
     degenerating_conic_problem,
     mu,
     mu_from_pattern,
+    parse_point,
     parse_problem,
     stabilizer_order,
     support,
@@ -287,6 +289,40 @@ def test_inconsistent_verdict_is_reported_with_its_fields():
 TABLES = Path(__file__).parent / "tables"
 
 
+# The rank-6 table that Fourier-Motzkin refused (random.Random(13), weights
+# in [-3, 3]): at the point below, elimination would have combined
+# 1580 x 1342 row pairs in one stage.
+RANK_SIX = TABLES / "rank6_seed13.problem"
+RANK_SIX_POINT = "x0=1,x1=1,x2=1,x3=1,x4=1,u0=0,u1=1,u2=0,u3=1,u4=0"
+
+
+def test_the_rank_six_point_is_unstable():
+    problem = parse_problem(RANK_SIX.read_text())
+    sample = parse_point(problem, RANK_SIX_POINT)
+    start = time.process_time()
+    verdict = classify(problem, sample)
+    assert time.process_time() - start < 0.1
+    assert verdict.status is StabilityStatus.UNSTABLE
+    # The witness, checked by substitution: every base weight of the
+    # support pairs to >= 0 and every fiber weight to >= 1.
+    pairs = dict(zip(problem.var_names, pairings(problem, verdict.witness)))
+    assert all(pairs[name] >= 0 for name in ("x0", "x1", "x2", "x3", "x4"))
+    assert pairs["u1"] >= 1 and pairs["u3"] >= 1
+    assert verdict.witness_mu == -min(pairs["u1"], pairs["u3"])
+
+
+def test_the_rank_six_table_is_answered():
+    problem = parse_problem(RANK_SIX.read_text())
+    start = time.process_time()
+    table = classify_patterns(problem)
+    assert time.process_time() - start < 1
+    counts = Counter(v.status for v in table.verdicts)
+    assert counts == {StabilityStatus.STABLE: 33, StabilityStatus.UNSTABLE: 959}
+    assert [v.status for _, v in table.rows] == [
+        v.status for _, v in pattern_table_oracle(problem)
+    ]
+
+
 def _patterns_in_order(problem):
     """Every support pattern, base size outer and fiber size inner."""
     base, fiber = problem.base_names, problem.fiber_names
@@ -401,23 +437,25 @@ def test_package_names_classify_and_mu_are_the_functions():
         assert isinstance(module, types.ModuleType)
         assert getattr(torstab, name) is getattr(module, name)
     assert bound is torstab.classify
-    assert not hasattr(torstab.classify, "solve_cone")
-    assert hasattr(sys.modules["torstab.classify"], "solve_cone")
+    assert not hasattr(torstab.classify, "decide_cone")
+    assert hasattr(sys.modules["torstab.classify"], "decide_cone")
 
 
 def _count_cone_questions(monkeypatch):
-    """List that records each `solve_cone` and `cone_has_nonzero` call by name."""
+    """List that records each `decide_cone` call: "both" when it asks the
+    first system and, failing that, the second, "second" when it asks the
+    second alone."""
     questions = []
     # `torstab.classify` as an attribute is the function; the module is needed.
     classify_module = importlib.import_module("torstab.classify")
-    for name in ("solve_cone", "cone_has_nonzero"):
+    original = cones.decide_cone
 
-        def counted(*args, _name=name, _original=getattr(cones, name)):
-            questions.append(_name)
-            return _original(*args)
+    def counted(problem, first=True):
+        questions.append("both" if first else "second")
+        return original(problem, first)
 
-        monkeypatch.setattr(cones, name, counted)
-        monkeypatch.setattr(classify_module, name, counted)
+    monkeypatch.setattr(cones, "decide_cone", counted)
+    monkeypatch.setattr(classify_module, "decide_cone", counted)
     return questions
 
 
@@ -432,12 +470,12 @@ def test_pattern_table_skips_solves_that_smaller_supports_decide(monkeypatch):
     statuses = {v.status for _, v in table.rows}
     assert StabilityStatus.STABLE in statuses
     assert StabilityStatus.STRICTLY_SEMISTABLE in statuses
-    # 992 patterns: 51 cone questions against 1364.  Stable supersets of
-    # stable supports ask neither kind, and so does every pattern whose rows
-    # a witness already found for a smaller support satisfies.  A pattern
-    # containing a strictly semistable support asks only `cone_has_nonzero`.
-    assert Counter(questions) == {"solve_cone": 31, "cone_has_nonzero": 20}
-    assert Counter(one_by_one) == {"solve_cone": 992, "cone_has_nonzero": 372}
+    # 992 patterns: 33 solves against 992.  Stable supersets of stable
+    # supports ask nothing, and so does every pattern whose rows a witness
+    # already found for a smaller support satisfies.  A pattern containing a
+    # strictly semistable support asks only the second system.
+    assert Counter(questions) == {"both": 31, "second": 2}
+    assert Counter(one_by_one) == {"both": 992}
 
 
 # Its supports {u2}, {x0, u0} and {x0, u3} are each solved strictly
@@ -492,9 +530,9 @@ def test_one_solved_witness_covers_the_larger_supports_it_satisfies(monkeypatch)
     assert rows[((), ("w",))] == Verdict(StabilityStatus.UNSTABLE, (-1,), -1)
     stable = [s for s, v in rows.items() if v.status is StabilityStatus.STABLE]
     assert len(stable) == 7
-    # One solve for {u}, one for {w}, and both passes for each of the three
-    # minimal stable supports.
-    assert Counter(questions) == {"solve_cone": 5, "cone_has_nonzero": 3}
+    # One solve for {u}, one for {w}, and one for each of the three minimal
+    # stable supports.
+    assert Counter(questions) == {"both": 5}
 
 
 def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch):
@@ -506,7 +544,7 @@ def test_one_solved_blocker_covers_the_larger_supports_it_satisfies(monkeypatch)
     (_, alone), (_, both) = classify_patterns(problem).rows
     assert alone.status is StabilityStatus.STRICTLY_SEMISTABLE
     assert both == alone
-    assert Counter(questions) == {"solve_cone": 1, "cone_has_nonzero": 1}
+    assert Counter(questions) == {"both": 1}
 
 
 # --- pattern tables: sets of rows against the row-by-row walk ---------------

@@ -1,13 +1,14 @@
 import random
 import time
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Eq, Matrix, symbols
 
-from torstab import ConeProblem, cone_has_nonzero, cones, solve_cone
-from torstab.errors import DimensionMismatchError, InputError
+from torstab import ConeProblem, cone_has_nonzero, cones, decide_cone, solve_cone
+from torstab.errors import DimensionMismatchError, InternalInvariantError
 
 from conftest import cone_has_nonzero_oracle, solve_cone_oracle
 
@@ -57,7 +58,8 @@ def test_list_rows_are_accepted():
     problem = ConeProblem(([1, 0], [-1, 1]), ([0, 1],), 2)
     assert problem.nonneg_rows == ((1, 0), (-1, 1))
     result = solve_cone(problem)
-    assert result.feasible and result.witness == (0, 1)
+    assert result.feasible
+    check_witness(problem, result.witness)
 
 
 def test_nonzero_opposite_constraints_pin_origin():
@@ -145,30 +147,39 @@ def test_witnesses_integral():
             assert all(isinstance(x, int) for x in result.witness)
 
 
-def test_fourier_motzkin_growth_is_refused():
-    # Unbounded, one stage of this rank-5 system would form 35.9 M row pairs.
+def fourteen_rows(rank):
     rng = random.Random(0)
-    rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(14)]
+    return [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(14)]
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_fourteen_row_systems_are_answered(rank):
+    # Fourier-Motzkin refused both: one stage of the rank-5 system would
+    # form 35.9 M row pairs.  At rank 5 the cone is the origin; at rank 6 it
+    # holds a witness.
+    rows = fourteen_rows(rank)
     start = time.process_time()
-    with pytest.raises(InputError, match="rank-5 cone system of 14 rows"):
-        cone_has_nonzero(rows, 5)
-    assert time.process_time() - start < 1
+    witness = cone_has_nonzero(rows, rank)
+    assert time.process_time() - start < 0.1
+    if rank == 5:
+        assert witness is None
+        assert Matrix(rows).rank() == 5
+        assert lpmin_certificate(rows, [1] * len(rows), 1) is not None
+    else:
+        assert any(witness)
+        check_witness(ConeProblem(rows, [], rank), witness)
 
 
-def test_pinned_coordinates_are_left_out_of_the_elimination():
-    # The rows of test_fourier_motzkin_growth_is_refused with both unit rows
-    # of every coordinate: the cone is the origin, and no elimination is
-    # needed to see it.
-    rng = random.Random(0)
-    rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(14)]
+def test_pinned_coordinates_leave_only_the_origin():
+    # The 14 rank-5 rows with both unit rows of every coordinate.
+    rows = fourteen_rows(5)
     units = [tuple(s * (k == i) for k in range(5)) for i in range(5) for s in (1, -1)]
     start = time.process_time()
     assert cone_has_nonzero(rows + units, 5) is None
-    assert time.process_time() - start < 1
+    assert time.process_time() - start < 0.1
 
 
 def test_rank_five_origin_cone_is_answered():
-    # The homogeneous stages down to x_1 stay under MAX_STAGE_PAIRS.
     from sympy.solvers.simplex import lpmin
 
     rows = [
@@ -176,13 +187,17 @@ def test_rank_five_origin_cone_is_answered():
         (-3, 1, 3, 2, 2), (-3, 1, 0, 0, 2), (2, 1, 2, -2, 1), (-3, 3, 1, -3, -3),
         (-3, -2, -2, 1, -3), (3, 0, -1, 0, 1),
     ]
+    start = time.process_time()
     assert cone_has_nonzero(rows, 5) is None
+    assert time.process_time() - start < 0.1
     # Stiemke: some y >= 1 has y^T R = 0, so R x >= 0 forces R x = 0, and
     # R has rank 5, so x = 0.
     y = symbols(f"y:{len(rows)}")
     balance = [Eq(sum(yi * row[k] for yi, row in zip(y, rows)), 0) for k in range(5)]
     _, point = lpmin(sum(y), [yi >= 1 for yi in y] + balance)
+    # lpmin's point counts only once it checks by substitution.
     assert all(point[yi] >= 1 for yi in y)
+    assert all(b.lhs.subs(point) == 0 for b in balance)
     assert Matrix(rows).rank() == 5
 
 
@@ -199,74 +214,45 @@ def cone_systems(draw):
     return ConeProblem(weak, strict, dim)
 
 
+def check_nonzero(rows, dim, witness, expected):
+    """`witness`, a `cone_has_nonzero` answer, exists exactly when the
+    oracle's `expected` does, and is a nonzero point of the cone."""
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert any(witness)
+        check_witness(ConeProblem(rows, [], dim), witness)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cone_systems())
 def test_solve_cone_equals_rational_oracle(problem):
+    # The witnesses may differ; each is checked by substitution.
     result = solve_cone(problem)
-    expected = solve_cone_oracle(problem)
-    assert (result.feasible, result.witness) == (expected.feasible, expected.witness)
+    assert result.feasible == solve_cone_oracle(problem).feasible
+    if result.feasible:
+        check_witness(problem, result.witness)
 
 
 @settings(max_examples=200, deadline=None)
 @given(cone_systems())
 def test_cone_has_nonzero_equals_rational_oracle(problem):
     rows = problem.nonneg_rows + problem.strict_rows
-    assert cone_has_nonzero(rows, problem.dim) == cone_has_nonzero_oracle(rows, problem.dim)
+    witness = cone_has_nonzero(rows, problem.dim)
+    check_nonzero(rows, problem.dim, witness, cone_has_nonzero_oracle(rows, problem.dim))
 
 
-def test_contradictory_stage_stops_elimination(monkeypatch):
-    calls = []
-    original = cones._eliminate
-
-    def counted(rows, j):
-        calls.append(j)
-        return original(rows, j)
-
-    monkeypatch.setattr(cones, "_eliminate", counted)
-    # x2 >= 1 and -x2 >= 0: eliminating x2 leaves 0 >= 1.
-    result = solve_cone(ConeProblem([(0, 0, -1)], [(0, 0, 1)], dim=3))
-    assert not result.feasible
-    assert calls == [2]
-
-
-def test_early_contradiction_answers_before_the_cap(monkeypatch):
-    # Eliminating x1 would combine 3 x 3 row pairs, over a cap of 4; x2 is
-    # eliminated first and already leaves 0 >= 1.
-    monkeypatch.setattr(cones, "MAX_STAGE_PAIRS", 4)
-    weak = [(1, 1, 0), (-1, 1, 0), (1, 2, 0), (1, -1, 0), (-1, -1, 0), (2, -1, 0), (0, 0, -1)]
-    problem = ConeProblem(weak, [(0, 0, 1)], dim=3)
-    assert not solve_cone(problem).feasible
-    with pytest.raises(InputError, match="3 x 3 row pairs"):
-        solve_cone_oracle(problem)
-
-
-@pytest.mark.parametrize(
-    "rows, eliminated",
-    [
-        # x >= 0, -y >= 0, z >= 0 and y >= x + z: only the origin.
-        ([(1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)], [2, 1]),
-        # x and y pinned to 0, so z is the only coordinate left, and z <= 0:
-        # the witness is z = -1.
-        ([(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1)], []),
-    ],
-)
-def test_nonzero_point_is_read_off_one_elimination(monkeypatch, rows, eliminated):
-    solves, eliminations = [], []
-    solve, eliminate = cones.solve_cone, cones._eliminate
-
-    def counted_solve(problem):
-        solves.append(problem)
-        return solve(problem)
-
-    def counted_eliminate(stage, j):
-        eliminations.append(j)
-        return eliminate(stage, j)
-
-    monkeypatch.setattr(cones, "solve_cone", counted_solve)
-    monkeypatch.setattr(cones, "_eliminate", counted_eliminate)
-    answer = cone_has_nonzero(rows, 3)
-    assert (len(solves), eliminations) == (0, eliminated)
-    assert answer == cone_has_nonzero_oracle(rows, 3)
+@settings(max_examples=200, deadline=None)
+@given(cone_systems(), st.booleans())
+def test_decide_cone_answers_both_questions(problem, first):
+    # One call answers what `solve_cone` and then `cone_has_nonzero` answer.
+    feasible, witness = decide_cone(problem, first)
+    rows = problem.nonneg_rows + problem.strict_rows
+    if first and solve_cone_oracle(problem).feasible:
+        assert feasible
+        check_witness(problem, witness)
+    else:
+        assert not feasible
+        check_nonzero(rows, problem.dim, witness, cone_has_nonzero_oracle(rows, problem.dim))
 
 
 @st.composite
@@ -312,7 +298,82 @@ def orthant_cones(draw):
 @settings(max_examples=200, deadline=None)
 @given(orthant_cones())
 def test_orthant_cones_equal_rational_oracle(cone):
-    # The witness must be the first feasible axis system's, as the oracle
-    # finds it, also when sign rows pin some coordinates.
+    # Also when sign rows pin some coordinates.
     rows, dim = cone
-    assert cone_has_nonzero(rows, dim) == cone_has_nonzero_oracle(rows, dim)
+    check_nonzero(rows, dim, cone_has_nonzero(rows, dim), cone_has_nonzero_oracle(rows, dim))
+
+
+def lpmin_certificate(rows, costs, floor):
+    """A y with every entry >= `floor`, costs.y >= 1 and sum y_i rows_i = 0,
+    found by sympy's lpmin and counted only once it checks by substitution
+    (lpmin has returned points that violate its own constraints); None when
+    lpmin finds none."""
+    from sympy.solvers.simplex import InfeasibleLPError, lpmin
+
+    y = symbols(f"y:{len(rows)}")
+    balance = [sum(yi * row[k] for yi, row in zip(y, rows)) for k in range(len(rows[0]))]
+    try:
+        _, point = lpmin(sum(y), [yi >= floor for yi in y] + [sum(map(mul, costs, y)) >= 1]
+                         + [Eq(b, 0) for b in balance])
+    except InfeasibleLPError:
+        return None
+    values = [point[yi] for yi in y]
+    if min(values) < floor or sum(map(mul, costs, values)) < 1:
+        return None
+    if any(b.subs(point) != 0 for b in balance):
+        return None
+    return values
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_answers_beyond_fourier_motzkin_hold_certificates(rank):
+    # Random systems of 7-14 rows, most of which Fourier-Motzkin took
+    # seconds on or refused: a witness checks by substitution, an
+    # infeasible system has a Farkas ray y >= 0 with y.b >= 1 and
+    # sum y_i w_i = 0, and a cone that is the origin has full rank and a
+    # balance y >= 1 of all its rows (Stiemke).
+    rng = random.Random(rank)
+    for _ in range(6):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(7, 14))]
+        problem = ConeProblem(rows[2:], rows[:2], rank)
+        start = time.process_time()
+        result = solve_cone(problem)
+        nonzero = cone_has_nonzero(rows, rank)
+        assert time.process_time() - start < 0.1
+        if result.feasible:
+            check_witness(problem, result.witness)
+        else:
+            assert lpmin_certificate(rows, [1, 1] + [0] * (len(rows) - 2), 0) is not None
+        if nonzero is not None:
+            assert any(nonzero)
+            check_witness(ConeProblem(rows, [], rank), nonzero)
+        else:
+            assert Matrix(rows).rank() == rank
+            assert lpmin_certificate(rows, [1] * len(rows), 1) is not None
+
+
+def test_a_wrong_witness_raises(monkeypatch):
+    # Every witness is checked by substitution before it is returned, so a
+    # slip in the arithmetic that yields a wrong one cannot pass.
+    monkeypatch.setattr(cones, "_primitive", lambda vector: tuple(-v for v in vector))
+    with pytest.raises(InternalInvariantError, match="violates strict row"):
+        solve_cone(ConeProblem([], [(1, 0)], 2))
+    with pytest.raises(InternalInvariantError, match="violates weak row"):
+        cone_has_nonzero([(1, 1), (1, -1)], 2)
+
+
+@pytest.mark.parametrize(
+    "ray, message",
+    [
+        ([2, -1, 1], "nonnegative improving"),  # a negative entry
+        ([0, 1, 1], "nonnegative improving"),  # costs.y = 0
+        ([1, 1, 0], "does not balance"),  # sum y_i w_i = (2, 0)
+    ],
+)
+def test_a_wrong_ray_raises(ray, message):
+    # Columns (1, 0), (1, 0) and (-1, 0) with costs 1, 0, 0: the rays of an
+    # infeasibility are checked by substitution as well.  (1, 0, 1) holds.
+    coords = [(1, 1, -1), (0, 0, 0)]
+    cones._check_ray(coords, [1, 0, 0], [1, 0, 1])
+    with pytest.raises(InternalInvariantError, match=message):
+        cones._check_ray(coords, [1, 0, 0], ray)

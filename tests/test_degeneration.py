@@ -380,8 +380,9 @@ def oracle_rows(table):
 )
 def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, semistable):
     # The sweep and `classify_config` read weights at the cube points and ask
-    # no cone question (a `solve_cone` or a `cone_has_nonzero` call); their
-    # rows, witnesses included, must be those of the orthant-cone oracle.
+    # no cone question (a `decide_cone` call, which `solve_cone` and
+    # `cone_has_nonzero` make too); their rows, witnesses included, must be
+    # those of the orthant-cone oracle, which solves by Fourier-Motzkin.
     # Both re-check witnesses through one step, which `mu_config` is not.
     expected = oracle_rows(table)
 
@@ -393,11 +394,10 @@ def test_sweep_equals_classifying_each_configuration_alone(monkeypatch, table, s
     classify_module = sys.modules["torstab.classify"]
     questions = []
     for module in (cones, classify_module):
-        for name in ("solve_cone", "cone_has_nonzero"):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda *args, real=real: questions.append(args) or real(*args)
-            )
+        real = module.decide_cone
+        monkeypatch.setattr(
+            module, "decide_cone", lambda *args, real=real: questions.append(args) or real(*args)
+        )
 
     report = sweep_equivalence(table)
     assert len(questions) == 0

@@ -32,25 +32,25 @@ ROOT = Path(__file__).parent.parent
 TABLES = [
     (
         ("patterns", "--problem", "tests/tables/rank3_5x5_seed1.problem"),
-        "8d27eb2e4777771aa7451fb7cb5a140e6bc243267b8b70089291ab5c1771f4d2",
-        "f51c982c898bb9a45aec8135e65a7172a8a9b37d67ceaba951167f7f598b3907",
+        "7b99c969ccf42fb3326b79e0cd7b43d9bbaf7f268de3ad6587e593ba9173189e",
+        "b3e1f7cb6e5fffb3a498b36f52a5a3b93f881f50fc26f2e0c7235bc370c7a257",
     ),
     (
         ("patterns", "--problem", "tests/tables/rank4_4x4_seed1.problem"),
-        "66337ca4bde445c362a39239e4e01fbd2378ecafe514ac7676b537a807a0948d",
-        "1eead767421b2ab49bbc66adcbfcb00424e728486c9f7b70717a58afc85842f8",
+        "e4efe361252c8209a710845848ebcdaf38beb3f72b3cb0411a2efac303a82a03",
+        "48341d3c57d5a25dc0ba9ba8dc5090a06082ea86f3f1085a6f467d6325cf5868",
     ),
     (
         ("patterns", "--problem", "tests/tables/rank4_4x4_seed2.problem"),
-        "a97fd26c6b203acf46140add385da0b8873ab697bf40f2c72e2e184e92e8ec1a",
-        "c79d18125dc19ac0351d63e5a3745aed01274e921437c5e6cdc6cdfa48872d9e",
+        "e9135d901ae3f027cc28267143c8585a858820f70945f77d12f2a5c35ff0b58f",
+        "158ceb22ce4887ba38b3eece723d1d33820ff80f8b0b326ccd94ad59cfecaf86",
     ),
     # The rank-4 8+8 table of 65 280 patterns, the worst case that CI smokes:
     # every row's name lists, verdict and witness, in both views.
     (
         ("patterns", "--problem", "tests/tables/rank4_8x8_seed1.problem"),
-        "3609191900f213122e42b1dadd02ea44760152574cebd60e7b5969b0d7d97231",
-        "ab13a8a40ab4098caf9bca51061cbd1b818d3d91ae83711402f7c32c0959831e",
+        "55c11577a31e61dfeba6fabafdc6819f35c832ab96c0a12e35acd650e0ce0724",
+        "e8932233c178b4b1ab8de139c3468aa6d05ff123e719722de80c393dad4850be",
     ),
     # The rank-2 ring "P40" (weights in ROADMAP.md): 24 generators up to
     # degree 10, whose relation scan stops at syzygy degree 3.  Its relations
@@ -80,6 +80,9 @@ VERDICT_DIGESTS = {
     ),
     "tests/tables/rank4_4x4_seed2.problem": (
         "6e05c14089a11405ab73a6623b4a27cc87b8f6587b6c04ea0e63e65f60ed0b83"
+    ),
+    "tests/tables/rank4_8x8_seed1.problem": (
+        "6a33b8ca01371df9bddad3aa5158e9492cd6dc582871cf3a7d0e5729040dfe47"
     ),
 }
 

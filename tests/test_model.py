@@ -287,6 +287,23 @@ def test_parse_int_and_parse_rational_refuse_a_long_integer_by_its_size(text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, kind",
+    [
+        (parse_int, "a" * 5000, "integer"),
+        (parse_rational, "a" * 5000, "rational"),
+        (parse_rational, "1" * 4000 + "/" + "0" * 999, "rational"),
+    ],
+    ids=["integer", "rational", "zero-denominator"],
+)
+def test_a_long_refused_text_is_quoted_by_a_prefix_and_its_length(parse, text, kind):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    message = str(exc.value)
+    assert message.startswith(f"invalid {kind} {text[:40]!r}... (5000 characters): ")
+    assert len(message) < 150
+
+
 def test_polynomial_normalization():
     poly = Polynomial.make([(1, {"x": 1}), (2, {"x": 1}), (-3, {"x": 1})])
     assert poly.terms == ()

@@ -29,12 +29,11 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_benchmark_hooks_exist():
-    # bench/tracing.py looks these up by name.  It skips a missing
-    # `_eliminate` or `_expand` silently, which would leave `cones.rows_max`
-    # and `invariants.candidates` at zero with no error.
-    from torstab import cones, invariants, snf
+    # bench/tracing.py looks these up by name.  It skips a missing `_expand`
+    # silently, which would leave `invariants.candidates` at zero with no
+    # error.
+    from torstab import invariants, snf
 
-    assert callable(cones._eliminate)
     assert callable(invariants._expand)
     for name in ("add", "contains", "rank"):
         assert hasattr(snf.IntegerLattice, name)
